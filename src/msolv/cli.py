@@ -38,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import MsolvError, ParseError, PreconditionViolated
+from .errors import MsolvError, ParseError, PreconditionViolated, VerdictFailed
 from .fingroup import (
     FiniteGroup,
     MatElem,
@@ -987,7 +987,7 @@ def _exp_solv_model(p: dict, rng) -> Tuple[dict, bool]:
         }
         return report, ok
     model = build_solv_model(r, p["e"], m, cap=p["cap"])
-    series = derived_series(model.group)
+    series = model.series
     report = {
         "rank": r,
         "exponent": p["e"],
@@ -1233,7 +1233,7 @@ def run_experiment(kind: str, params: dict, seed: int, index: int) -> dict:
     func = EXPERIMENTS[kind]
     try:
         report, passed = func(params, rng)
-    except AssertionError as e:
+    except (AssertionError, VerdictFailed) as e:
         report, passed = {"witness": str(e) or "assertion failed"}, False
     echo = {k: v for k, v in sorted(params.items())}
     return {

@@ -103,6 +103,113 @@ class MagnusMatrix:
         return f"MagnusMatrix(q={self.q}, vec={self.vec})"
 
 
+class _PackedMagnusLaw:
+    """Group law of MagnusMatrix values packed into single ints.
+
+    [[q, v]] is stored as q + |Q| * code with code = sum_k v[k] * e^k, so
+    the vector part sits in base-e digits above the quotient index.  A right
+    product by a generator [[q_i, e_i]] maps q to q * q_i and adds 1 to the
+    single digit (i-1)*d + q: one table lookup and one digit bump.  General
+    products and inverses work on the packed ints too, visiting only the
+    nonzero digits of the right operand.  `encode` / `decode` convert to and
+    from MagnusMatrix, which stays the single-element type for callers.
+    """
+
+    def __init__(self, ctx: QuotientContext):
+        self.ctx = ctx
+        d = ctx.ring.dimension
+        e = ctx.ring.modulus
+        self.base = d  # |Q|
+        self.e = e
+        # weight[k]: the packed value of a 1 in digit k of the vector part
+        self.weight = tuple(d * e**k for k in range(ctx.rank * d))
+        self._weights_cache: dict = {}
+        self.generators = [
+            self.encode(MagnusMatrix.generator(ctx, i)) for i in range(1, ctx.rank + 1)
+        ]
+        # generator value -> per-q (delta, e*w, (e-1)*w) where w is the weight
+        # of digit (i-1)*d + q and delta = q*q_i - q + w bumps that digit; it
+        # wraps (subtract e*w) when the digit already is e-1
+        self._steps = {}
+        for i, g in enumerate(self.generators):
+            steps = []
+            for q in range(d):
+                w = self.weight[i * d + q]
+                steps.append((ctx.group.mul(q, ctx.images[i]) - q + w, e * w, (e - 1) * w))
+            self._steps[g] = tuple(steps)
+
+    def encode(self, m: MagnusMatrix) -> int:
+        code = 0
+        e = self.e
+        for c in reversed(m.vec):
+            if not 0 <= c < e:
+                raise ValueError(f"vector entry {c} not reduced mod {e}")
+            code = code * e + c
+        return m.q + self.base * code
+
+    def q(self, x: int) -> int:
+        """The quotient index q of a packed [[q, v]], without decoding v."""
+        return x % self.base
+
+    def decode(self, x: int) -> MagnusMatrix:
+        code, q = divmod(x, self.base)
+        e = self.e
+        vec = []
+        for _ in range(len(self.weight)):
+            code, c = divmod(code, e)
+            vec.append(c)
+        return MagnusMatrix(self.ctx, q, tuple(vec))
+
+    def _weights(self, q: int) -> tuple:
+        """Digit weights after left multiplication by q (slot b*d+j -> b*d+q*j)."""
+        t = self._weights_cache.get(q)
+        if t is None:
+            perm = self.ctx.left_mult_perm(q)
+            d, w = self.base, self.weight
+            t = tuple(w[k - k % d + perm[k % d]] for k in range(len(w)))
+            self._weights_cache[q] = t
+        return t
+
+    def mul(self, a: int, b: int) -> int:
+        step = self._steps.get(b)
+        if step is not None:
+            delta, ew, top = step[a % self.base]
+            if a % ew >= top:
+                return a + delta - ew
+            return a + delta
+        e = self.e
+        cb, qb = divmod(b, self.base)
+        qa = a % self.base
+        out = a - qa + self.ctx.left_mult_perm(qa)[qb]
+        weights = self._weights(qa)
+        k = 0
+        while cb:
+            cb, c = divmod(cb, e)
+            if c:
+                w = weights[k]
+                old = out // w % e
+                new = old + c
+                if new >= e:
+                    new -= e
+                out += (new - old) * w
+            k += 1
+        return out
+
+    def inv(self, a: int) -> int:
+        e = self.e
+        ca, qa = divmod(a, self.base)
+        qi = self.ctx.group.inv(qa)
+        weights = self._weights(qi)
+        out = qi
+        k = 0
+        while ca:
+            ca, c = divmod(ca, e)
+            if c:
+                out += (e - c) * weights[k]
+            k += 1
+        return out
+
+
 def magnus_image(ctx: QuotientContext, w: FreeWord) -> MagnusMatrix:
     """Fold generator matrices over the word; checks Fox consistency.
 

@@ -66,6 +66,10 @@ class PreconditionViolated(MsolvError):
     """An arithmetic precondition of an experiment does not hold."""
 
 
+class VerdictFailed(MsolvError):
+    """A mathematical check failed; the message is the witness."""
+
+
 class ParseError(MsolvError):
     """Group-spec text could not be parsed.
 

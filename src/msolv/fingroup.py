@@ -361,7 +361,9 @@ def closure(gens: Sequence, cap: int = DEFAULT_CAP, identity=None, law=None) -> 
                 elements.append(p)
                 index[p] = k
             row.append(k)
-        gen_table.append(row)
+        # tuples of ints leave the cyclic collector's tracking and lists do
+        # not, so GC passes stay cheap while a large closure grows
+        gen_table.append(tuple(row))
         i += 1
     return FiniteGroup(elements, index, gens, gen_table, law)
 

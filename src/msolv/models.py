@@ -18,6 +18,15 @@ the linear-algebra prediction (an element [[q, v]] commutes iff q commutes
 one level down and (x^n - 1)v = (q - 1)w_n), and the decomposition
 C = <mu(x_i)> * K_cap is asserted.  |K_cap| is the finite-level defect
 that disappears in the limit the models approximate.
+
+Elements of levels >= 2 are packed ints q + |Q| * code, with the vector
+part v held as base-e digits code = sum_k v[k] e^k (`_PackedMagnusLaw` in
+crowell).  A right product by a generator is then a table lookup and one
+digit bump, which is what the BFS closure does per edge.  The brute side
+of the centralizer experiment reads the closure's Cayley table: el_k x^n
+by n steps along generator column i-1, and x^n el_k along the BFS tree,
+since (x^n p) g = x^n (p g).  It is group arithmetic from the Cayley graph
+alone and never touches the kernel of f it is checked against.
 """
 
 from __future__ import annotations
@@ -25,10 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, VerdictFailed
 from .fingroup import (
     FiniteGroup,
     PermElem,
+    Subgroup,
     center,
     closure,
     conj_action_faithful,
@@ -39,7 +49,7 @@ from .fingroup import (
     trivial_group,
 )
 from .foxcalc import FreeWord, QuotientContext, commutator, empty_word, generator_word
-from .crowell import MagnusMatrix, build_complex
+from .crowell import MagnusMatrix, _PackedMagnusLaw, build_complex
 from .zmodlin import (
     RMatrix,
     howell_form,
@@ -85,38 +95,45 @@ class SolvModel:
     group: FiniteGroup
     levels: List[FiniteGroup]
     contexts: List[QuotientContext]
+    series: List[Subgroup]  # derived series of `group`
     degenerate: bool
     note: str = MODEL_NOTE
 
 
 def build_solv_model(r: int, e: int, m: int, cap: int = 2_000_000) -> SolvModel:
-    """Materialize the level-m model; CapExceeded if the closure passes cap."""
+    """Materialize the level-m model; CapExceeded if the closure passes cap.
+
+    Levels >= 2 are groups of packed Magnus ints (see `_PackedMagnusLaw`);
+    the model's derived series is computed once and kept on the result.
+    """
     if not _is_prime_power(e):
         raise PreconditionViolated(f"coefficient exponent {e} is not a prime power")
     if r < 1 or m < 0:
         raise PreconditionViolated("need rank >= 1 and level m >= 0")
+    contexts: List[QuotientContext] = []
     if m == 0:
-        T = trivial_group()
-        return SolvModel(r, e, m, T, [T], [], degenerate=True)
-    if r == 1:
+        levels = [trivial_group()]
+    elif r == 1:
         # a rank-1 free group is Z: every higher derived subgroup vanishes,
         # so the model collapses to C_e at every level
-        Q = _elementary_abelian(1, e)
-        return SolvModel(r, e, m, Q, [Q], [], degenerate=True)
-    levels = [_elementary_abelian(r, e)]
-    contexts: List[QuotientContext] = []
-    for _ in range(2, m + 1):
-        prev = levels[-1]
-        ctx = QuotientContext(r, prev, list(prev.gen_indices), e)
-        gens = [MagnusMatrix.generator(ctx, i) for i in range(1, r + 1)]
-        W = closure(gens, cap=cap)
-        contexts.append(ctx)
-        levels.append(W)
-    model = SolvModel(r, e, m, levels[-1], levels, contexts, degenerate=(m == 1))
-    if m >= 2:
-        series = derived_series(model.group)
-        assert len(series) - 1 <= m, "model exceeds its solvable length bound"
-    return model
+        levels = [_elementary_abelian(1, e)]
+    else:
+        levels = [_elementary_abelian(r, e)]
+        for _ in range(2, m + 1):
+            prev = levels[-1]
+            ctx = QuotientContext(r, prev, list(prev.gen_indices), e)
+            law = _PackedMagnusLaw(ctx)
+            W = closure(law.generators, cap=cap, identity=0, law=law)
+            contexts.append(ctx)
+            levels.append(W)
+    degenerate = m <= 1 or r == 1
+    series = derived_series(levels[-1])
+    if not degenerate and len(series) - 1 > m:
+        raise VerdictFailed(
+            f"model exceeds its solvable length bound: derived length "
+            f"{len(series) - 1} > m = {m}"
+        )
+    return SolvModel(r, e, m, levels[-1], levels, contexts, series, degenerate)
 
 
 def module_part_basis(model: SolvModel):
@@ -131,17 +148,20 @@ def module_part_basis(model: SolvModel):
     if model.degenerate or model.m < 2:
         raise PreconditionViolated("no module part below level 2")
     W = model.group
+    law = W.law
     ctx = model.contexts[-1]
     comp = build_complex(ctx)
     K = kernel_basis(comp.f_matrix)
     span = howell_form(K).span_size
-    module_count = sum(1 for el in W.elements if el.q == 0)
-    assert module_count == span, (
-        f"module part has {module_count} elements but ker f spans {span}"
-    )
+    module_count = sum(1 for x in W.elements if law.q(x) == 0)
+    if module_count != span:
+        raise VerdictFailed(
+            f"module part has {module_count} elements but ker f spans {span}"
+        )
     for i in range(K.rows):
-        probe = MagnusMatrix(ctx, 0, tuple(K.row(i)))
-        assert probe in W.index, "kernel basis row is not a group element"
+        probe = law.encode(MagnusMatrix(ctx, 0, tuple(K.row(i))))
+        if probe not in W.index:
+            raise VerdictFailed(f"kernel basis row {i} is not a group element")
     return K, module_count
 
 
@@ -187,6 +207,28 @@ class CentralizerReport:
     note: str = MODEL_NOTE
 
 
+def _power_products(W: FiniteGroup, i: int, n: int):
+    """(R, L) with R[k], L[k] the indices of el_k * x_i^n and x_i^n * el_k.
+
+    Both come from W's Cayley table alone: R by n steps along generator
+    column i-1, and L along the BFS tree, since (x^n p) g = x^n (p g) gives
+    L[child] = gen_table[L[parent]][g].
+    """
+    table = W.gen_table
+    col = [row[i - 1] for row in table]
+    R = col
+    for _ in range(n - 1):
+        R = [col[k] for k in R]
+    L = [-1] * W.order
+    L[0] = R[0]
+    for k, row in enumerate(table):
+        lrow = table[L[k]]
+        for g, child in enumerate(row):
+            if L[child] < 0:
+                L[child] = lrow[g]
+    return R, L
+
+
 def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerReport:
     """Brute centralizer of mu(x_i)^n versus the linear-algebra oracle."""
     if not 1 <= i <= model.rank:
@@ -200,19 +242,18 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     if model.m < 2 or model.degenerate:
         raise PreconditionViolated("centralizer experiment needs a level >= 2 model")
     W = model.group
+    law = W.law
     ctx = model.contexts[-1]
-    mu = W.elements[W.gen_indices[i - 1]]
-    mu_n = mu
-    for _ in range(n - 1):
-        mu_n = mu_n * mu
 
-    # brute force: scan the whole group once
-    cz_elements = [el for el in W.elements if el * mu_n == mu_n * el]
-    brute_module = {el.vec for el in cz_elements if el.q == 0}
+    # brute force: every element against mu(x_i)^n, over the Cayley table
+    R, L = _power_products(W, i, n)
+    cz_elements = [W.elements[k] for k in range(W.order) if R[k] == L[k]]
+    brute_module = {law.decode(x).vec for x in cz_elements if law.q(x) == 0}
+    mu_n_q = law.q(W.elements[R[0]])
 
     # linear oracle: K_cap = {v in ker f : (x^n - 1) v = 0}
     K, _ = module_part_basis(model)
-    restricted = K.mul(_annihilator_matrix(ctx, mu_n.q))
+    restricted = K.mul(_annihilator_matrix(ctx, mu_n_q))
     coeffs = kernel_basis(restricted)
     mod = ctx.ring.modulus
     k_rows = [
@@ -228,16 +269,11 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     )
 
     # decomposition: C must equal <mu(x_i)> * K_cap as a set
-    powers = [MagnusMatrix.identity(ctx)]
-    while True:
-        nxt = powers[-1] * mu
-        if nxt == powers[0]:
-            break
-        powers.append(nxt)
-    product_set = set()
-    for p in powers:
-        for v in brute_module:
-            product_set.add(p * MagnusMatrix(ctx, 0, v))
+    powers = [0]
+    while W.gen_table[powers[-1]][i - 1] != 0:
+        powers.append(W.gen_table[powers[-1]][i - 1])
+    module = [law.encode(MagnusMatrix(ctx, 0, v)) for v in brute_module]
+    product_set = {law.mul(W.elements[p], v) for p in powers for v in module}
     decomposition = product_set == set(cz_elements)
 
     return CentralizerReport(

@@ -4,14 +4,20 @@ The DSL parser is checked by round-tripping canonical prints, the JSON
 emitter by its canonicalization rules (sorted keys, big integers as
 decimal strings, floats rejected, trailing newline), determinism by
 byte-comparing runs with different worker counts, and the exit-code
-contract by driving main() in-process.
+contract by driving main() in-process.  Model reports must be the same
+bytes under python -O, which strips asserts.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import msolv
 from msolv import cli
 from msolv.cli import (
     build_group,
@@ -24,7 +30,7 @@ from msolv.cli import (
     run_experiment,
     word_text,
 )
-from msolv.errors import MsolvError, ParseError
+from msolv.errors import MsolvError, ParseError, VerdictFailed
 from msolv.fingroup import PermElem, center, iso_test_small
 
 
@@ -187,6 +193,33 @@ def test_run_experiment_packages_assertion_as_failure(monkeypatch):
     res = run_experiment("boom", {}, seed=0, index=0)
     assert res["passed"] is False
     assert res["report"]["witness"] == "witness text"
+
+
+def test_run_experiment_packages_verdict_failed_as_failure(monkeypatch):
+    def boom(params, rng):
+        raise VerdictFailed("witness text")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "boom", boom)
+    res = run_experiment("boom", {}, seed=0, index=0)
+    assert res["passed"] is False
+    assert res["report"]["witness"] == "witness text"
+
+
+@pytest.mark.parametrize("experiment", ["centralizer", "solv-model"])
+def test_verdicts_survive_optimized_mode(experiment):
+    # python -O strips asserts; the reports must not depend on them
+    env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
+    argv = ["-m", "msolv.cli", experiment, "--r", "2", "--e", "2", "--m", "2"]
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, *argv], capture_output=True, env=env, timeout=120
+        )
+        for flags in ([], ["-O"])
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr.decode()
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[1].stdout)["experiments"][0]["passed"] is True
 
 
 def test_main_exit_codes(monkeypatch, capsys):

@@ -4,16 +4,21 @@ Exactness (im f = ker s, s o f = 0) is swept over quotients of rank <= 3
 free groups onto solvable groups of order <= 24 for several coefficient
 moduli; relator rows are checked to land in ker f; the Magnus matrix
 representation is compared against Fox rows exhaustively on short words
-and on random (word, quotient) pairs.
+and on random (word, quotient) pairs.  The packed-int law of the Magnus
+models is checked against MagnusMatrix arithmetic on random words.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msolv.crowell import (
     CrowellComplex,
     MagnusMatrix,
+    _PackedMagnusLaw,
     build_complex,
     exactness_check,
     magnus_image,
@@ -30,6 +35,7 @@ from msolv.foxcalc import (
     generator_word,
     reduce_word,
 )
+from msolv.models import build_solv_model
 
 
 def cyclic_group(k):
@@ -147,6 +153,76 @@ def test_magnus_fox_consistency_random_pairs():
         for i, elem in enumerate(rows):
             assert mm.vec[i * d : (i + 1) * d] == elem.coeffs
         done += 1
+
+
+# ------------------------------------------------------ packed Magnus law
+
+
+@functools.lru_cache(maxsize=None)
+def packed_law(label):
+    """The law of W(2,2,2), of W(2,3,2), or of the d = 128 level-3 context."""
+    e, level = {"W222": (2, 1), "W232": (3, 1), "d128": (2, 2)}[label]
+    G = build_solv_model(2, e, level).group
+    return _PackedMagnusLaw(QuotientContext(2, G, list(G.gen_indices), e))
+
+
+def magnus_fold(ctx, letters):
+    m = MagnusMatrix.identity(ctx)
+    for i, sign in letters:
+        g = MagnusMatrix.generator(ctx, i)
+        m = m * (g if sign > 0 else g.inverse())
+    return m
+
+
+letter_lists = st.lists(
+    st.tuples(st.integers(1, 2), st.sampled_from((1, -1))), max_size=25
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    label=st.sampled_from(("W222", "W232", "d128")),
+    raw_a=letter_lists,
+    raw_b=letter_lists,
+)
+def test_packed_law_matches_magnus_matrix(label, raw_a, raw_b):
+    law = packed_law(label)
+    ctx = law.ctx
+    a, b = magnus_fold(ctx, raw_a), magnus_fold(ctx, raw_b)
+    pa, pb = law.encode(a), law.encode(b)
+    assert law.decode(pa) == a
+    assert law.mul(pa, pb) == law.encode(a * b)  # general path
+    assert law.inv(pa) == law.encode(a.inverse())
+    for i, g in enumerate(law.generators, start=1):  # generator fast path
+        assert law.mul(pa, g) == law.encode(a * MagnusMatrix.generator(ctx, i))
+    # folding the word over packed ints, as the closure does
+    acc = 0
+    for i, sign in raw_a:
+        g = law.generators[i - 1]
+        acc = law.mul(acc, g if sign > 0 else law.inv(g))
+    assert acc == pa
+
+
+@pytest.mark.parametrize("label", ["W222", "W232", "d128"])
+def test_packed_generator_step_wraps_digit(label):
+    # every digit at e - 1: each generator step must wrap its digit to 0
+    law = packed_law(label)
+    ctx = law.ctx
+    e = ctx.ring.modulus
+    full = (e - 1,) * (ctx.rank * ctx.ring.dimension)
+    for q in range(ctx.ring.dimension):
+        m = MagnusMatrix(ctx, q, full)
+        for i, g in enumerate(law.generators, start=1):
+            prod = m * MagnusMatrix.generator(ctx, i)
+            assert prod.vec[(i - 1) * ctx.ring.dimension + q] == 0
+            assert law.mul(law.encode(m), g) == law.encode(prod)
+
+
+def test_packed_encode_rejects_unreduced_entries():
+    law = packed_law("W232")
+    bad = MagnusMatrix(law.ctx, 0, (3,) + (0,) * (len(law.weight) - 1))
+    with pytest.raises(ValueError):
+        law.encode(bad)
 
 
 def test_magnus_rejects_mixed_contexts():

@@ -7,15 +7,23 @@ exponent-3 run is the main oracle-equivalence case.  At m = 3 the model
 has order >= 2^129 and only a deterministic finite prefix is checked,
 pointwise, against the same oracle.  Tower growth of the commuting
 kernel is cross-checked by brute force wherever the group is small
-enough to build.
+enough to build.  The Cayley-table centralizer scan is checked against
+honest MagnusMatrix products, and the BFS element order of W(2,3,2)
+against a hash frozen before elements were packed into ints.
 """
+
+import hashlib
+import random
 
 import pytest
 
-from msolv.errors import PreconditionViolated
+from msolv import models
+from msolv.crowell import MagnusMatrix
+from msolv.errors import PreconditionViolated, VerdictFailed
 from msolv.fingroup import PermElem, center, closure, derived_series
 from msolv.models import (
     MODEL_NOTE,
+    _power_products,
     build_solv_model,
     centerfree_scan,
     centralizer_experiment,
@@ -27,6 +35,7 @@ from msolv.models import (
     presentation_abelianization,
     surface_presentation,
 )
+from msolv.zmodlin import RMatrix
 
 
 def cyclic_group(k):
@@ -84,6 +93,69 @@ def test_module_part_is_kernel_of_f():
     assert module_count == 32
     # |W| = |Q| * |ker f|: the model is module-by-quotient
     assert model.group.order == module_count * model.levels[0].order
+
+
+def test_module_part_mismatch_is_a_verdict(monkeypatch):
+    model = build_solv_model(2, 2, 2)
+    # a "kernel" spanning all of R^r cannot match the 32-element module part
+    monkeypatch.setattr(
+        models, "kernel_basis", lambda M: RMatrix.identity(M.modulus, M.rows)
+    )
+    with pytest.raises(VerdictFailed, match="module part has 32 elements"):
+        module_part_basis(model)
+
+
+@pytest.fixture(scope="module")
+def w232():
+    return build_solv_model(2, 3, 2)
+
+
+def test_w232_bfs_order_is_frozen(w232):
+    # sha256 over repr((q, vec)) of the first 2000 elements, taken from the
+    # MagnusMatrix closure before elements were packed: index k is unchanged
+    h = hashlib.sha256()
+    for x in w232.group.elements[:2000]:
+        m = w232.group.law.decode(x)
+        h.update(repr((m.q, m.vec)).encode())
+    assert h.hexdigest() == (
+        "aa36ed08043bfbb715a56df1b0bc8e7fd7523af1f0a610a5638884451f0f40b4"
+    )
+
+
+def magnus_power(law, i, n):
+    g = MagnusMatrix.generator(law.ctx, i)
+    m = MagnusMatrix.identity(law.ctx)
+    for _ in range(n):
+        m = m * g
+    return m
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_table_scan_matches_honest_products(i, n):
+    W = build_solv_model(2, 2, 2).group
+    law = W.law
+    mu_n = magnus_power(law, i, n)
+    R, L = _power_products(W, i, n)
+    table = {k for k in range(W.order) if R[k] == L[k]}
+    honest = set()
+    for k, x in enumerate(W.elements):
+        el = law.decode(x)
+        if el * mu_n == mu_n * el:
+            honest.add(k)
+    assert table == honest
+
+
+def test_table_products_sampled_on_w232(w232):
+    W = w232.group
+    law = W.law
+    i, n = 2, 5
+    mu_n = magnus_power(law, i, n)
+    R, L = _power_products(W, i, n)
+    for k in random.Random(232).sample(range(W.order), 2000):
+        el = law.decode(W.elements[k])
+        assert R[k] == W.index[law.encode(el * mu_n)]
+        assert L[k] == W.index[law.encode(mu_n * el)]
 
 
 # -------------------------------------------- centralizer oracle (m = 2)
