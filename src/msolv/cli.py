@@ -21,8 +21,14 @@ strings), one trailing newline.  Identical configs with identical seeds
 produce byte-identical reports regardless of worker count; wall-clock time
 goes to stderr only, never into the report bytes.
 
+Each experiment's inputs are declared once, in `PARAMS`: that table makes
+the subcommand flags, supplies the defaults, names the required keys, and
+validates every value from the command line, a config file or an instance
+(type, lower bound, no unknown keys).
+
 Exit codes: 0 all verdicts pass, 1 at least one verdict failed (the report
-carries the witness), 2 for configuration, parse, or precondition errors.
+carries the witness), 2 for configuration, parse, or precondition errors,
+3 for an internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ import random
 import re
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MsolvError, ParseError, PreconditionViolated, VerdictFailed
@@ -612,44 +619,14 @@ def _exp_msolv_quotient(p: dict, rng) -> Tuple[dict, bool]:
 
 def _exp_centralizer(p: dict, rng) -> Tuple[dict, bool]:
     r, e, m, i, n = p["r"], p["e"], p["m"], p["i"], p["n"]
-    if p.get("capped"):
+    if p["capped"]:
         rep = centralizer_probe_capped(r, e, m, p["cap"], i, n)
-        report = {
-            "mode": "capped",
-            "rank": rep.rank,
-            "exponent": rep.exponent,
-            "m": rep.m,
-            "generator": rep.generator,
-            "n": rep.n,
-            "cap": rep.cap,
-            "enumerated": rep.enumerated,
-            "complete": rep.complete,
-            "centralizer_seen": rep.centralizer_seen,
-            "module_seen": rep.module_seen,
-            "k_cap_seen": rep.k_cap_seen,
-            "oracle_equal_pointwise": rep.oracle_equal_pointwise,
-            "decomposition_holds_pointwise": rep.decomposition_holds_pointwise,
-            "note": rep.note,
-        }
+        report = {"mode": "capped", **asdict(rep)}
         return report, rep.oracle_equal_pointwise and rep.decomposition_holds_pointwise
     model = build_solv_model(r, e, m, cap=p["cap"])
     rep = centralizer_experiment(model, i, n)
-    report = {
-        "mode": "full",
-        "rank": rep.rank,
-        "exponent": rep.exponent,
-        "m": rep.m,
-        "generator": rep.generator,
-        "n": rep.n,
-        "group_order": rep.group_order,
-        "x_order": rep.x_order,
-        "centralizer_order": rep.centralizer_order,
-        "k_cap": rep.k_cap_brute,
-        "k_cap_linear": rep.k_cap_linear,
-        "oracle_equal": rep.oracle_equal,
-        "decomposition_holds": rep.decomposition_holds,
-        "note": rep.note,
-    }
+    report = {"mode": "full", **asdict(rep)}
+    report["k_cap"] = report.pop("k_cap_brute")
     return report, rep.oracle_equal and rep.decomposition_holds
 
 
@@ -687,7 +664,7 @@ def _exp_magnus(p: dict, rng) -> Tuple[dict, bool]:
         mm = magnus_image(ctx, word)
         consistent = True
         q, vec = mm.q, list(mm.vec)
-    except AssertionError as e:  # Fox/Magnus mismatch: report as failure
+    except VerdictFailed:  # Fox/Magnus mismatch: report as failure
         consistent = False
         q, vec = -1, []
     report = {
@@ -734,19 +711,7 @@ def _exp_gtilde(p: dict, rng) -> Tuple[dict, bool]:
     x_idx = parse_element(G, p["x"])
     inst = GTildeInstance(G, x_idx, p["n"], p["l"], p["sigma"])
     rep = gtilde_experiment(inst)
-    report = {
-        "group": label,
-        "x": p["x"],
-        "u": rep.u,
-        "s": rep.s,
-        "n": rep.n,
-        "ell": rep.ell,
-        "sigma": rep.sigma,
-        "pairs_tested": rep.pairs_tested,
-        "feasible_pairs": [[a, k] for a, k in rep.feasible_pairs],
-        "containment_holds": rep.containment_holds,
-        "diagonal_exact": rep.diagonal_exact,
-    }
+    report = {"group": label, "x": p["x"], **asdict(rep)}
     return report, rep.containment_holds
 
 
@@ -962,21 +927,9 @@ def _exp_solv_model(p: dict, rng) -> Tuple[dict, bool]:
     r, m = p["r"], p["m"]
     if p.get("tower"):
         exps = _int_list(p["tower"])
-        rows = []
-        ok = True
-        for entry in kcap_tower(r, m, exps, p["i"], p["n"], cap=p["cap"]):
-            ok = ok and entry.brute_matches
-            rows.append(
-                {
-                    "e": entry.e,
-                    "q_order": entry.q_order,
-                    "kernel_span": entry.kernel_span,
-                    "k_cap": entry.k_cap,
-                    "group_order": entry.group_order,
-                    "verified_brute": entry.verified_brute,
-                    "brute_matches": entry.brute_matches,
-                }
-            )
+        entries = kcap_tower(r, m, exps, p["i"], p["n"], cap=p["cap"])
+        rows = [asdict(entry) for entry in entries]
+        ok = all(entry.brute_matches for entry in entries)
         report = {
             "rank": r,
             "m": m,
@@ -986,6 +939,8 @@ def _exp_solv_model(p: dict, rng) -> Tuple[dict, bool]:
             "note": MODEL_NOTE,
         }
         return report, ok
+    if "e" not in p:
+        raise MsolvError("solv-model requires --e (or --tower)")
     model = build_solv_model(r, p["e"], m, cap=p["cap"])
     series = model.series
     report = {
@@ -1023,18 +978,9 @@ def _exp_centerfree_scan(p: dict, rng) -> Tuple[dict, bool]:
     for e in entries:
         if e.flagged != (e.center_order == 1 and e.quotient_center_order > 1):
             consistent = False
-        rows.append(
-            {
-                "group": e.label,
-                "order": e.order,
-                "center_order": e.center_order,
-                "quotient_order": e.quotient_order,
-                "quotient_center_order": e.quotient_center_order,
-                "flagged": e.flagged,
-                "center_in_derived_image": e.center_in_derived_image,
-                "ab_faithful": [[o, f] for o, f in e.ab_faithful],
-            }
-        )
+        row = asdict(e)
+        row["group"] = row.pop("label")
+        rows.append(row)
     report = {"m": p["m"], "entries": rows}
     return report, consistent
 
@@ -1081,51 +1027,132 @@ EXPERIMENTS: Dict[str, Callable] = {
     "surface": _exp_surface,
 }
 
-# Flag defaults resolved at merge time so that config files can override
-# them while explicit command-line flags still win.
-DEFAULTS: Dict[str, dict] = {
-    "counterexample": {},
-    "derived-series": {},
-    "msolv-quotient": {"m": 2},
-    "centralizer": {"m": 2, "i": 1, "n": 1, "cap": 2_000_000, "capped": False},
-    "fox": {"n": 2},
-    "magnus": {"n": 2},
-    "crowell": {"n": 2},
-    "gtilde": {"n": 1, "l": 3, "sigma": 2},
-    "reduction-lemma": {
-        "umax": 2,
-        "lset": "2,3",
-        "sigmamax": 3,
-        "ntildemax": 12,
-        "random": 0,
-        "random_umax": 6,
-    },
-    "kernel-projection": {
-        "levels": "1,2,3,4,6,9,12,18,27",
-        "n": 1,
-        "sigma_set": "2,3",
-    },
-    "transfer": {},
-    "quotient-iso": {"m": 2, "n": 2},
-    "solv-model": {"m": 2, "i": 1, "n": 1, "cap": 2_000_000},
-    "centerfree-scan": {"m": 2},
-    "surface": {"punctures": 0},
+# ------------------------------------------------------------ parameters
+
+INT_LIST = "int list"  # a JSON list of ints, or a comma-separated string
+
+
+@dataclass(frozen=True)
+class Param:
+    """One experiment input: its name, type, default and lower bound.
+
+    `type` is int, str, bool or INT_LIST; `min` bounds an int, or each entry
+    of an int list.  A param with no default stays out of the merged params
+    (and so out of the report's params echo) unless it is given.
+    """
+
+    name: str
+    type: object
+    default: object = None
+    required: bool = False
+    min: Optional[int] = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_GROUP = Param("group", str, required=True)
+_M = Param("m", int, 2, min=0)
+_I = Param("i", int, 1, min=1)
+_N = Param("n", int, 1, min=1)
+_CAP = Param("cap", int, 2_000_000, min=1)
+_IMAGES = Param("images", str, required=True)
+_WORD = Param("word", str, required=True)
+_MODULUS_N = Param("n", int, 2, min=2)  # coefficient modulus of (Z/n)[Q]
+_RANK = Param("rank", int, min=1)
+
+# The one declaration of each experiment's inputs, in flag order.  Defaults
+# are applied at merge time, so config files can override them while
+# explicit command-line flags still win.
+PARAMS: Dict[str, Tuple[Param, ...]] = {
+    "counterexample": (),
+    "derived-series": (_GROUP,),
+    "msolv-quotient": (_GROUP, _M),
+    "centralizer": (
+        Param("r", int, required=True, min=1),
+        Param("e", int, required=True, min=2),
+        _M,
+        _I,
+        _N,
+        _CAP,
+        Param("capped", bool, False),
+    ),
+    "fox": (_GROUP, _IMAGES, _WORD, _MODULUS_N, _RANK),
+    "magnus": (_GROUP, _IMAGES, _WORD, _MODULUS_N, _RANK),
+    "crowell": (_GROUP, _IMAGES, _MODULUS_N, _RANK, Param("relators", str)),
+    "gtilde": (
+        _GROUP,
+        Param("x", str, required=True),
+        _N,
+        Param("l", int, 3, min=2),
+        Param("sigma", int, 2, min=1),
+    ),
+    "reduction-lemma": (
+        Param("umax", int, 2, min=1),
+        Param("lset", INT_LIST, "2,3", min=2),
+        Param("sigmamax", int, 3, min=1),
+        Param("ntildemax", int, 12, min=1),
+        Param("random", int, 0, min=0),
+        Param("random_umax", int, 6, min=1),
+    ),
+    "kernel-projection": (
+        Param("modulus", int, required=True, min=2),
+        Param("levels", INT_LIST, "1,2,3,4,6,9,12,18,27", min=1),
+        Param("n", int, 1),
+        Param("base_group", str),
+        Param("sigma_set", INT_LIST, "2,3", min=2),
+    ),
+    "transfer": (_GROUP,),
+    "quotient-iso": (_GROUP, _M, Param("n", int, 2, min=0)),
+    "solv-model": (
+        Param("r", int, required=True, min=1),
+        Param("e", int, min=2),
+        _M,
+        _CAP,
+        Param("tower", INT_LIST, min=2),
+        _I,
+        _N,
+    ),
+    "centerfree-scan": (_M, Param("groups", str)),
+    "surface": (
+        Param("genus", int, required=True, min=0),
+        Param("punctures", int, 0, min=0),
+    ),
 }
 
-_REQUIRED: Dict[str, tuple] = {
-    "derived-series": ("group",),
-    "msolv-quotient": ("group",),
-    "centralizer": ("r", "e"),
-    "fox": ("group", "images", "word"),
-    "magnus": ("group", "images", "word"),
-    "crowell": ("group", "images"),
-    "gtilde": ("group", "x"),
-    "kernel-projection": ("modulus",),
-    "transfer": ("group",),
-    "quotient-iso": ("group",),
-    "solv-model": ("r",),
-    "surface": ("genus",),
+
+_TYPE_NAMES = {
+    int: "an integer",
+    str: "a string",
+    bool: "true or false",
+    INT_LIST: "a nonempty list of ints or an 'a,b' string",
 }
+
+
+def _ints_of(p: Param, value) -> Optional[list]:
+    """The ints that `value` carries for p's bound, or None if it has the
+    wrong type (bool is not an int here, though Python says it is)."""
+    if p.type is INT_LIST:
+        if isinstance(value, str):
+            try:
+                value = _int_list(value)
+            except ValueError:
+                return None
+        ok = isinstance(value, list) and value and all(type(v) is int for v in value)
+        return value if ok else None
+    if p.type is int:
+        return [value] if type(value) is int else None
+    return [] if isinstance(value, p.type) else None
+
+
+def _check_param(kind: str, p: Param, value) -> None:
+    """Raise MsolvError unless `value` has p's type and lower bound."""
+    ints = _ints_of(p, value)
+    if ints is None:
+        raise MsolvError(f"{kind} {p.flag} must be {_TYPE_NAMES[p.type]}, got {value!r}")
+    if p.min is not None and any(v < p.min for v in ints):
+        raise MsolvError(f"{kind} {p.flag} must be >= {p.min}, got {value!r}")
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -1140,90 +1167,30 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         description="exact-arithmetic experiments on finite solvable quotients",
     )
     sub = top.add_subparsers(dest="experiment", required=True)
-
-    def add(name: str, *flags):
-        sp = sub.add_parser(name, parents=[common])
-        for f, typ in flags:
-            if typ is bool:
-                sp.add_argument(f, action="store_true", default=None)
+    for kind, params in PARAMS.items():
+        sp = sub.add_parser(kind, parents=[common])
+        for p in params:
+            if p.type is bool:
+                sp.add_argument(p.flag, action="store_true", default=None)
             else:
-                sp.add_argument(f, type=typ, default=None)
-        return sp
-
-    add("counterexample")
-    add("derived-series", ("--group", str))
-    add("msolv-quotient", ("--group", str), ("--m", int))
-    add(
-        "centralizer",
-        ("--r", int),
-        ("--e", int),
-        ("--m", int),
-        ("--i", int),
-        ("--n", int),
-        ("--cap", int),
-        ("--capped", bool),
-    )
-    add("fox", ("--group", str), ("--images", str), ("--word", str), ("--n", int), ("--rank", int))
-    add("magnus", ("--group", str), ("--images", str), ("--word", str), ("--n", int), ("--rank", int))
-    add(
-        "crowell",
-        ("--group", str),
-        ("--images", str),
-        ("--n", int),
-        ("--rank", int),
-        ("--relators", str),
-    )
-    add(
-        "gtilde",
-        ("--group", str),
-        ("--x", str),
-        ("--n", int),
-        ("--l", int),
-        ("--sigma", int),
-    )
-    add(
-        "reduction-lemma",
-        ("--umax", int),
-        ("--lset", str),
-        ("--sigmamax", int),
-        ("--ntildemax", int),
-        ("--random", int),
-        ("--random-umax", int),
-    )
-    add(
-        "kernel-projection",
-        ("--modulus", int),
-        ("--levels", str),
-        ("--n", int),
-        ("--base-group", str),
-        ("--sigma-set", str),
-    )
-    add("transfer", ("--group", str))
-    add("quotient-iso", ("--group", str), ("--m", int), ("--n", int))
-    add(
-        "solv-model",
-        ("--r", int),
-        ("--e", int),
-        ("--m", int),
-        ("--cap", int),
-        ("--tower", str),
-        ("--i", int),
-        ("--n", int),
-    )
-    add("centerfree-scan", ("--m", int), ("--groups", str))
-    add("surface", ("--genus", int), ("--punctures", int))
+                sp.add_argument(p.flag, type=int if p.type is int else str, default=None)
     return top
 
 
 def _merge_params(kind: str, cli: dict, config: dict, instance: dict) -> dict:
-    params = dict(DEFAULTS.get(kind, {}))
+    """Defaults, then config, instance and CLI values, each one checked."""
+    spec = {p.name: p for p in PARAMS[kind]}
+    params = {p.name: p.default for p in spec.values() if p.default is not None}
     for layer in (config, instance, cli):
         for k, v in layer.items():
+            if k not in spec:
+                raise MsolvError(f"{kind} has no parameter {k!r}")
             if v is not None:
+                _check_param(kind, spec[k], v)
                 params[k] = v
-    missing = [k for k in _REQUIRED.get(kind, ()) if params.get(k) in (None, "")]
-    if missing:
-        raise MsolvError(f"{kind} requires --{missing[0].replace('_', '-')}")
+    for p in spec.values():
+        if p.required and params.get(p.name) in (None, ""):
+            raise MsolvError(f"{kind} requires {p.flag}")
     return params
 
 
@@ -1277,7 +1244,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         merged = [
             _merge_params(kind, cli_params, config, inst) for inst in instances
         ]
-    except (MsolvError, OSError, ValueError, json.JSONDecodeError) as e:
+    except (MsolvError, OSError, ValueError, TypeError) as e:
         print(f"msolv: error: {e}", file=sys.stderr)
         return 2
 
@@ -1293,19 +1260,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     for idx, params in enumerate(merged)
                 ]
                 results = [f.result() for f in futs]
-    except MsolvError as e:
-        print(f"msolv: error: {e}", file=sys.stderr)
-        return 2
-
-    try:
         blob = emit_report(results)
     except MsolvError as e:
         print(f"msolv: error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        # exit 1 means a failed verdict only; anything else here is a bug
+        traceback.print_exc()
+        print("msolv: internal error", file=sys.stderr)
+        return 3
     sys.stdout.write(blob.decode())
     if ns.out:
-        with open(ns.out, "wb") as fh:
-            fh.write(blob)
+        try:
+            with open(ns.out, "wb") as fh:
+                fh.write(blob)
+        except OSError as e:
+            print(f"msolv: error: {e}", file=sys.stderr)
+            return 2
     wall_ms = int((time.monotonic() - t0) * 1000)
     print(f"msolv: wall_time_ms={wall_ms}", file=sys.stderr)
     return 0 if all(r["passed"] for r in results) else 1

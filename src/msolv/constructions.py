@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import PreconditionViolated, RingMismatch
+from .errors import PreconditionViolated, RingMismatch, VerdictFailed
 from .fingroup import (
     FiniteGroup,
     Homomorphism,
@@ -78,14 +78,18 @@ def dihedral_group_8() -> FiniteGroup:
 def build_counterexample() -> CounterexampleBundle:
     """Materialize the counterexample and verify its invariants outright."""
     G = counterexample_group()
-    assert G.order == 72
+    if G.order != 72:
+        raise VerdictFailed(f"the counterexample group has order {G.order}, not 72")
     Z = center(G)
+    if Z.order != 1:
+        raise VerdictFailed("the counterexample group must be center-free")
     Q, proj = m_step_quotient(G, 2)
     ZQ = center(Q)
+    if ZQ.order == 1:
+        raise VerdictFailed("its 2-step quotient must fail center-freeness")
     witness = find_isomorphism(Q, dihedral_group_8())
-    assert Z.order == 1, "the counterexample group must be center-free"
-    assert ZQ.order > 1, "its 2-step quotient must fail center-freeness"
-    assert witness is not None, "the 2-step quotient must be dihedral of order 8"
+    if witness is None:
+        raise VerdictFailed("the 2-step quotient must be dihedral of order 8")
     return CounterexampleBundle(
         group=G,
         quotient=Q,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import MixedVariant, RelatorNotInKernel
+from .errors import MixedVariant, RelatorNotInKernel, VerdictFailed
 from .foxcalc import FreeWord, QuotientContext, fox_row
 from .grpring import RingElem, augmentation, right_mult_matrix
 from .zmodlin import RMatrix, howell_form, kernel_basis, span_equal
@@ -213,8 +213,9 @@ class _PackedMagnusLaw:
 def magnus_image(ctx: QuotientContext, w: FreeWord) -> MagnusMatrix:
     """Fold generator matrices over the word; checks Fox consistency.
 
-    The vector part is asserted equal to fox_row(ctx, w) — the finite-level
-    Magnus/Fox consistency theorem — on every call.
+    The vector part is checked against fox_row(ctx, w) — the finite-level
+    Magnus/Fox consistency theorem — on every call; VerdictFailed carries
+    the disagreement.
     """
     m = MagnusMatrix.identity(ctx)
     gens = {}
@@ -227,11 +228,11 @@ def magnus_image(ctx: QuotientContext, w: FreeWord) -> MagnusMatrix:
                 g = g.inverse()
             gens[key] = g
         m = m * g
-    assert m.q == ctx.eval_word(w)
+    if m.q != ctx.eval_word(w):
+        raise VerdictFailed("Magnus matrix top-left entry disagrees with the word's image")
     row = fox_row(ctx, w)
-    assert all(
-        a.coeffs == b.coeffs for a, b in zip(m.components(), row)
-    ), "Magnus vector part disagrees with Fox row"
+    if any(a.coeffs != b.coeffs for a, b in zip(m.components(), row)):
+        raise VerdictFailed("Magnus vector part disagrees with Fox row")
     return m
 
 

@@ -321,6 +321,37 @@ def _check_variant(gens: Sequence) -> None:
         raise MixedVariant(f"generators mix variants: {sorted(kinds)}")
 
 
+def _bfs(gens: Sequence, identity, law, cap: int):
+    """Breadth-first enumeration from `identity` by right products with `gens`.
+
+    Returns (elements, index, gen_table, complete).  The enumeration stops
+    as soon as an element past the first `cap` turns up, with complete
+    False and exactly `cap` elements; gen_table then covers only the rows
+    finished so far.
+    """
+    elements = [identity]
+    index = {identity: 0}
+    gen_table: list = []
+    i = 0
+    while i < len(elements):
+        row = []
+        for g in gens:
+            p = law.mul(elements[i], g)
+            k = index.get(p)
+            if k is None:
+                if len(elements) >= cap:
+                    return elements, index, gen_table, False
+                k = len(elements)
+                elements.append(p)
+                index[p] = k
+            row.append(k)
+        # tuples of ints leave the cyclic collector's tracking and lists do
+        # not, so GC passes stay cheap while a large closure grows
+        gen_table.append(tuple(row))
+        i += 1
+    return elements, index, gen_table, True
+
+
 def closure(gens: Sequence, cap: int = DEFAULT_CAP, identity=None, law=None) -> FiniteGroup:
     """Enumerate the group generated by `gens` (BFS; deterministic order).
 
@@ -345,26 +376,9 @@ def closure(gens: Sequence, cap: int = DEFAULT_CAP, identity=None, law=None) -> 
         else:
             g = gens[0]
             identity = law.mul(g, law.inv(g))
-    elements = [identity]
-    index = {identity: 0}
-    gen_table: list = []
-    i = 0
-    while i < len(elements):
-        row = []
-        for g in gens:
-            p = law.mul(elements[i], g)
-            k = index.get(p)
-            if k is None:
-                if len(elements) >= cap:
-                    raise CapExceeded(cap, len(elements) + 1)
-                k = len(elements)
-                elements.append(p)
-                index[p] = k
-            row.append(k)
-        # tuples of ints leave the cyclic collector's tracking and lists do
-        # not, so GC passes stay cheap while a large closure grows
-        gen_table.append(tuple(row))
-        i += 1
+    elements, index, gen_table, complete = _bfs(gens, identity, law, cap)
+    if not complete:
+        raise CapExceeded(cap, len(elements) + 1)
     return FiniteGroup(elements, index, gens, gen_table, law)
 
 

@@ -39,6 +39,8 @@ from .fingroup import (
     FiniteGroup,
     PermElem,
     Subgroup,
+    _bfs,
+    _DirectLaw,
     center,
     closure,
     conj_action_faithful,
@@ -150,9 +152,7 @@ def module_part_basis(model: SolvModel):
     W = model.group
     law = W.law
     ctx = model.contexts[-1]
-    comp = build_complex(ctx)
-    K = kernel_basis(comp.f_matrix)
-    span = howell_form(K).span_size
+    K, span = _ker_f(ctx)
     module_count = sum(1 for x in W.elements if law.q(x) == 0)
     if module_count != span:
         raise VerdictFailed(
@@ -163,6 +163,28 @@ def module_part_basis(model: SolvModel):
         if probe not in W.index:
             raise VerdictFailed(f"kernel basis row {i} is not a group element")
     return K, module_count
+
+
+def _ker_f(ctx: QuotientContext):
+    """(kernel basis of f, |ker f|) for the context's two-step complex."""
+    K = kernel_basis(build_complex(ctx).f_matrix)
+    return K, howell_form(K).span_size
+
+
+def _k_cap(ctx: QuotientContext, K: RMatrix, xn_q: int):
+    """The linear K_cap oracle: {v in span K : (x^n - 1) v = 0}.
+
+    `xn_q` is the index of x^n one level down.  Returns (basis, |K_cap|).
+    """
+    restricted = K.mul(_annihilator_matrix(ctx, xn_q))
+    coeffs = kernel_basis(restricted)
+    mod = ctx.ring.modulus
+    rows = [
+        [a % mod for a in _vec_times_matrix(coeffs.row(j), K)]
+        for j in range(coeffs.rows)
+    ]
+    basis = RMatrix.from_rows(mod, rows or [[0] * K.cols], cols=K.cols)
+    return basis, howell_form(basis).span_size
 
 
 def _vec_times_matrix(vec: Sequence[int], M: RMatrix) -> list:
@@ -253,15 +275,7 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
 
     # linear oracle: K_cap = {v in ker f : (x^n - 1) v = 0}
     K, _ = module_part_basis(model)
-    restricted = K.mul(_annihilator_matrix(ctx, mu_n_q))
-    coeffs = kernel_basis(restricted)
-    mod = ctx.ring.modulus
-    k_rows = [
-        [a % mod for a in _vec_times_matrix(coeffs.row(j), K)]
-        for j in range(coeffs.rows)
-    ]
-    k_basis = RMatrix.from_rows(mod, k_rows or [[0] * K.cols], cols=K.cols)
-    k_cap_linear = howell_form(k_basis).span_size
+    k_basis, k_cap_linear = _k_cap(ctx, K, mu_n_q)
 
     # exact set equality: sizes agree and every brute vector lies in the span
     oracle_equal = len(brute_module) == k_cap_linear and all(
@@ -325,18 +339,8 @@ def kcap_tower(
         lower = build_solv_model(r, e, m - 1, cap=cap)
         prev = lower.group
         ctx = QuotientContext(r, prev, list(prev.gen_indices), e)
-        comp = build_complex(ctx)
-        K = kernel_basis(comp.f_matrix)
-        kf_span = howell_form(K).span_size
-        xn = prev.power(ctx.images[i - 1], n)
-        restricted = K.mul(_annihilator_matrix(ctx, xn))
-        coeffs = kernel_basis(restricted)
-        k_rows = [
-            [a % e for a in _vec_times_matrix(coeffs.row(j), K)]
-            for j in range(coeffs.rows)
-        ]
-        k_basis = RMatrix.from_rows(e, k_rows or [[0] * K.cols], cols=K.cols)
-        k_cap = howell_form(k_basis).span_size
+        K, kf_span = _ker_f(ctx)
+        _, k_cap = _k_cap(ctx, K, prev.power(ctx.images[i - 1], n))
         order = prev.order * kf_span
         verified = False
         matches = True
@@ -388,11 +392,13 @@ def centralizer_probe_capped(
     """Pointwise centralizer checks on a deterministic BFS prefix of W_m.
 
     For levels whose full closure is out of reach, the first `cap` elements
-    in breadth-first generator order are enumerated and every check is
-    stated pointwise: an enumerated element commutes with mu(x_i)^n iff the
-    block-linear condition holds for it, and every enumerated centralizer
-    element factors as mu(x_i)^t times a module element killed by
-    x_i^n - 1 (the cofactor need not itself lie in the prefix).
+    in breadth-first generator order (the BFS of `closure`, stopped at
+    `cap`) are enumerated and every check is stated pointwise: an
+    enumerated element commutes with mu(x_i)^n iff the block-linear
+    condition holds for it, and every enumerated centralizer element
+    factors as mu(x_i)^t times a module element killed by x_i^n - 1 (the
+    cofactor need not itself lie in the prefix).  `complete` is True when
+    the prefix is the whole group.
     """
     if not 1 <= i <= r:
         raise PreconditionViolated(f"generator index {i} outside 1..{r}")
@@ -407,22 +413,7 @@ def centralizer_probe_capped(
     ctx = QuotientContext(r, prev, list(prev.gen_indices), e)
     gens = [MagnusMatrix.generator(ctx, j) for j in range(1, r + 1)]
     ident = MagnusMatrix.identity(ctx)
-
-    elements = [ident]
-    index = {ident: 0}
-    pos = 0
-    complete = True
-    while pos < len(elements):
-        if len(elements) >= cap:
-            complete = False
-            break
-        cur = elements[pos]
-        for g in gens:
-            p = cur * g
-            if p not in index:
-                index[p] = len(elements)
-                elements.append(p)
-        pos += 1
+    elements, _, _, complete = _bfs(gens, ident, _DirectLaw(), cap)
 
     mu = gens[i - 1]
     mu_inv = mu.inverse()

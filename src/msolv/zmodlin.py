@@ -21,6 +21,8 @@ from .errors import DimensionMismatch, RingMismatch, TooLarge
 
 def valuation(n: int, p: int) -> int:
     """p-adic valuation of n; requires n != 0 and p >= 2."""
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     n = abs(n)

@@ -5,21 +5,31 @@ emitter by its canonicalization rules (sorted keys, big integers as
 decimal strings, floats rejected, trailing newline), determinism by
 byte-comparing runs with different worker counts, and the exit-code
 contract by driving main() in-process.  Model reports must be the same
-bytes under python -O, which strips asserts.
+bytes under python -O, which strips asserts.  Every value of every
+declared experiment parameter is validated: a bad type, a value below its
+bound or an unknown key exits 2 with a message and no traceback.
 """
 
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msolv
 from msolv import cli
 from msolv.cli import (
+    INT_LIST,
+    PARAMS,
     build_group,
     emit_report,
     main,
@@ -205,11 +215,19 @@ def test_run_experiment_packages_verdict_failed_as_failure(monkeypatch):
     assert res["report"]["witness"] == "witness text"
 
 
-@pytest.mark.parametrize("experiment", ["centralizer", "solv-model"])
+OPTIMIZED_MODE_FLAGS = {
+    "centralizer": ["--r", "2", "--e", "2", "--m", "2"],
+    "solv-model": ["--r", "2", "--e", "2", "--m", "2"],
+    "counterexample": [],
+    "magnus": ["--group", "builtin S_3", "--images", "g1,g2", "--word", "x1*x2^-1*x1"],
+}
+
+
+@pytest.mark.parametrize("experiment", list(OPTIMIZED_MODE_FLAGS))
 def test_verdicts_survive_optimized_mode(experiment):
     # python -O strips asserts; the reports must not depend on them
     env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
-    argv = ["-m", "msolv.cli", experiment, "--r", "2", "--e", "2", "--m", "2"]
+    argv = ["-m", "msolv.cli", experiment, *OPTIMIZED_MODE_FLAGS[experiment]]
     runs = [
         subprocess.run(
             [sys.executable, *flags, *argv], capture_output=True, env=env, timeout=120
@@ -248,6 +266,183 @@ def test_main_exit_codes(monkeypatch, capsys):
     rc = main(["surface", "--genus", "2"])
     capsys.readouterr()
     assert rc == 1
+
+
+def test_magnus_reports_fox_mismatch_as_failure(monkeypatch):
+    # a wrong Fox row must fail the verdict, not pass or crash
+    def wrong_rows(ctx, w):
+        return [types.SimpleNamespace(coeffs=()) for _ in range(ctx.rank)]
+
+    monkeypatch.setattr("msolv.crowell.fox_row", wrong_rows)
+    params = {"group": "builtin S_3", "images": "g1,g2", "word": "x1*x2", "n": 2}
+    res = run_experiment("magnus", params, seed=0, index=0)
+    assert res["passed"] is False
+    assert res["report"]["fox_consistent"] is False
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    # exit 1 is reserved for failed verdicts; a bug gets its own code
+    def broken(params, rng):
+        raise RuntimeError("not a verdict")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "surface", broken)
+    rc = main(["surface", "--genus", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" in err and "RuntimeError: not a verdict" in err
+    assert err.rstrip().endswith("msolv: internal error")
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["msolv-quotient", "--group", "builtin S_3"], {"m": "x"}),
+        (["msolv-quotient", "--group", "builtin S_3"], {"m": -1}),
+        (["solv-model", "--r", "2"], None),
+        (["fox", "--group", "builtin S_3", "--images", "g1,g2", "--word", "x1", "--n", "0"], None),
+        (["kernel-projection", "--modulus", "0"], None),
+        (["crowell", "--group", "builtin S_3", "--images", "g1,g2", "--rank", "0"], None),
+    ],
+)
+def test_bad_input_exits_2(argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("msolv: error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduction-lemma", "--lset", "1"],
+        ["gtilde", "--group", "builtin S_3", "--x", "g1", "--l", "0"],
+        ["gtilde", "--group", "builtin S_3", "--x", "g1", "--l", "1"],
+    ],
+)
+def test_valuation_base_below_2_exits_2_promptly(argv):
+    # a base below 2 once sent valuation() into an endless loop
+    env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "msolv.cli", *argv], capture_output=True, env=env, timeout=10
+    )
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+
+
+# valid values for every required parameter, so that a config fails only
+# because of the one value a test corrupts
+VALID_REQUIRED = {
+    "group": "builtin S_3",
+    "images": "g1,g2",
+    "word": "x1",
+    "x": "g1",
+    "r": 2,
+    "e": 2,
+    "modulus": 2,
+    "genus": 1,
+}
+
+_JSON_SCALARS = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2),
+)
+
+
+def _is_int_list_text(t: str) -> bool:
+    try:
+        return bool(cli._int_list(t))
+    except ValueError:
+        return False
+
+
+def _wrong_type(p):
+    """JSON values (never null, which means absent) outside p's type."""
+    if p.type is int:
+        return _JSON_VALUES.filter(lambda v: type(v) is not int)
+    if p.type is str:
+        return _JSON_VALUES.filter(lambda v: not isinstance(v, str))
+    if p.type is bool:
+        return _JSON_VALUES.filter(lambda v: not isinstance(v, bool))
+    assert p.type is INT_LIST
+    return _JSON_VALUES.filter(
+        lambda v: not (
+            (isinstance(v, list) and v and all(type(x) is int for x in v))
+            or (isinstance(v, str) and _is_int_list_text(v))
+        )
+    )
+
+
+def _below_min(p):
+    low = st.integers(max_value=p.min - 1)
+    if p.type is int:
+        return low
+    return st.one_of(
+        st.lists(low, min_size=1, max_size=3),
+        low.map(lambda v: f"{p.min},{v}"),
+    )
+
+
+def _run_config(kind: str, config: dict):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([kind, "--config", path])
+    return rc, err.getvalue()
+
+
+PARAM_CASES = [(kind, p.name) for kind, ps in PARAMS.items() for p in ps]
+
+
+@pytest.mark.parametrize("kind, name", PARAM_CASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_bad_param_value_exits_2(kind, name, data):
+    p = next(q for q in PARAMS[kind] if q.name == name)
+    corrupt = [_wrong_type(p)] + ([_below_min(p)] if p.min is not None else [])
+    value = data.draw(st.one_of(corrupt), label="value")
+    base = {q.name: VALID_REQUIRED[q.name] for q in PARAMS[kind] if q.required}
+    if data.draw(st.booleans(), label="in instance"):
+        config = {**base, "instances": [{name: value}]}
+    else:
+        config = {**base, name: value}
+    rc, err = _run_config(kind, config)
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert p.flag in err
+
+
+@pytest.mark.parametrize("kind", list(PARAMS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_unknown_param_exits_2(kind, data):
+    names = {p.name for p in PARAMS[kind]} | {"instances", "seed", "jobs"}
+    key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in names))
+    value = data.draw(_JSON_VALUES)
+    base = {q.name: VALID_REQUIRED[q.name] for q in PARAMS[kind] if q.required}
+    if data.draw(st.booleans(), label="in instance"):
+        config = {**base, "instances": [{key: value}]}
+    else:
+        config = {**base, key: value}
+    rc, err = _run_config(kind, config)
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert repr(key) in err
 
 
 def test_main_unknown_kind_exits_2(capsys):
@@ -297,6 +492,13 @@ def test_out_flag_writes_same_bytes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert path.read_bytes() == captured.out.encode()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    rc = main(["counterexample", "--out", str(tmp_path / "missing" / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("msolv: error: ") and "Traceback" not in err
 
 
 def test_config_instance_overrides_default(tmp_path, capsys):

@@ -22,6 +22,8 @@ from msolv.errors import (
 )
 from msolv.fingroup import (
     FiniteGroup,
+    _bfs,
+    _DirectLaw,
     Homomorphism,
     MatElem,
     PermElem,
@@ -146,6 +148,17 @@ def test_mixed_variants_rejected():
 def test_closure_cap():
     with pytest.raises(CapExceeded):
         closure([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1))], cap=10)
+
+
+def test_bfs_prefix_stops_exactly_at_cap():
+    # the capped BFS is closure's enumeration cut after `cap` elements
+    gens = [cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))]
+    full = closure(gens)
+    for cap in (1, 2, 7, 23, 24, 25):
+        elements, index, _, complete = _bfs(gens, full.elements[0], _DirectLaw(), cap)
+        assert elements == full.elements[:cap]
+        assert len(index) == len(elements)
+        assert complete == (cap >= 24)
 
 
 def test_trivial_group():

@@ -220,6 +220,17 @@ def test_capped_probe_complete_on_small_model():
     assert rep.oracle_equal_pointwise and rep.decomposition_holds_pointwise
 
 
+@pytest.mark.parametrize(
+    "m, cap, enumerated, complete",
+    [(2, 127, 127, False), (2, 128, 128, True), (2, 129, 128, True), (3, 1001, 1001, False)],
+)
+def test_capped_probe_prefix_is_exactly_cap(m, cap, enumerated, complete):
+    # the prefix holds min(cap, |W|) elements, and complete means all of W
+    # (|W(2, 2, 2)| = 128; W(2, 2, 3) is far larger)
+    rep = centralizer_probe_capped(2, 2, m, cap, 1, 1)
+    assert (rep.enumerated, rep.complete) == (enumerated, complete)
+
+
 # ----------------------------------------------------- kernel growth tower
 
 

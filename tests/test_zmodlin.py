@@ -355,6 +355,13 @@ def test_valuation():
         valuation(0, 2)
 
 
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_valuation_rejects_base_below_2(p):
+    # p = 1 used to divide forever
+    with pytest.raises(ValueError):
+        valuation(12, p)
+
+
 def test_rmatrix_shape_checks():
     with pytest.raises(DimensionMismatch):
         RMatrix.identity(4, 2).mul(RMatrix.identity(4, 3).vstack(RMatrix.zero(4, 1, 3)))
