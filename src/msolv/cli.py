@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import random
 import re
@@ -1122,6 +1123,12 @@ PARAMS: Dict[str, Tuple[Param, ...]] = {
 }
 
 
+# Settings of a run rather than of an experiment: each comes from its flag
+# or from the config's top level, and is checked like a param
+_SEED = Param("seed", int, 0)
+_JOBS = Param("jobs", int, 1, min=1)
+
+
 _TYPE_NAMES = {
     int: "an integer",
     str: "a string",
@@ -1155,7 +1162,9 @@ def _check_param(kind: str, p: Param, value) -> None:
         raise MsolvError(f"{kind} {p.flag} must be >= {p.min}, got {value!r}")
 
 
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
+    """The msolv parser, built once per process: parsing never mutates it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (defaults + instances)")
     common.add_argument("--out", help="also write the report bytes to this file")
@@ -1192,6 +1201,17 @@ def _merge_params(kind: str, cli: dict, config: dict, instance: dict) -> dict:
         if p.required and params.get(p.name) in (None, ""):
             raise MsolvError(f"{kind} requires {p.flag}")
     return params
+
+
+def _run_setting(kind: str, p: Param, flag_value, config: dict):
+    """A run setting: the flag's value if given, else the config's; the
+    config key is consumed either way, and every value present is checked."""
+    value = config.pop(p.name, p.default)
+    _check_param(kind, p, value)
+    if flag_value is not None:
+        _check_param(kind, p, flag_value)
+        value = flag_value
+    return value
 
 
 def run_experiment(kind: str, params: dict, seed: int, index: int) -> dict:
@@ -1237,10 +1257,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             isinstance(x, dict) for x in instances
         ):
             raise MsolvError("config 'instances' must be a list of objects")
-        seed = ns.seed if ns.seed is not None else int(config.pop("seed", 0))
-        jobs = ns.jobs if ns.jobs is not None else int(config.pop("jobs", 1))
-        if jobs < 1:
-            raise MsolvError("--jobs must be >= 1")
+        seed = _run_setting(kind, _SEED, ns.seed, config)
+        jobs = _run_setting(kind, _JOBS, ns.jobs, config)
         merged = [
             _merge_params(kind, cli_params, config, inst) for inst in instances
         ]

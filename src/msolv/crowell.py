@@ -124,6 +124,15 @@ class _PackedMagnusLaw:
         # weight[k]: the packed value of a 1 in digit k of the vector part
         self.weight = tuple(d * e**k for k in range(ctx.rank * d))
         self._weights_cache: dict = {}
+        # decode splits off k digits at a time, k as large as keeps the
+        # table of every k-digit chunk (low digit first) at 1024 entries
+        k = 1
+        while e ** (k + 1) <= 1024:
+            k += 1
+        self._chunk = e**k
+        self._chunk_digits = tuple(
+            tuple(c // e**j % e for j in range(k)) for c in range(e**k)
+        )
         self.generators = [
             self.encode(MagnusMatrix.generator(ctx, i)) for i in range(1, ctx.rank + 1)
         ]
@@ -153,12 +162,13 @@ class _PackedMagnusLaw:
 
     def decode(self, x: int) -> MagnusMatrix:
         code, q = divmod(x, self.base)
-        e = self.e
+        size = len(self.weight)
+        chunk, digits = self._chunk, self._chunk_digits
         vec = []
-        for _ in range(len(self.weight)):
-            code, c = divmod(code, e)
-            vec.append(c)
-        return MagnusMatrix(self.ctx, q, tuple(vec))
+        while len(vec) < size:
+            code, c = divmod(code, chunk)
+            vec.extend(digits[c])
+        return MagnusMatrix(self.ctx, q, tuple(vec[:size]))
 
     def _weights(self, q: int) -> tuple:
         """Digit weights after left multiplication by q (slot b*d+j -> b*d+q*j)."""

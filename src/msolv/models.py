@@ -27,6 +27,14 @@ of the centralizer experiment reads the closure's Cayley table: el_k x^n
 by n steps along generator column i-1, and x^n el_k along the BFS tree,
 since (x^n p) g = x^n (p g).  It is group arithmetic from the Cayley graph
 alone and never touches the kernel of f it is checked against.
+
+The capped probe enumerates its BFS prefix of W_m as packed ints in the
+same way.  Products with x^n may leave the prefix, so they stay packed
+values: el_k x^n by n generator steps, and x^n el_k carried along the BFS
+tree by one generator step per edge; an element commutes iff the two ints
+are equal.  The linear prediction decides its q-part once over Q, as the
+set of q commuting with x^n one level down, and decodes only the prefix
+elements whose q lies in that set.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ from .fingroup import (
     PermElem,
     Subgroup,
     _bfs,
-    _DirectLaw,
     center,
     closure,
     conj_action_faithful,
@@ -386,6 +393,51 @@ class CappedCentralizerReport:
     note: str = MODEL_NOTE
 
 
+def _capped_prefix(r: int, e: int, m: int, cap: int):
+    """The packed law of W(r, e, m) and its first `cap` BFS elements.
+
+    Returns (law, (elements, index, gen_table, complete)), the second part
+    as `_bfs` gives it; the BFS runs from the identity 0 over
+    `law.generators`, so element k is the one `closure` would list at k.
+    """
+    prev = build_solv_model(r, e, m - 1).group
+    law = _PackedMagnusLaw(QuotientContext(r, prev, list(prev.gen_indices), e))
+    return law, _bfs(law.generators, 0, law, cap)
+
+
+def _prefix_power_products(law, elements, index, table, i: int, n: int):
+    """(right, left) with right[k], left[k] = el_k x_i^n and x_i^n el_k.
+
+    Both are packed ints, possibly outside the prefix, found by generator
+    steps alone: right[k] by n steps from el_k, and left along the BFS tree,
+    since (x^n p) g = x^n (p g) gives left[child] = left[parent] g.  A
+    capped BFS stops inside row len(table), so that row's edges are
+    recomputed with law.mul and index.
+    """
+    gens = law.generators
+    x = gens[i - 1]
+    size = len(elements)
+    right = elements
+    for _ in range(n):
+        right = [law.mul(a, x) for a in right]
+    left = [None] * size
+    left[0] = right[0]
+    unseen = size - 1
+    for p in range(size):
+        if not unseen:
+            break
+        if p < len(table):
+            row = table[p]
+        else:
+            row = [index.get(law.mul(elements[p], g), size) for g in gens]
+        lp = left[p]
+        for g, child in zip(gens, row):
+            if child < size and left[child] is None:
+                left[child] = law.mul(lp, g)
+                unseen -= 1
+    return right, left
+
+
 def centralizer_probe_capped(
     r: int, e: int, m: int, cap: int, i: int, n: int
 ) -> CappedCentralizerReport:
@@ -399,6 +451,12 @@ def centralizer_probe_capped(
     factors as mu(x_i)^t times a module element killed by x_i^n - 1 (the
     cofactor need not itself lie in the prefix).  `complete` is True when
     the prefix is the whole group.
+
+    The prefix is packed ints (`_capped_prefix`), and whether an element
+    commutes is decided by generator steps alone (`_prefix_power_products`).
+    The linear prediction decides its q-part once, as the set of q that
+    commute with x^n one level down, and decodes only the elements whose
+    q lies in it.
     """
     if not 1 <= i <= r:
         raise PreconditionViolated(f"generator index {i} outside 1..{r}")
@@ -408,38 +466,38 @@ def centralizer_probe_capped(
         raise PreconditionViolated("probe needs level >= 2")
     if cap < 2:
         raise PreconditionViolated("cap too small to enumerate anything")
-    lower = build_solv_model(r, e, m - 1)
-    prev = lower.group
-    ctx = QuotientContext(r, prev, list(prev.gen_indices), e)
-    gens = [MagnusMatrix.generator(ctx, j) for j in range(1, r + 1)]
-    ident = MagnusMatrix.identity(ctx)
-    elements, _, _, complete = _bfs(gens, ident, _DirectLaw(), cap)
+    law, (elements, index, table, complete) = _capped_prefix(r, e, m, cap)
+    ctx = law.ctx
+    prev = ctx.group
+    size = len(elements)
+    right, left = _prefix_power_products(law, elements, index, table, i, n)
 
-    mu = gens[i - 1]
+    mu = MagnusMatrix.generator(ctx, i)
     mu_inv = mu.inverse()
-    mu_n = ident
+    mu_n = MagnusMatrix.identity(ctx)
     for _ in range(n):
         mu_n = mu_n * mu
     xn_hat = mu_n.q
     d = ctx.ring.dimension
-    mod = e
 
-    inv_perm_cache: dict = {}
+    def sources(q: int) -> tuple:
+        """Slot k of q v reads slot sources(q)[k] of v, block by block."""
+        inv = [0] * d
+        for src, dst in enumerate(ctx.left_mult_perm(q)):
+            inv[dst] = src
+        return tuple(b * d + inv[idx] for b in range(r) for idx in range(d))
 
-    def inv_perm(q: int) -> tuple:
-        t = inv_perm_cache.get(q)
-        if t is None:
-            p = ctx.left_mult_perm(q)
-            out = [0] * d
-            for src, dst in enumerate(p):
-                out[dst] = src
-            t = tuple(out)
-            inv_perm_cache[q] = t
-        return t
+    # linear prediction, decided once over Q: q must commute with x^n one
+    # level down, and then the right-hand side (q - 1) w_n depends on q only
+    w_n = mu_n.vec
+    rhs_of = {
+        q: [(w_n[s] - c) % e for s, c in zip(sources(q), w_n)]
+        for q in range(prev.order)
+        if prev.mul(q, xn_hat) == prev.mul(xn_hat, q)
+    }
+    xn_sources = sources(xn_hat)
 
-    xn_inv = inv_perm(xn_hat)
-
-    # powers of the one-level-down image of x_i, for the q-part test
+    # powers of the one-level-down image of x_i, for the decomposition
     hat_powers = {0: 0}
     g, t = prev.mul(0, mu.q), 1
     while g != 0:
@@ -450,36 +508,29 @@ def centralizer_probe_capped(
     oracle_ok = True
     decomposition_ok = True
     cz_seen = module_seen = kcap_seen = 0
-    for el in elements:
-        commutes = (el * mu_n) == (mu_n * el)
+    for k in range(size):
+        commutes = right[k] == left[k]
+        q = law.q(elements[k])
         # linear prediction: q commutes with x^n one level down, and
         # (x^n - 1) v = (q - 1) w_n holds blockwise over the ring
-        lin = prev.mul(el.q, xn_hat) == prev.mul(xn_hat, el.q)
+        rhs = rhs_of.get(q)
+        lin = rhs is not None
         if lin:
-            q_inv = inv_perm(el.q)
-            for b in range(r):
-                base = b * d
-                for idx in range(d):
-                    lhs = (el.vec[base + xn_inv[idx]] - el.vec[base + idx]) % mod
-                    rhs = (mu_n.vec[base + q_inv[idx]] - mu_n.vec[base + idx]) % mod
-                    if lhs != rhs:
-                        lin = False
-                        break
-                if not lin:
-                    break
+            vec = law.decode(elements[k]).vec
+            lin = [(vec[s] - c) % e for s, c in zip(xn_sources, vec)] == rhs
         if commutes != lin:
             oracle_ok = False
-        if el.q == 0:
+        if q == 0:
             module_seen += 1
             if commutes:
                 kcap_seen += 1
         if commutes:
             cz_seen += 1
-            t = hat_powers.get(el.q)
+            t = hat_powers.get(q)
             if t is None:
                 decomposition_ok = False
             else:
-                factor = el
+                factor = law.decode(elements[k])
                 for _ in range(t):
                     factor = mu_inv * factor
                 if factor.q != 0 or (factor * mu_n) != (mu_n * factor):
@@ -491,7 +542,7 @@ def centralizer_probe_capped(
         generator=i,
         n=n,
         cap=cap,
-        enumerated=len(elements),
+        enumerated=size,
         complete=complete,
         centralizer_seen=cz_seen,
         module_seen=module_seen,

@@ -445,6 +445,43 @@ def test_unknown_param_exits_2(kind, data):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", True),
+        ("seed", 1.5),
+        ("seed", "7"),
+        ("jobs", False),
+        ("jobs", 2.0),
+        ("jobs", "2"),
+        ("jobs", 0),
+    ],
+)
+def test_bad_seed_or_jobs_in_config_exits_2(key, value):
+    # only JSON ints that are not bools, and jobs >= 1; "7" is rejected too
+    rc, err = _run_config("surface", {"genus": 1, key: value})
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert f"--{key}" in err
+
+
+def test_seed_flag_overrides_config_seed(tmp_path, capsys):
+    args = ["reduction-lemma", "--umax", "1", "--random", "20", "--seed", "5"]
+    rc = main(args)
+    expected = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 4, "jobs": 1}))
+    rc2 = main(args + ["--config", str(cfg)])
+    assert rc == rc2 == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_jobs_flag_below_one_exits_2(capsys):
+    rc = main(["surface", "--genus", "1", "--jobs", "0"])
+    assert rc == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_main_unknown_kind_exits_2(capsys):
     rc = main(["not-an-experiment"])  # argparse rejects the subcommand
     capsys.readouterr()

@@ -8,8 +8,9 @@ has order >= 2^129 and only a deterministic finite prefix is checked,
 pointwise, against the same oracle.  Tower growth of the commuting
 kernel is cross-checked by brute force wherever the group is small
 enough to build.  The Cayley-table centralizer scan is checked against
-honest MagnusMatrix products, and the BFS element order of W(2,3,2)
-against a hash frozen before elements were packed into ints.
+honest MagnusMatrix products, and the BFS element orders of W(2,3,2) and
+of the capped W(2,2,3) prefix against hashes frozen before elements were
+packed into ints; so are the capped probe's products with x^n.
 """
 
 import hashlib
@@ -207,6 +208,58 @@ def test_capped_probe_m3():
     assert rep.decomposition_holds_pointwise
     assert rep.centralizer_seen >= 1  # the identity at minimum
     assert rep.note == MODEL_NOTE
+
+
+def test_w223_probe_prefix_is_frozen():
+    # sha256 over repr((q, vec)) of the probe's first 2000 elements of
+    # W(2, 2, 3), taken from the MagnusMatrix BFS before the probe enumerated
+    # packed ints: index k is unchanged
+    law, (elements, _, _, complete) = models._capped_prefix(2, 2, 3, 2000)
+    assert len(elements) == 2000 and not complete
+    h = hashlib.sha256()
+    for x in elements:
+        m = law.decode(x)
+        h.update(repr((m.q, m.vec)).encode())
+    assert h.hexdigest() == (
+        "998a52e888e41238cebc84413fe8d1830db214984fdfecf7ffe6f196124fa312"
+    )
+
+
+@pytest.mark.parametrize(
+    "e, m, cap, i, n",
+    [(2, 3, 1500, i, n) for i in (1, 2) for n in (1, 3)]
+    + [(2, 3, 1501, 2, 3), (3, 2, 2000, 1, 2), (3, 2, 2001, 2, 1)],
+)
+def test_probe_products_match_honest_products(e, m, cap, i, n):
+    # the probe's packed el x^n and x^n el against MagnusMatrix products,
+    # element by element, and its counts against commutation decided by
+    # those products; at caps 1501 and 2001 the last element is a child of
+    # the BFS row that the cap cut short, which gen_table does not hold
+    law, (elements, index, table, _) = models._capped_prefix(2, e, m, cap)
+    right, left = models._prefix_power_products(law, elements, index, table, i, n)
+    mu_n = magnus_power(law, i, n)
+    d = law.ctx.ring.dimension
+    cz = module = kcap = 0
+    wraps = False
+    for k, x in enumerate(elements):
+        el = law.decode(x)
+        assert right[k] == law.encode(el * mu_n)
+        assert left[k] == law.encode(mu_n * el)
+        commutes = el * mu_n == mu_n * el
+        cz += commutes
+        module += el.q == 0
+        kcap += commutes and el.q == 0
+        # a step by x_i from el bumps digit (i-1)*d + q, wrapping at e - 1
+        wraps = wraps or el.vec[(i - 1) * d + el.q] == e - 1
+    assert wraps
+    rep = centralizer_probe_capped(2, e, m, cap, i, n)
+    assert (rep.enumerated, rep.centralizer_seen, rep.module_seen, rep.k_cap_seen) == (
+        cap,
+        cz,
+        module,
+        kcap,
+    )
+    assert rep.oracle_equal_pointwise and rep.decomposition_holds_pointwise
 
 
 def test_capped_probe_complete_on_small_model():
