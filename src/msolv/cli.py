@@ -18,8 +18,8 @@ generators raised to the row's exponents.
 Reports are canonical JSON: keys sorted, arrays in index order, exact
 integers only (values beyond 2^53 - 1 in magnitude are rendered as decimal
 strings), one trailing newline.  Identical configs with identical seeds
-produce byte-identical reports regardless of worker count; wall-clock time
-goes to stderr only, never into the report bytes.
+produce byte-identical reports; wall-clock time goes to stderr only, never
+into the report bytes.
 
 Each experiment's inputs are declared once, in `PARAMS`: that table makes
 the subcommand flags, supplies the defaults, names the required keys, and
@@ -36,13 +36,13 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
+import itertools
 import json
 import random
 import re
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -716,14 +716,14 @@ def _exp_gtilde(p: dict, rng) -> Tuple[dict, bool]:
     return report, rep.containment_holds
 
 
-def _exp_reduction_lemma(p: dict, rng) -> Tuple[dict, bool]:
+def _reduction_lemma_cases(p: dict, rng):
+    """(E, ntilde, ell, sigma) for every case, in report order: the
+    exhaustive sweep with one identity probe per unit ntilde, then the
+    random cases."""
     umax = p["umax"]
     ells = _int_list(p["lset"])
     sigmamax = p["sigmamax"]
     ntildemax = p["ntildemax"]
-    cases = vacuous = 0
-    all_ok = True
-    witness = None
     for ell in ells:
         for sigma in range(1, sigmamax + 1):
             mod = ell**sigma
@@ -733,39 +733,13 @@ def _exp_reduction_lemma(p: dict, rng) -> Tuple[dict, bool]:
                 t = scalar_kernel(ntilde, ell, sigma)
                 mults = list(range(0, mod, t)) if t else [0]
                 for u in range(1, umax + 1):
-                    for combo in _all_combos(mults, u * u):
-                        E = RMatrix(mod, u, u, tuple(combo))
-                        rep = reduction_lemma_check(E, ntilde, ell, sigma)
-                        cases += 1
-                        if rep.vacuous:
-                            vacuous += 1
-                        if not rep.passed:
-                            all_ok = False
-                            witness = witness or {
-                                "ntilde": ntilde,
-                                "ell": ell,
-                                "sigma": sigma,
-                                "entries": list(combo),
-                            }
+                    for combo in itertools.product(mults, repeat=u * u):
+                        yield RMatrix(mod, u, u, combo), ntilde, ell, sigma
                 # one vacuous probe: E = I is outside the hypothesis
                 # whenever ntilde is a unit at this modulus
                 if ntilde % ell:
-                    E = RMatrix(
-                        mod,
-                        umax,
-                        umax,
-                        tuple(
-                            1 if i == j else 0
-                            for i in range(umax)
-                            for j in range(umax)
-                        ),
-                    )
-                    rep = reduction_lemma_check(E, ntilde, ell, sigma)
-                    cases += 1
-                    if rep.vacuous:
-                        vacuous += 1
-    randoms = p["random"]
-    for _ in range(randoms):
+                    yield RMatrix.identity(mod, umax), ntilde, ell, sigma
+    for _ in range(p["random"]):
         ell = ells[rng.randrange(len(ells))]
         sigma = rng.randint(1, sigmamax)
         while True:
@@ -777,36 +751,32 @@ def _exp_reduction_lemma(p: dict, rng) -> Tuple[dict, bool]:
         u = rng.randint(1, p["random_umax"])
         step = t or mod
         entries = tuple(step * rng.randrange(mod // step) % mod for _ in range(u * u))
-        rep = reduction_lemma_check(RMatrix(mod, u, u, entries), ntilde, ell, sigma)
+        yield RMatrix(mod, u, u, entries), ntilde, ell, sigma
+
+
+def _exp_reduction_lemma(p: dict, rng) -> Tuple[dict, bool]:
+    cases = vacuous = 0
+    witness = None
+    for E, ntilde, ell, sigma in _reduction_lemma_cases(p, rng):
+        rep = reduction_lemma_check(E, ntilde, ell, sigma)
         cases += 1
-        if rep.vacuous:
-            vacuous += 1
-        if not rep.passed:
-            all_ok = False
-            witness = witness or {
+        vacuous += rep.vacuous
+        if not rep.passed and witness is None:
+            witness = {
                 "ntilde": ntilde,
                 "ell": ell,
                 "sigma": sigma,
-                "entries": list(entries),
+                "entries": list(E.entries),
             }
     report = {
         "cases": cases,
         "vacuous": vacuous,
-        "random_cases": randoms,
-        "all_passed": all_ok,
+        "random_cases": p["random"],
+        "all_passed": witness is None,
     }
     if witness:
         report["witness"] = witness
-    return report, all_ok
-
-
-def _all_combos(values: list, slots: int):
-    if slots == 0:
-        yield ()
-        return
-    for rest in _all_combos(values, slots - 1):
-        for v in values:
-            yield rest + (v,)
+    return report, witness is None
 
 
 def _exp_kernel_projection(p: dict, rng) -> Tuple[dict, bool]:
@@ -1124,7 +1094,8 @@ PARAMS: Dict[str, Tuple[Param, ...]] = {
 
 
 # Settings of a run rather than of an experiment: each comes from its flag
-# or from the config's top level, and is checked like a param
+# or from the config's top level, and is checked like a param.  `jobs` is
+# checked and then ignored: instances always run in one loop, in index order
 _SEED = Param("seed", int, 0)
 _JOBS = Param("jobs", int, 1, min=1)
 
@@ -1169,7 +1140,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file (defaults + instances)")
     common.add_argument("--out", help="also write the report bytes to this file")
     common.add_argument("--seed", type=int, help="random seed (default 0)")
-    common.add_argument("--jobs", type=int, help="worker threads (default 1)")
+    common.add_argument(
+        "--jobs",
+        type=int,
+        help="accepted and checked (>= 1) but ignored: instances run one after another",
+    )
 
     top = argparse.ArgumentParser(
         prog="msolv",
@@ -1258,7 +1233,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ):
             raise MsolvError("config 'instances' must be a list of objects")
         seed = _run_setting(kind, _SEED, ns.seed, config)
-        jobs = _run_setting(kind, _JOBS, ns.jobs, config)
+        _run_setting(kind, _JOBS, ns.jobs, config)  # checked, then unused
         merged = [
             _merge_params(kind, cli_params, config, inst) for inst in instances
         ]
@@ -1266,18 +1241,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"msolv: error: {e}", file=sys.stderr)
         return 2
 
-    results: List[Optional[dict]] = []
     try:
-        if jobs == 1 or len(merged) == 1:
-            for idx, params in enumerate(merged):
-                results.append(run_experiment(kind, params, seed, idx))
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futs = [
-                    pool.submit(run_experiment, kind, params, seed, idx)
-                    for idx, params in enumerate(merged)
-                ]
-                results = [f.result() for f in futs]
+        results = [run_experiment(kind, p, seed, idx) for idx, p in enumerate(merged)]
         blob = emit_report(results)
     except MsolvError as e:
         print(f"msolv: error: {e}", file=sys.stderr)

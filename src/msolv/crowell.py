@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import MixedVariant, RelatorNotInKernel, VerdictFailed
+from .errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed
 from .foxcalc import FreeWord, QuotientContext, fox_row
 from .grpring import RingElem, augmentation, right_mult_matrix
 from .zmodlin import RMatrix, howell_form, kernel_basis, span_equal
@@ -103,6 +103,15 @@ class MagnusMatrix:
         return f"MagnusMatrix(q={self.q}, vec={self.vec})"
 
 
+# Most vector digits r*|Q| a packed law may have.  Its tables hold four ints
+# per digit (weight and three step values), the int for digit k about
+# k*log2(e) bits, so they take about 2*(r*|Q|)^2*log2(e) bits: at 2048
+# digits that is 1 MiB per bit of e, at most 11 MiB for a model level
+# (e <= |Q| <= 2048).  The W(2,2,3) probe needs 256 digits; W(2,3,3) would
+# need 1,062,882, and hundreds of GB.
+PACKED_DIGIT_LIMIT = 2048
+
+
 class _PackedMagnusLaw:
     """Group law of MagnusMatrix values packed into single ints.
 
@@ -119,6 +128,11 @@ class _PackedMagnusLaw:
         self.ctx = ctx
         d = ctx.ring.dimension
         e = ctx.ring.modulus
+        if ctx.rank * d > PACKED_DIGIT_LIMIT:
+            raise TooLarge(
+                f"packed Magnus law over |Q| = {d} at rank {ctx.rank} needs "
+                f"{ctx.rank * d} digits; the limit is {PACKED_DIGIT_LIMIT}"
+            )
         self.base = d  # |Q|
         self.e = e
         # weight[k]: the packed value of a 1 in digit k of the vector part

@@ -30,7 +30,7 @@ from .errors import (
     NotSurjective,
     TooLarge,
 )
-from .zmodlin import RMatrix, howell_form
+from .zmodlin import RMatrix, _xgcd, howell_form
 
 DEFAULT_CAP = 2_000_000
 
@@ -666,35 +666,20 @@ def _reduce_generators(G: FiniteGroup, members: Sequence[int]) -> tuple:
 
 def _fold_into_lattice_basis(basis: list, row: Sequence[int]) -> None:
     """Echelon row basis of an integer lattice; fold in one more row."""
-    from math import gcd
-
     row = list(row)
     for b in basis:
         c = next(i for i, x in enumerate(b) if x)
         if not row[c]:
             continue
         p, v = b[c], row[c]
-        g = gcd(p, v)
         # extended gcd to merge the two rows at column c
-        s, t = _bezout(p, v)
+        g, s, t = _xgcd(p, v)
         merged = [s * x + t * y for x, y in zip(b, row)]
         row = [(p // g) * y - (v // g) * x for x, y in zip(b, row)]
         b[:] = merged
     if any(row):
         basis.append(row)
         basis.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
-
-
-def _bezout(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
 
 
 def abelian_invariants(G: FiniteGroup) -> tuple:

@@ -168,12 +168,6 @@ def right_mult_matrix(elem: RingElem) -> RMatrix:
     return RMatrix.from_rows(elem.owner.modulus, rows)
 
 
-def _cyclic_group(N: int) -> FiniteGroup:
-    if N == 1:
-        return trivial_group()
-    return closure([PermElem.from_cycles(N, [tuple(range(N))])])
-
-
 class CyclicTower:
     """Levels A[C_N] for A = (Z/n)[H], with collapsing projections.
 

@@ -456,7 +456,10 @@ def centralizer_probe_capped(
     commutes is decided by generator steps alone (`_prefix_power_products`).
     The linear prediction decides its q-part once, as the set of q that
     commute with x^n one level down, and decodes only the elements whose
-    q lies in it.
+    q lies in it.  That set is a filter, not a second condition: Fox's
+    formula gives f(v) = q - 1 for [[q, v]] in W, and applying f to
+    (x^n - 1) v = (q - 1) w_n gives x^n q = q x^n, so the vector condition
+    alone already excludes every other q.
     """
     if not 1 <= i <= r:
         raise PreconditionViolated(f"generator index {i} outside 1..{r}")

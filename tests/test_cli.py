@@ -3,7 +3,8 @@
 The DSL parser is checked by round-tripping canonical prints, the JSON
 emitter by its canonicalization rules (sorted keys, big integers as
 decimal strings, floats rejected, trailing newline), determinism by
-byte-comparing runs with different worker counts, and the exit-code
+byte-comparing runs with different `--jobs` values (accepted, but the
+instances always run in one loop on the main thread), and the exit-code
 contract by driving main() in-process.  Model reports must be the same
 bytes under python -O, which strips asserts.  Every value of every
 declared experiment parameter is validated: a bad type, a value below its
@@ -11,6 +12,7 @@ bound or an unknown key exits 2 with a message and no traceback.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -18,6 +20,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 import types
 from pathlib import Path
 
@@ -511,6 +514,65 @@ def test_jobs_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
     doc = json.loads(outs[0])
     assert [e["index"] for e in doc["experiments"]] == [0, 1, 2]
+
+
+def test_instances_run_on_main_thread_in_index_order(monkeypatch, tmp_path, capsys):
+    # --jobs is accepted and checked, but every instance runs in one loop
+    calls = []
+    real = cli.run_experiment
+
+    def recording(kind, params, seed, index):
+        calls.append((threading.get_ident(), index))
+        return real(kind, params, seed, index)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [{"genus": 1}, {"genus": 2}, {"genus": 3}]}))
+    rc = main(["surface", "--config", str(cfg), "--jobs", "3"])
+    capsys.readouterr()
+    assert rc == 0
+    assert calls == [(threading.main_thread().ident, idx) for idx in range(3)]
+
+
+def test_reduction_lemma_first_failure_is_the_witness(monkeypatch, capsys):
+    # a planted failure on some non-vacuous cases: the report must count
+    # every case and keep the first failing one, in the order of the
+    # exhaustive sweep, the identity probes and then the random cases
+    # (all figures from the three-loop tally this replaced)
+    real = cli.reduction_lemma_check
+
+    def planted(E, ntilde, ell, sigma):
+        rep = real(E, ntilde, ell, sigma)
+        if sum(E.entries) % 5 == 3 and not rep.vacuous:
+            return dataclasses.replace(rep, passed=False)
+        return rep
+
+    monkeypatch.setattr(cli, "reduction_lemma_check", planted)
+    rc = main(["reduction-lemma", "--umax", "2", "--random", "40", "--seed", "4"])
+    (e,) = json.loads(capsys.readouterr().out)["experiments"]
+    assert rc == 1 and e["passed"] is False
+    assert e["report"] == {
+        "all_passed": False,
+        "cases": 15696,
+        "random_cases": 40,
+        "vacuous": 84,
+        "witness": {"ell": 2, "entries": [2, 2, 2, 2], "ntilde": -10, "sigma": 2},
+    }
+
+
+def test_capped_probe_past_packed_limit_exits_2():
+    # W(2,3,3) would need a packed law over 1,062,882 digits, whose tables
+    # run to hundreds of GB; it must be refused, not attempted
+    env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
+    argv = ["centralizer", "--capped", "--r", "2", "--e", "3", "--m", "3", "--cap", "100"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "msolv.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert proc.stdout == b""
+    assert "Traceback" not in err
+    assert err.startswith("msolv: error: packed Magnus law")
 
 
 def test_same_seed_same_bytes_across_runs(capsys):

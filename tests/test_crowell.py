@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msolv import crowell
 from msolv.crowell import (
     CrowellComplex,
     MagnusMatrix,
@@ -25,7 +26,7 @@ from msolv.crowell import (
     relation_module_report,
     relator_kernel_check,
 )
-from msolv.errors import MixedVariant, RelatorNotInKernel
+from msolv.errors import MixedVariant, RelatorNotInKernel, TooLarge
 from msolv.fingroup import PermElem, closure, derived_series, subgroup_closure
 from msolv.foxcalc import (
     QuotientContext,
@@ -223,6 +224,17 @@ def test_packed_encode_rejects_unreduced_entries():
     bad = MagnusMatrix(law.ctx, 0, (3,) + (0,) * (len(law.weight) - 1))
     with pytest.raises(ValueError):
         law.encode(bad)
+
+
+def test_packed_law_refuses_more_digits_than_the_limit(monkeypatch):
+    # W(2,2,1) has |Q| = 4, so its level-2 law has r*|Q| = 8 digits
+    G = build_solv_model(2, 2, 1).group
+    ctx = QuotientContext(2, G, list(G.gen_indices), 2)
+    monkeypatch.setattr(crowell, "PACKED_DIGIT_LIMIT", 8)
+    assert len(_PackedMagnusLaw(ctx).weight) == 8
+    monkeypatch.setattr(crowell, "PACKED_DIGIT_LIMIT", 7)
+    with pytest.raises(TooLarge):
+        _PackedMagnusLaw(ctx)
 
 
 def test_magnus_rejects_mixed_contexts():
