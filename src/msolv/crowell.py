@@ -124,15 +124,20 @@ class _PackedMagnusLaw:
     from MagnusMatrix, which stays the single-element type for callers.
     """
 
+    @staticmethod
+    def check_size(rank: int, q_order: int) -> None:
+        """TooLarge unless a law over |Q| = q_order at this rank fits the limit."""
+        if rank * q_order > PACKED_DIGIT_LIMIT:
+            raise TooLarge(
+                f"packed Magnus law over |Q| = {q_order} at rank {rank} needs "
+                f"{rank * q_order} digits; the limit is {PACKED_DIGIT_LIMIT}"
+            )
+
     def __init__(self, ctx: QuotientContext):
         self.ctx = ctx
         d = ctx.ring.dimension
         e = ctx.ring.modulus
-        if ctx.rank * d > PACKED_DIGIT_LIMIT:
-            raise TooLarge(
-                f"packed Magnus law over |Q| = {d} at rank {ctx.rank} needs "
-                f"{ctx.rank * d} digits; the limit is {PACKED_DIGIT_LIMIT}"
-            )
+        self.check_size(ctx.rank, d)
         self.base = d  # |Q|
         self.e = e
         # weight[k]: the packed value of a 1 in digit k of the vector part

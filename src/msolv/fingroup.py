@@ -30,7 +30,7 @@ from .errors import (
     NotSurjective,
     TooLarge,
 )
-from .zmodlin import RMatrix, _xgcd, howell_form
+from .zmodlin import RMatrix, _flat_mul, _howell_split, _xgcd
 
 DEFAULT_CAP = 2_000_000
 
@@ -151,8 +151,9 @@ class MatElem:
             return NotImplemented
         if self.modulus != other.modulus or self.size != other.size:
             raise MixedVariant("matrix rings differ")
-        prod = _mat_mul(self.modulus, self.size, self.entries, other.entries)
-        inv = _mat_mul(self.modulus, self.size, other.inv_entries, self.inv_entries)
+        n, k = self.modulus, self.size
+        prod = _flat_mul(n, k, k, k, self.entries, other.entries)
+        inv = _flat_mul(n, k, k, k, other.inv_entries, self.inv_entries)
         return MatElem(self.modulus, prod, _inv=inv)
 
     def inverse(self) -> "MatElem":
@@ -172,32 +173,12 @@ class MatElem:
         return f"MatElem(mod {self.modulus}, {self.rows()})"
 
 
-def _mat_mul(n: int, size: int, a: tuple, b: tuple) -> tuple:
-    out = []
-    for i in range(size):
-        base = i * size
-        for k in range(size):
-            s = 0
-            for j in range(size):
-                x = a[base + j]
-                if x:
-                    s += x * b[j * size + k]
-            out.append(s % n)
-    return tuple(out)
-
-
 def _invert_entries(n: int, size: int, entries: tuple) -> tuple:
-    M = RMatrix(n, size, size, entries)
-    aug = M.hstack(RMatrix.identity(n, size))
-    H = howell_form(aug).matrix
-    ident = RMatrix.identity(n, size)
-    if H.rows != size or any(
-        H[i, j] != ident[i, j] for i in range(size) for j in range(size)
-    ):
+    # M is invertible iff its Howell form is I; the transform is then M^-1
+    form, inverse, _ = _howell_split(RMatrix(n, size, size, entries))
+    if form != RMatrix.identity(n, size):
         raise ValueError(f"matrix not invertible over Z/{n}")
-    inv = tuple(H[i, j] for i in range(size) for j in range(size, 2 * size))
-    # sanity: a one-sided inverse over a commutative ring is two-sided
-    return inv
+    return inverse.entries
 
 
 class _DirectLaw:

@@ -35,6 +35,11 @@ tree by one generator step per edge; an element commutes iff the two ints
 are equal.  The linear prediction decides its q-part once over Q, as the
 set of q commuting with x^n one level down, and decodes only the prefix
 elements whose q lies in that set.
+
+`_left_sources` is the one encoding of q's left action on R^r, which
+both the K_cap oracle and the probe's prediction read: (q - 1) v has
+entries v[src[k]] - v[k].  Level orders are predicted before any closure
+(`_predicted_orders`), so an oversized packed law is refused up front.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from .zmodlin import (
     howell_form,
     kernel_basis,
     smith_normal_form_int,
-    solve_linear,
+    span_equal,
 )
 
 MODEL_NOTE = (
@@ -114,17 +119,13 @@ def build_solv_model(r: int, e: int, m: int, cap: int = 2_000_000) -> SolvModel:
 
     Levels >= 2 are groups of packed Magnus ints (see `_PackedMagnusLaw`);
     the model's derived series is computed once and kept on the result.
+    Each enumerated level must have its predicted order.
     """
-    if not _is_prime_power(e):
-        raise PreconditionViolated(f"coefficient exponent {e} is not a prime power")
-    if r < 1 or m < 0:
-        raise PreconditionViolated("need rank >= 1 and level m >= 0")
+    orders = _predicted_orders(r, e, m)
     contexts: List[QuotientContext] = []
     if m == 0:
         levels = [trivial_group()]
     elif r == 1:
-        # a rank-1 free group is Z: every higher derived subgroup vanishes,
-        # so the model collapses to C_e at every level
         levels = [_elementary_abelian(1, e)]
     else:
         levels = [_elementary_abelian(r, e)]
@@ -135,6 +136,9 @@ def build_solv_model(r: int, e: int, m: int, cap: int = 2_000_000) -> SolvModel:
             W = closure(law.generators, cap=cap, identity=0, law=law)
             contexts.append(ctx)
             levels.append(W)
+    for k, (W, order) in enumerate(zip(levels, orders), 1):
+        if W.order != order:
+            raise VerdictFailed(f"model level {k} has {W.order} elements, predicted {order}")
     degenerate = m <= 1 or r == 1
     series = derived_series(levels[-1])
     if not degenerate and len(series) - 1 > m:
@@ -143,6 +147,31 @@ def build_solv_model(r: int, e: int, m: int, cap: int = 2_000_000) -> SolvModel:
             f"{len(series) - 1} > m = {m}"
         )
     return SolvModel(r, e, m, levels[-1], levels, contexts, series, degenerate)
+
+
+def _predicted_orders(r: int, e: int, m: int) -> list:
+    """|W(r, e, k)| for k = 1..m, before anything is enumerated.
+
+    |W_1| = e^r and |W_k| = |Q| |ker f| over Q = W_(k-1), where im f is the
+    augmentation ideal, free of rank |Q| - 1, so |ker f| = e^((r-1)|Q|+1).
+    TooLarge at the first level whose packed law would pass the digit limit.
+    """
+    if not _is_prime_power(e):
+        raise PreconditionViolated(f"coefficient exponent {e} is not a prime power")
+    if r < 1 or m < 0:
+        raise PreconditionViolated("need rank >= 1 and level m >= 0")
+    if m == 0:
+        return [1]
+    if r == 1:
+        # a rank-1 free group is Z: every higher derived subgroup vanishes,
+        # so the model collapses to C_e at every level
+        return [e]
+    orders = [e**r]
+    for _ in range(2, m + 1):
+        q = orders[-1]
+        _PackedMagnusLaw.check_size(r, q)
+        orders.append(q * e ** ((r - 1) * q + 1))
+    return orders
 
 
 def module_part_basis(model: SolvModel):
@@ -183,40 +212,19 @@ def _k_cap(ctx: QuotientContext, K: RMatrix, xn_q: int):
 
     `xn_q` is the index of x^n one level down.  Returns (basis, |K_cap|).
     """
-    restricted = K.mul(_annihilator_matrix(ctx, xn_q))
-    coeffs = kernel_basis(restricted)
-    mod = ctx.ring.modulus
-    rows = [
-        [a % mod for a in _vec_times_matrix(coeffs.row(j), K)]
-        for j in range(coeffs.rows)
-    ]
-    basis = RMatrix.from_rows(mod, rows or [[0] * K.cols], cols=K.cols)
+    src = _left_sources(ctx, xn_q)
+    rows = [[row[s] - a for s, a in zip(src, row)] for row in map(K.row, range(K.rows))]
+    basis = kernel_basis(RMatrix.from_rows(K.modulus, rows, cols=K.cols)).mul(K)
     return basis, howell_form(basis).span_size
 
 
-def _vec_times_matrix(vec: Sequence[int], M: RMatrix) -> list:
-    out = [0] * M.cols
-    for i, c in enumerate(vec):
-        if c:
-            row = M.row(i)
-            out = [a + c * b for a, b in zip(out, row)]
-    return out
-
-
-def _annihilator_matrix(ctx: QuotientContext, q_idx: int) -> RMatrix:
-    """Row-convention matrix of v -> (q - 1) v on R^r (block diagonal)."""
+def _left_sources(ctx: QuotientContext, q: int) -> tuple:
+    """Slot k of q v reads slot _left_sources(ctx, q)[k] of v, for v in R^r."""
     d = ctx.ring.dimension
-    r = ctx.rank
-    perm = ctx.left_mult_perm(q_idx)
-    n = ctx.ring.modulus
-    rows = []
-    for b in range(r):
-        for i in range(d):
-            ent = [0] * (r * d)
-            ent[b * d + perm[i]] += 1
-            ent[b * d + i] -= 1
-            rows.append([x % n for x in ent])
-    return RMatrix.from_rows(n, rows, cols=r * d)
+    inv = [0] * d
+    for src, dst in enumerate(ctx.left_mult_perm(q)):
+        inv[dst] = src
+    return tuple(b * d + inv[idx] for b in range(ctx.rank) for idx in range(d))
 
 
 @dataclass
@@ -284,10 +292,10 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     K, _ = module_part_basis(model)
     k_basis, k_cap_linear = _k_cap(ctx, K, mu_n_q)
 
-    # exact set equality: sizes agree and every brute vector lies in the span
-    oracle_equal = len(brute_module) == k_cap_linear and all(
-        solve_linear(k_basis, list(v))[0] is not None for v in brute_module
-    )
+    # exact set equality: sizes agree and the brute vectors lie in the span
+    brute = RMatrix.from_rows(k_basis.modulus, list(brute_module), cols=k_basis.cols)
+    stacked = k_basis.vstack(brute)
+    oracle_equal = len(brute_module) == k_cap_linear and span_equal(k_basis, stacked)
 
     # decomposition: C must equal <mu(x_i)> * K_cap as a set
     powers = [0]
@@ -400,6 +408,7 @@ def _capped_prefix(r: int, e: int, m: int, cap: int):
     as `_bfs` gives it; the BFS runs from the identity 0 over
     `law.generators`, so element k is the one `closure` would list at k.
     """
+    _predicted_orders(r, e, m)  # refuses an oversized law before any closure
     prev = build_solv_model(r, e, m - 1).group
     law = _PackedMagnusLaw(QuotientContext(r, prev, list(prev.gen_indices), e))
     return law, _bfs(law.generators, 0, law, cap)
@@ -481,24 +490,16 @@ def centralizer_probe_capped(
     for _ in range(n):
         mu_n = mu_n * mu
     xn_hat = mu_n.q
-    d = ctx.ring.dimension
-
-    def sources(q: int) -> tuple:
-        """Slot k of q v reads slot sources(q)[k] of v, block by block."""
-        inv = [0] * d
-        for src, dst in enumerate(ctx.left_mult_perm(q)):
-            inv[dst] = src
-        return tuple(b * d + inv[idx] for b in range(r) for idx in range(d))
 
     # linear prediction, decided once over Q: q must commute with x^n one
     # level down, and then the right-hand side (q - 1) w_n depends on q only
     w_n = mu_n.vec
     rhs_of = {
-        q: [(w_n[s] - c) % e for s, c in zip(sources(q), w_n)]
+        q: [(w_n[s] - c) % e for s, c in zip(_left_sources(ctx, q), w_n)]
         for q in range(prev.order)
         if prev.mul(q, xn_hat) == prev.mul(xn_hat, q)
     }
-    xn_sources = sources(xn_hat)
+    xn_sources = _left_sources(ctx, xn_hat)
 
     # powers of the one-level-down image of x_i, for the decomposition
     hat_powers = {0: 0}

@@ -8,6 +8,11 @@ Over Z/n row reduction alone does not characterise row spans (Z/n is not a
 field); the Howell normal form does.  howell_form is the canonical form used
 everywhere in the package: two matrices over the same Z/n have equal row
 spans iff their Howell forms are identical.
+
+The Howell loop carries no transform.  Whatever needs one, or a kernel,
+reduces [M | I] once (`_howell_split`): rows with a nonzero M-part are the
+Howell form of M and their I-part is the transform, and the I-part of the
+rows whose M-part vanished generates the kernel.
 """
 
 from __future__ import annotations
@@ -83,6 +88,22 @@ class ResidueRing:
         return f"ResidueRing({self.modulus})"
 
 
+def _flat_mul(n: int, rows: int, inner: int, cols: int, a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Row-major entries of the product over Z/n of row-major a (rows x inner)
+    and b (inner x cols); zero entries of a are skipped."""
+    out = []
+    for i in range(rows):
+        base = i * inner
+        for k in range(cols):
+            s = 0
+            for j in range(inner):
+                x = a[base + j]
+                if x:
+                    s += x * b[j * cols + k]
+            out.append(s % n)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RMatrix:
     """Immutable matrix over Z/n (row-major entries, canonical residues)."""
@@ -131,18 +152,9 @@ class RMatrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        n = self.modulus
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for k in range(other.cols):
-                s = 0
-                for j in range(self.cols):
-                    a = ri[j]
-                    if a:
-                        s += a * other.entries[j * other.cols + k]
-                out.append(s % n)
-        return RMatrix(self.modulus, self.rows, other.cols, tuple(out))
+        flat = _flat_mul(self.modulus, self.rows, self.cols, other.cols,
+                         self.entries, other.entries)
+        return RMatrix(self.modulus, self.rows, other.cols, flat)
 
     def add(self, other: "RMatrix") -> "RMatrix":
         self._check_ring(other)
@@ -188,10 +200,15 @@ class RMatrix:
 
 @dataclass(frozen=True)
 class HowellForm:
-    """Canonical Howell normal form H of an input M, with H = transform * M."""
+    """Canonical Howell normal form `matrix` of the input `source`."""
 
     matrix: RMatrix
-    transform: RMatrix
+    source: RMatrix
+
+    @property
+    def transform(self) -> RMatrix:
+        """T with T * source = matrix, read off the Howell form of [source | I]."""
+        return _howell_split(self.source)[1]
 
     @property
     def pivots(self) -> tuple:
@@ -225,15 +242,12 @@ def howell_form(M: RMatrix) -> HowellForm:
     property holds (any span element with leading zeros lies in the span of
     the trailing rows; enforced via annihilator rows).
 
-    Returns:
-        HowellForm with .matrix the form and .transform expressing each of
-        its rows as a combination of input rows.
+    Only the rows are reduced; `HowellForm.transform` is derived on demand
+    from the form of [M | I].
     """
     n = M.modulus
     ring = ResidueRing(n)
-    nrows, ncols = M.rows, M.cols
-    work = [list(M.row(i)) for i in range(nrows)]
-    trans = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    work = [list(M.row(i)) for i in range(M.rows)]
 
     def combine(i: int, k: int, col: int) -> None:
         # unimodular 2x2 transform making work[k][col] = 0
@@ -242,19 +256,15 @@ def howell_form(M: RMatrix) -> HowellForm:
             return
         if a == 0:
             work[i], work[k] = work[k], work[i]
-            trans[i], trans[k] = trans[k], trans[i]
             return
         g, s, t = _xgcd(a, b)
         p, q = -(b // g), a // g
         wi, wk = work[i], work[k]
         work[i] = [(s * x + t * y) % n for x, y in zip(wi, wk)]
         work[k] = [(p * x + q * y) % n for x, y in zip(wi, wk)]
-        ti, tk = trans[i], trans[k]
-        trans[i] = [(s * x + t * y) % n for x, y in zip(ti, tk)]
-        trans[k] = [(p * x + q * y) % n for x, y in zip(ti, tk)]
 
     r = 0
-    for col in range(ncols):
+    for col in range(M.cols):
         if r >= len(work):
             break
         pivot_row = None
@@ -265,31 +275,44 @@ def howell_form(M: RMatrix) -> HowellForm:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        trans[r], trans[pivot_row] = trans[pivot_row], trans[r]
         for k in range(r + 1, len(work)):
             combine(r, k, col)
         u = ring.stab_unit(work[r][col])
         if u != 1:
             work[r] = [(u * x) % n for x in work[r]]
-            trans[r] = [(u * x) % n for x in trans[r]]
         p = work[r][col]
         for k in range(r):
             q = work[k][col] // p
             if q:
                 work[k] = [(x - q * y) % n for x, y in zip(work[k], work[r])]
-                trans[k] = [(x - q * y) % n for x, y in zip(trans[k], trans[r])]
         ann = n // p
         if ann != 1 and ann != n:
             arow = [(ann * x) % n for x in work[r]]
             if any(arow):
                 work.append(arow)
-                trans.append([(ann * x) % n for x in trans[r]])
         r += 1
 
-    keep = [i for i in range(len(work)) if any(work[i])]
-    H = RMatrix.from_rows(n, [work[i] for i in keep], cols=ncols)
-    U = RMatrix.from_rows(n, [trans[i] for i in keep], cols=nrows)
-    return HowellForm(H, U)
+    H = RMatrix.from_rows(n, [row for row in work if any(row)], cols=M.cols)
+    return HowellForm(H, M)
+
+
+def _howell_split(M: RMatrix) -> tuple:
+    """(form, transform, kernel) of M from one Howell form of [M | I].
+
+    Pivot columns increase, so rows with a nonzero M-part come first, and
+    their M-parts keep the span property: they are howell_form(M).matrix,
+    with transform * M = form for their I-parts.  The I-parts of the rows
+    whose M-part vanished generate {v : v * M = 0}.
+    """
+    n, c = M.modulus, M.cols
+    H = howell_form(M.hstack(RMatrix.identity(n, M.rows))).matrix
+    rows = [H.row(i) for i in range(H.rows)]
+    split = next((i for i, row in enumerate(rows) if not any(row[:c])), len(rows))
+    return (
+        RMatrix.from_rows(n, [row[:c] for row in rows[:split]], cols=c),
+        RMatrix.from_rows(n, [row[c:] for row in rows[:split]], cols=M.rows),
+        RMatrix.from_rows(n, [row[c:] for row in rows[split:]], cols=M.rows),
+    )
 
 
 def _xgcd(a: int, b: int):
@@ -310,24 +333,18 @@ def _xgcd(a: int, b: int):
 def kernel_basis(M: RMatrix) -> RMatrix:
     """Rows generating {v in (Z/n)^rows : v*M = 0}.
 
-    Computed from the Howell form of [M | I]: rows whose M-part vanished
-    carry kernel vectors in the identity part, and the Howell span property
-    makes them generate the whole kernel.
+    These are the I-parts of the rows of the Howell form of [M | I] whose
+    M-part vanished (`_howell_split`); the Howell span property makes them
+    generate the whole kernel.
     """
-    if M.rows == 0:
-        return RMatrix.zero(M.modulus, 0, 0)
-    aug = M.hstack(RMatrix.identity(M.modulus, M.rows))
-    H = howell_form(aug).matrix
-    gens = []
-    for i in range(H.rows):
-        row = H.row(i)
-        if all(a == 0 for a in row[: M.cols]):
-            gens.append(row[M.cols :])
-    return RMatrix.from_rows(M.modulus, gens, cols=M.rows)
+    return _howell_split(M)[2]
 
 
 def solve_linear(M: RMatrix, b: Sequence[int]):
     """Solve x*M = b over Z/n.
+
+    One Howell form of [M | I] gives the form of M that b is reduced against,
+    the transform that turns the reduction into x, and the kernel.
 
     Returns:
         (x, kernel) where x is a solution tuple or None if infeasible, and
@@ -336,8 +353,7 @@ def solve_linear(M: RMatrix, b: Sequence[int]):
     if len(b) != M.cols:
         raise DimensionMismatch(f"rhs length {len(b)} != cols {M.cols}")
     n = M.modulus
-    hf = howell_form(M)
-    H, U = hf.matrix, hf.transform
+    H, U, kernel = _howell_split(M)
     residual = [a % n for a in b]
     coeffs = [0] * H.rows
     for i in range(H.rows):
@@ -345,19 +361,14 @@ def solve_linear(M: RMatrix, b: Sequence[int]):
         j = next(k for k, a in enumerate(row) if a)
         p = row[j]
         if residual[j] % p:
-            return None, kernel_basis(M)
+            return None, kernel
         t = residual[j] // p
         coeffs[i] = t
         if t:
             residual = [(x - t * y) % n for x, y in zip(residual, row)]
     if any(residual):
-        return None, kernel_basis(M)
-    x = [0] * M.rows
-    for i, t in enumerate(coeffs):
-        if t:
-            urow = U.row(i)
-            x = [(a + t * u) % n for a, u in zip(x, urow)]
-    return tuple(x), kernel_basis(M)
+        return None, kernel
+    return _flat_mul(n, 1, H.rows, M.rows, coeffs, U.entries), kernel
 
 
 def span_equal(A: RMatrix, B: RMatrix) -> bool:

@@ -20,7 +20,7 @@ import pytest
 
 from msolv import models
 from msolv.crowell import MagnusMatrix
-from msolv.errors import PreconditionViolated, VerdictFailed
+from msolv.errors import PreconditionViolated, TooLarge, VerdictFailed
 from msolv.fingroup import PermElem, center, closure, derived_series
 from msolv.models import (
     MODEL_NOTE,
@@ -36,7 +36,8 @@ from msolv.models import (
     presentation_abelianization,
     surface_presentation,
 )
-from msolv.zmodlin import RMatrix
+from msolv.foxcalc import QuotientContext
+from msolv.zmodlin import RMatrix, span_equal
 
 
 def cyclic_group(k):
@@ -106,6 +107,47 @@ def test_module_part_mismatch_is_a_verdict(monkeypatch):
         module_part_basis(model)
 
 
+def test_predicted_orders():
+    assert models._predicted_orders(2, 2, 0) == [1]
+    assert models._predicted_orders(1, 3, 4) == [3]
+    assert models._predicted_orders(2, 2, 2) == [4, 128]
+    assert models._predicted_orders(2, 3, 2) == [9, 3**12]
+    assert models._predicted_orders(3, 2, 2) == [8, 2**20]
+    assert models._predicted_orders(2, 2, 3) == [4, 128, 2**136]
+
+
+def test_level_order_off_its_prediction_is_a_verdict(monkeypatch):
+    monkeypatch.setattr(models, "_predicted_orders", lambda r, e, m: [4, 127])
+    with pytest.raises(VerdictFailed, match="level 2 has 128 elements, predicted 127"):
+        build_solv_model(2, 2, 2)
+
+
+def test_oversized_law_refused_before_any_closure(monkeypatch):
+    # W(2,3,3) needs a law over the 531441 elements of W(2,3,2); the size
+    # check must fire before W(2,3,2), or anything else, is enumerated
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an enumeration ran before the size check")
+
+    monkeypatch.setattr(models, "_bfs", no_enumeration)
+    monkeypatch.setattr(models, "closure", no_enumeration)
+    with pytest.raises(TooLarge, match="needs 1062882 digits"):
+        build_solv_model(2, 3, 3)
+    with pytest.raises(TooLarge, match="needs 1062882 digits"):
+        centralizer_probe_capped(2, 3, 3, 100, 1, 1)
+
+
+def test_left_sources_is_left_multiplication():
+    # over the nonabelian S_3 at e = 3, slot k of q v reads slot src[k] of v
+    Q = s3()
+    ctx = QuotientContext(2, Q, list(Q.gen_indices), 3)
+    rng = random.Random(11)
+    zero = (0,) * 12
+    for q in range(Q.order):
+        v = tuple(rng.randrange(3) for _ in range(12))
+        qv = MagnusMatrix(ctx, q, zero) * MagnusMatrix(ctx, 0, v)
+        assert qv.vec == tuple(v[s] for s in models._left_sources(ctx, q))
+
+
 @pytest.fixture(scope="module")
 def w232():
     return build_solv_model(2, 3, 2)
@@ -173,6 +215,22 @@ def test_centralizer_e2_oracle_and_decomposition():
     assert rep.decomposition_holds
     # |C| = x_order * |K| / |<x> intersect K|
     assert rep.centralizer_order * 2 == rep.x_order * rep.k_cap_brute
+
+
+def test_oracle_equal_is_false_for_a_wrong_span(monkeypatch):
+    # a K_cap basis of the right size but the wrong span must fail the oracle
+    true_k_cap = models._k_cap
+    wrong = RMatrix.from_rows(2, [[int(j == k) for j in range(8)] for k in range(3)])
+
+    def wrong_k_cap(ctx, K, xn_q):
+        basis, size = true_k_cap(ctx, K, xn_q)
+        assert size == 8 and not span_equal(basis, wrong)
+        return wrong, size
+
+    monkeypatch.setattr(models, "_k_cap", wrong_k_cap)
+    rep = centralizer_experiment(build_solv_model(2, 2, 2), 1, 1)
+    assert rep.k_cap_brute == rep.k_cap_linear == 8
+    assert not rep.oracle_equal
 
 
 @pytest.mark.parametrize("i,n", [(1, 1), (2, 2)])
@@ -302,6 +360,24 @@ def test_kcap_tower_exponent_3():
     assert rows[0].k_cap == 81
     assert rows[0].verified_brute and rows[0].brute_matches
     assert rows[1].k_cap > rows[0].k_cap  # kernel grows with the level
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kcap_tower_linear_rows_at_generator_2(n):
+    # linear-only rows at i = 2; the values were computed when K_cap still
+    # multiplied K by a dense matrix of q - 1
+    rows = kcap_tower(2, 2, [5, 7], 2, n)
+    assert [(r.e, r.q_order, r.kernel_span, r.k_cap, r.group_order) for r in rows] == [
+        (5, 25, 1490116119384765625, 15625, 37252902984619140625),
+        (
+            7,
+            49,
+            1798465042647412146620280340569649349251249,
+            5764801,
+            88124787089723195184393736687912818113311201,
+        ),
+    ]
+    assert all(not r.verified_brute and r.brute_matches for r in rows)
 
 
 # --------------------------------------------------------------- surfaces

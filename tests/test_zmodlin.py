@@ -18,6 +18,7 @@ from msolv.errors import DimensionMismatch, RingMismatch, TooLarge
 from msolv.zmodlin import (
     RMatrix,
     ResidueRing,
+    _howell_split,
     howell_form,
     kernel_basis,
     scalar_kernel,
@@ -396,6 +397,23 @@ def test_howell_properties_random(M):
     for i in range(H.rows):
         x, _ = solve_linear(M, H.row(i))
         assert x is not None
+
+
+@given(rmatrices())
+@settings(max_examples=80, deadline=None)
+def test_howell_split_of_augmented_form_random(M):
+    # one Howell form of [M | I] carries the form of M, its transform and
+    # the kernel; |row span| * |kernel| = n^rows checks that none is short
+    form, T, K = _howell_split(M)
+    assert form == howell_form(M).matrix
+    assert T.mul(M) == form
+    assert K.mul(M).is_zero()
+    assert howell_form(form).span_size * howell_form(K).span_size == M.modulus**M.rows
+
+
+def test_mul_through_an_empty_inner_dimension():
+    assert RMatrix.zero(5, 2, 0).mul(RMatrix.zero(5, 0, 3)) == RMatrix.zero(5, 2, 3)
+    assert kernel_basis(RMatrix.zero(4, 0, 2)) == RMatrix.zero(4, 0, 0)
 
 
 @given(rmatrices())
