@@ -14,6 +14,16 @@ over group rings) as long as they honor the same protocol.
 Quotient groups are again FiniteGroup values: their elements are canonical
 coset representatives (minimal element index in the parent) and their
 multiplication law composes in the parent and re-canonicalizes.
+
+Groups of order at most CAYLEY_LIMIT multiply element indices through a
+Cayley table of ints, built on the first `mul`/`inv` call from the
+generator table alone, with no element product.  The table holds order**2
+int references, about 2 MB at the limit; above it, `mul` and `inv` keep
+multiplying elements, so the order-531441 models never allocate one.
+Subgroup closures and normal-subgroup lattices of the small corpus groups
+spend nearly all their time in `mul`, which the table turns from an element
+product, a hash and a lookup into two subscripts.  The brute-force
+`centralizer` never reads the table: it multiplies elements through the law.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ from .errors import (
 from .zmodlin import RMatrix, _flat_mul, _howell_split, _xgcd
 
 DEFAULT_CAP = 2_000_000
+# largest order that gets a Cayley table; see the module docstring
+CAYLEY_LIMIT = 512
 
 
 class PermElem:
@@ -70,17 +82,26 @@ class PermElem:
             raise ValueError("cycles are not disjoint")
         return PermElem(images)
 
+    @staticmethod
+    def _trusted(images: tuple) -> "PermElem":
+        """Wrap images already known to be a bijection, unchecked: products
+        and inverses of permutations are, so only parsed input pays for
+        the check in __init__."""
+        p = object.__new__(PermElem)
+        p.images = images
+        return p
+
     def __mul__(self, other: "PermElem") -> "PermElem":
         if len(self.images) != len(other.images):
             raise MixedVariant("permutation degrees differ")
         s = self.images
-        return PermElem(tuple(s[i] for i in other.images))
+        return PermElem._trusted(tuple([s[i] for i in other.images]))
 
     def inverse(self) -> "PermElem":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return PermElem(inv)
+        return PermElem._trusted(tuple(inv))
 
     def __call__(self, point: int) -> int:
         return self.images[point]
@@ -215,6 +236,10 @@ class FiniteGroup:
     Fields: `elements` (index 0 is the identity), `index` (element -> index),
     `generators` / `gen_indices`, and `gen_table` with
     gen_table[i][g] = index of elements[i] * generators[g].
+
+    `mul` and `inv` work on indices.  At order <= CAYLEY_LIMIT they read a
+    Cayley table built on their first call; it costs order**2 int
+    references, which is why larger groups multiply elements instead.
     """
 
     def __init__(self, elements, index, generators, gen_table, law):
@@ -226,6 +251,9 @@ class FiniteGroup:
         self.identity_index = 0
         self.gen_indices = [index[g] for g in self.generators]
         self._order_cache: dict = {}
+        # Cayley table: _cols[j][i] = index of elements[i] * elements[j]
+        self._cols: Optional[list] = None
+        self._invs: Optional[list] = None
 
     @property
     def order(self) -> int:
@@ -235,10 +263,39 @@ class FiniteGroup:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        return self.index[self.law.mul(self.elements[i], self.elements[j])]
+        cols = self._cols
+        if cols is None:
+            if len(self.elements) > CAYLEY_LIMIT:
+                return self.index[self.law.mul(self.elements[i], self.elements[j])]
+            cols = self._build_cayley()
+        return cols[j][i]
 
     def inv(self, i: int) -> int:
-        return self.index[self.law.inv(self.elements[i])]
+        if self._invs is None:
+            if len(self.elements) > CAYLEY_LIMIT:
+                return self.index[self.law.inv(self.elements[i])]
+            self._build_cayley()
+        return self._invs[i]
+
+    def _build_cayley(self) -> list:
+        """Fill the Cayley table from gen_table along the BFS tree.
+
+        If k was first reached as elements[p] * generators[g], then
+        a * k = (a * p) * g, so column k is column p pushed through
+        generator g's column of gen_table.  The inverse of k is the row
+        where column k holds the identity.
+        """
+        n = len(self.elements)
+        by_gen = list(zip(*self.gen_table))  # by_gen[g][a] = index of a * generators[g]
+        cols: list = [None] * n
+        cols[0] = tuple(range(n))
+        for p, row in enumerate(self.gen_table):
+            for g, k in enumerate(row):
+                if cols[k] is None:
+                    cols[k] = tuple(map(by_gen[g].__getitem__, cols[p]))
+        self._invs = [col.index(0) for col in cols]
+        self._cols = cols
+        return cols
 
     def conj(self, i: int, by: int) -> int:
         """Index of by * i * by^{-1}."""

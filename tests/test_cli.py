@@ -243,6 +243,14 @@ def test_verdicts_survive_optimized_mode(experiment):
     assert json.loads(runs[1].stdout)["experiments"][0]["passed"] is True
 
 
+def test_invalid_permutation_exits_2(capsys):
+    # the group DSL still validates permutations, which products no longer do
+    rc = main(["derived-series", "--group", "perm 3 : (0 5)"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("msolv: error:") and "Traceback" not in err
+
+
 def test_main_exit_codes(monkeypatch, capsys):
     # exit 0: a fast passing experiment
     rc = main(["surface", "--genus", "2"])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msolv.constructions import counterexample_group
 from msolv.errors import (
     CapExceeded,
     MixedVariant,
@@ -21,6 +22,7 @@ from msolv.errors import (
     TooLarge,
 )
 from msolv.fingroup import (
+    CAYLEY_LIMIT,
     FiniteGroup,
     _bfs,
     _DirectLaw,
@@ -52,6 +54,7 @@ from msolv.fingroup import (
     transfer_map,
     trivial_group,
 )
+from msolv.models import build_solv_model
 
 # ------------------------------------------------------------ small corpus
 
@@ -127,6 +130,34 @@ def test_perm_inverse_and_cycles():
         PermElem((0, 0, 1))
     with pytest.raises(ValueError):
         PermElem.from_cycles(3, [(0, 1), (1, 2)])
+
+
+def test_perm_bijection_check():
+    for images in [(0, 0), (1, 2), (0, 2, 2), (-1, 0)]:
+        with pytest.raises(ValueError):
+            PermElem(images)
+    with pytest.raises(ValueError):
+        PermElem.from_cycles(4, [(0, 1, 2), (2, 3)])  # overlapping
+    for cycle in [(0, 5), (-1, 0)]:
+        with pytest.raises(ValueError):
+            PermElem.from_cycles(3, [cycle])
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda d: st.tuples(st.permutations(range(d)), st.permutations(range(d)))
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_unchecked_products_equal_validated(pair):
+    # products and inverses skip the bijection check; they must still be
+    # the permutations the validating constructor builds from scratch
+    a, b = (PermElem(p) for p in pair)
+    d = a.degree
+    prod, inv = a * b, a.inverse()
+    assert prod == PermElem([a(b(x)) for x in range(d)])
+    assert inv == PermElem([a.images.index(y) for y in range(d)])
+    assert hash(prod) == hash(PermElem(prod.images))
 
 
 def test_mat_inverse_witness():
@@ -510,6 +541,86 @@ def test_iso_size_guard():
     G = make_counterexample72()
     with pytest.raises(TooLarge):
         iso_test_small(G, G)
+
+
+# ------------------------------------------------------------ Cayley table
+
+
+def assert_table_matches_element_products(G):
+    for i in range(G.order):
+        a = G.elements[i]
+        assert G.inv(i) == G.index[G.law.inv(a)]
+        for j in range(G.order):
+            assert G.mul(i, j) == G.index[G.law.mul(a, G.elements[j])]
+
+
+def cayley_corpus():
+    """The corpus of acceptance criterion 11, whose all-pairs definitions
+    multiply through G.mul, plus a quotient whose law is _CosetLaw."""
+    S4 = make_s4()
+    V4 = next(N for N in normal_subgroups(S4) if N.order == 4)
+    return [
+        closure([cyc(2, (0, 1))]),
+        closure([cyc(12, tuple(range(12)))]),
+        closure([cyc(4, (0, 1)), cyc(4, (2, 3))]),
+        make_s3(),
+        make_d8(),
+        make_q8(),
+        closure([cyc(6, (0, 1, 2, 3, 4, 5)), cyc(6, (0, 5), (1, 4), (2, 3))]),
+        make_a4(),
+        S4,
+        counterexample_group(),
+        build_solv_model(2, 2, 2).group,
+        quotient_by(S4, V4)[0],
+    ]
+
+
+def test_cayley_table_matches_element_products():
+    corpus = cayley_corpus()
+    assert [G.order for G in corpus] == [2, 12, 4, 6, 8, 8, 12, 12, 24, 72, 128, 6]
+    for G in corpus:
+        assert_table_matches_element_products(G)
+        assert G._cols is not None
+
+
+def test_corrupted_table_entry_fails_the_product_check():
+    G = make_s4()
+    assert_table_matches_element_products(G)
+    col = list(G._cols[5])
+    col[7] = col[8]
+    G._cols[5] = tuple(col)
+    with pytest.raises(AssertionError):
+        assert_table_matches_element_products(G)
+
+
+def test_cayley_table_only_at_or_below_limit(monkeypatch):
+    built = []
+    build = FiniteGroup._build_cayley
+
+    def counting(G):
+        built.append(G.order)
+        return build(G)
+
+    monkeypatch.setattr(FiniteGroup, "_build_cayley", counting)
+    S6 = closure([cyc(6, (0, 1, 2, 3, 4, 5)), cyc(6, (0, 1))])
+    assert S6.order == 720 > CAYLEY_LIMIT
+    for i, j in [(1, 2), (700, 719), (5, 0)]:
+        assert S6.mul(i, j) == S6.index[S6.elements[i] * S6.elements[j]]
+        assert S6.inv(i) == S6.index[S6.elements[i].inverse()]
+    assert S6.element_order(7) > 1
+    assert S6._cols is None and S6._invs is None and built == []
+
+    S4 = make_s4()
+    for _ in range(3):
+        derived_series(S4)
+        S4.inv(3)
+    assert built == [24]
+
+    # the limit itself is inclusive
+    for k in (CAYLEY_LIMIT, CAYLEY_LIMIT + 1):
+        C = closure([cyc(k, tuple(range(k)))])
+        assert C.power(C.gen_indices[0], k) == 0 and C.inv(1) == k - 1
+    assert built == [24, CAYLEY_LIMIT]
 
 
 # ------------------------------------------------- subgroup enumerations
