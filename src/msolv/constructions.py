@@ -34,7 +34,7 @@ from .fingroup import (
     find_isomorphism,
     m_step_quotient,
 )
-from .zmodlin import RMatrix, ResidueRing, solve_linear, valuation
+from .zmodlin import RMatrix, ResidueRing, _howell_rows, _reduce, valuation
 
 
 # ----------------------------------------------------------- counterexample
@@ -212,7 +212,8 @@ def gtilde_experiment(inst: GTildeInstance) -> GTildeReport:
     A ranges over the regular image of G, C over powers of rho(x).  The
     commutation condition splits into (i) A X^n = X^n A and (ii) existence
     of B with B X^n - X^n B = n (X^n C - A X^n); (ii) is a linear system
-    over Z/ell^sigma in the u^2 entries of B.
+    over Z/ell^sigma in the u^2 entries of B, whose matrix L is put in
+    Howell form once for all pairs.
     """
     G = inst.group
     u = G.order
@@ -223,30 +224,21 @@ def gtilde_experiment(inst: GTildeInstance) -> GTildeReport:
     # left-translation permutations stand in for the regular matrices
     perm_xn = tuple(G.mul(xn, j) for j in range(u))
 
-    # matrix of B -> B X^n - X^n B over the flat basis (i, j) -> i*u + j.
-    # X^n is the permutation matrix of perm_xn: column j has its 1 in row
-    # perm_xn[j]; E_ij X^n picks +1 at (i, perm_xn^-1...) -- built by index
-    # bookkeeping below, two entries per unknown.
+    # L, the matrix of B -> B X^n - X^n B over the flat basis (i, j) -> i*u + j,
+    # as sparse rows.  X^n is the permutation matrix of perm_xn (column j has
+    # its 1 in row perm_xn[j]), so E_ij X^n = E_(i, perm_xn^-1(j)) and
+    # X^n E_ij = E_(perm_xn(i), j): two entries per row, which cancel when
+    # they meet.
     inv_perm = [0] * u
     for j in range(u):
         inv_perm[perm_xn[j]] = j
     rows = []
     for i in range(u):
         for j in range(u):
-            ent = [0] * (u * u)
-            # (E_ij X^n)[a][b] = delta_{a,i} [b = position with X^n[j][b]=1]
-            # X^n[j][b] = 1 iff j = perm_xn[b], i.e. b = inv_perm[j]
-            ent[i * u + inv_perm[j]] += 1
-            # (X^n E_ij)[a][b] = X^n[a][i] delta_{b,j}; X^n[a][i]=1 iff a=perm_xn[i]
-            ent[perm_xn[i] * u + j] -= 1
-            rows.append([e % mod for e in ent])
-    L = RMatrix.from_rows(mod, rows, cols=u * u)
-
-    def perm_matrix_vec(g: int, scale: int) -> list:
-        ent = [0] * (u * u)
-        for j in range(u):
-            ent[G.mul(g, j) * u + j] = scale % mod
-        return ent
+            plus, minus = i * u + inv_perm[j], perm_xn[i] * u + j
+            rows.append({plus: 1, minus: mod - 1} if plus != minus else {})
+    # one Howell form of L decides every right-hand side
+    form = _howell_rows(mod, rows)
 
     s = inst.s
     feasible = []
@@ -259,15 +251,15 @@ def gtilde_experiment(inst: GTildeInstance) -> GTildeReport:
         for k in range(s):
             tested += 1
             c = G.power(x, k)
-            rhs_mat = [
-                (p - q) % mod
-                for p, q in zip(
-                    perm_matrix_vec(G.mul(xn, c), n_int),
-                    perm_matrix_vec(G.mul(a, xn), n_int),
-                )
-            ]
-            sol, _ = solve_linear(L, rhs_mat)
-            if sol is not None:
+            # n (X^n C - A X^n); the permutation matrices of g and h share
+            # no entry unless g == h
+            g, h = G.mul(xn, c), G.mul(a, xn)
+            rhs = {}
+            if g != h and n_int % mod:
+                for j in range(u):
+                    rhs[G.mul(g, j) * u + j] = n_int % mod
+                    rhs[G.mul(h, j) * u + j] = -n_int % mod
+            if _reduce(mod, form, rhs) is not None:
                 feasible.append((a, k))
     diag = {(G.power(x, k), k) for k in range(s)}
     feas_set = set(feasible)

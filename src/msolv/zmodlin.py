@@ -9,15 +9,28 @@ field); the Howell normal form does.  howell_form is the canonical form used
 everywhere in the package: two matrices over the same Z/n have equal row
 spans iff their Howell forms are identical.
 
-The Howell loop carries no transform.  Whatever needs one, or a kernel,
-reduces [M | I] once (`_howell_split`): rows with a nonzero M-part are the
-Howell form of M and their I-part is the transform, and the I-part of the
-rows whose M-part vanished generates the kernel.
+The Howell loop (`_howell_rows`) works on sparse rows, {col: residue}
+dicts of the nonzero entries, so adding a multiple of one row to another
+touches only the support of the row added.  In each column the pivot is a
+row whose entry has the smallest gcd with n (a unit when there is one), then
+the fewest nonzeros.  It is normalised first; each other row in the column
+is then cleared by one row update, and a unimodular 2x2 combine runs only
+when the pivot does not divide the entry, which never happens for a
+prime-power n.  Neither the dict rows nor the pivot rule can show in a
+result: the Howell form is canonical, so every sequence of span-preserving
+row operations that ends in it ends in the same matrix.  `RMatrix` and
+`HowellForm` stay dense at the boundary.
+
+The loop carries no transform.  Whatever needs one, or a kernel, reduces
+[M | I] once (`_howell_split`), built directly as dict rows: rows with a
+nonzero M-part are the Howell form of M and their I-part is the transform,
+and the I-part of the rows whose M-part vanished generates the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -177,16 +190,6 @@ class RMatrix:
         return RMatrix(self.modulus, self.rows, self.cols,
                        tuple((c * a) % n for a in self.entries))
 
-    def hstack(self, other: "RMatrix") -> "RMatrix":
-        self._check_ring(other)
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        flat = []
-        for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return RMatrix(self.modulus, self.rows, self.cols + other.cols, tuple(flat))
-
     def vstack(self, other: "RMatrix") -> "RMatrix":
         self._check_ring(other)
         if self.cols != other.cols:
@@ -245,55 +248,98 @@ def howell_form(M: RMatrix) -> HowellForm:
     Only the rows are reduced; `HowellForm.transform` is derived on demand
     from the form of [M | I].
     """
-    n = M.modulus
+    form = _howell_rows(M.modulus, _rows_of(M))
+    return HowellForm(_matrix_of(M.modulus, [row for _, row in form], M.cols), M)
+
+
+def _rows_of(M: RMatrix) -> list:
+    """The rows of M as {col: residue} dicts of their nonzero entries."""
+    c, e = M.cols, M.entries
+    return [{j: a for j, a in enumerate(e[i * c : (i + 1) * c]) if a} for i in range(M.rows)]
+
+
+def _matrix_of(n: int, rows: Sequence[dict], cols: int) -> RMatrix:
+    """The dense RMatrix of {col: residue} rows."""
+    flat = [0] * (len(rows) * cols)
+    for i, row in enumerate(rows):
+        base = i * cols
+        for j, a in row.items():
+            flat[base + j] = a
+    return RMatrix(n, len(rows), cols, tuple(flat))
+
+
+def _axpy(n: int, row: dict, q: int, piv: dict) -> None:
+    """row += q * piv over Z/n, in place, touching only the support of piv."""
+    for j, y in piv.items():
+        x = (row.get(j, 0) + q * y) % n
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
+
+
+def _lin(n: int, s: int, x: dict, t: int, y: dict) -> dict:
+    """s * x + t * y over Z/n."""
+    out = {j: v for j, a in x.items() if (v := s * a % n)}
+    _axpy(n, out, t, y)
+    return out
+
+
+def _howell_rows(n: int, rows: Iterable[dict]) -> list:
+    """Howell form over Z/n of {col: residue} rows, as (pivot col, row)
+    pairs in increasing pivot column.  The row dicts are reduced in place.
+
+    `pending` files each live row under its leading column, and the columns
+    are taken in increasing order.  Of the rows led by a column, the pivot
+    is one whose entry has the smallest gcd with n, then the fewest
+    nonzeros.  It is normalised by `stab_unit`, so its entry p divides n.
+    Every other row there, with entry b, loses (b/p) times it when p | b;
+    only otherwise does a unimodular 2x2 combine clear b and lower p to
+    gcd(p, b).  Rows above are reduced modulo p, and (n/p) times the pivot
+    row is filed as an annihilator row.
+    """
     ring = ResidueRing(n)
-    work = [list(M.row(i)) for i in range(M.rows)]
+    pending: dict = {}
+    leads: list = []  # heap of the keys of pending
 
-    def combine(i: int, k: int, col: int) -> None:
-        # unimodular 2x2 transform making work[k][col] = 0
-        a, b = work[i][col], work[k][col]
-        if b == 0:
-            return
-        if a == 0:
-            work[i], work[k] = work[k], work[i]
-            return
-        g, s, t = _xgcd(a, b)
-        p, q = -(b // g), a // g
-        wi, wk = work[i], work[k]
-        work[i] = [(s * x + t * y) % n for x, y in zip(wi, wk)]
-        work[k] = [(p * x + q * y) % n for x, y in zip(wi, wk)]
+    def file(row: dict) -> None:
+        if row:
+            lead = min(row)
+            if lead in pending:
+                pending[lead].append(row)
+            else:
+                pending[lead] = [row]
+                heappush(leads, lead)
 
-    r = 0
-    for col in range(M.cols):
-        if r >= len(work):
-            break
-        pivot_row = None
-        for k in range(r, len(work)):
-            if work[k][col]:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for k in range(r + 1, len(work)):
-            combine(r, k, col)
-        u = ring.stab_unit(work[r][col])
+    for row in rows:
+        file(row)
+    form: list = []
+    while leads:
+        col = heappop(leads)
+        led = pending.pop(col)
+        piv = led.pop(min(range(len(led)), key=lambda i: (gcd(led[i][col], n), len(led[i]))))
+        u = ring.stab_unit(piv[col])
         if u != 1:
-            work[r] = [(u * x) % n for x in work[r]]
-        p = work[r][col]
-        for k in range(r):
-            q = work[k][col] // p
-            if q:
-                work[k] = [(x - q * y) % n for x, y in zip(work[k], work[r])]
+            piv = {j: u * a % n for j, a in piv.items()}
+        p = piv[col]
+        for row in led:
+            b = row[col]
+            if b % p:
+                g, s, t = _xgcd(p, b)
+                piv, row = _lin(n, s, piv, t, row), _lin(n, -(b // g), piv, p // g, row)
+                p = g  # piv[col] = s*p + t*b = g, and g | p | n
+            else:
+                _axpy(n, row, -(b // p), piv)
+            file(row)
+        for _, above in form:
+            a = above.get(col, 0)
+            if a >= p:
+                _axpy(n, above, -(a // p), piv)
         ann = n // p
-        if ann != 1 and ann != n:
-            arow = [(ann * x) % n for x in work[r]]
-            if any(arow):
-                work.append(arow)
-        r += 1
-
-    H = RMatrix.from_rows(n, [row for row in work if any(row)], cols=M.cols)
-    return HowellForm(H, M)
+        if ann != n:
+            file({j: x for j, a in piv.items() if (x := ann * a % n)})
+        form.append((col, piv))
+    return form
 
 
 def _howell_split(M: RMatrix) -> tuple:
@@ -302,17 +348,38 @@ def _howell_split(M: RMatrix) -> tuple:
     Pivot columns increase, so rows with a nonzero M-part come first, and
     their M-parts keep the span property: they are howell_form(M).matrix,
     with transform * M = form for their I-parts.  The I-parts of the rows
-    whose M-part vanished generate {v : v * M = 0}.
+    whose M-part vanished generate {v : v * M = 0}.  [M | I] is built as
+    dict rows, each I-part one entry.
     """
     n, c = M.modulus, M.cols
-    H = howell_form(M.hstack(RMatrix.identity(n, M.rows))).matrix
-    rows = [H.row(i) for i in range(H.rows)]
-    split = next((i for i, row in enumerate(rows) if not any(row[:c])), len(rows))
-    return (
-        RMatrix.from_rows(n, [row[:c] for row in rows[:split]], cols=c),
-        RMatrix.from_rows(n, [row[c:] for row in rows[:split]], cols=M.rows),
-        RMatrix.from_rows(n, [row[c:] for row in rows[split:]], cols=M.rows),
-    )
+    rows = _rows_of(M)
+    for i, row in enumerate(rows):
+        row[c + i] = 1
+    form, transform, kernel = [], [], []
+    for col, row in _howell_rows(n, rows):
+        i_part = {j - c: a for j, a in row.items() if j >= c}
+        if col < c:
+            form.append({j: a for j, a in row.items() if j < c})
+            transform.append(i_part)
+        else:
+            kernel.append(i_part)
+    return _matrix_of(n, form, c), _matrix_of(n, transform, M.rows), _matrix_of(n, kernel, M.rows)
+
+
+def _reduce(n: int, form: Sequence[tuple], b: dict) -> Optional[list]:
+    """Coefficients of b over the (pivot col, row) pairs of a Howell form,
+    or None when b is not in its span.  b is reduced in place."""
+    coeffs = []
+    for col, row in form:
+        a = b.get(col, 0)
+        p = row[col]
+        if a % p:
+            return None
+        t = a // p
+        coeffs.append(t)
+        if t:
+            _axpy(n, b, -t, row)
+    return None if b else coeffs
 
 
 def _xgcd(a: int, b: int):
@@ -354,19 +421,9 @@ def solve_linear(M: RMatrix, b: Sequence[int]):
         raise DimensionMismatch(f"rhs length {len(b)} != cols {M.cols}")
     n = M.modulus
     H, U, kernel = _howell_split(M)
-    residual = [a % n for a in b]
-    coeffs = [0] * H.rows
-    for i in range(H.rows):
-        row = H.row(i)
-        j = next(k for k, a in enumerate(row) if a)
-        p = row[j]
-        if residual[j] % p:
-            return None, kernel
-        t = residual[j] // p
-        coeffs[i] = t
-        if t:
-            residual = [(x - t * y) % n for x, y in zip(residual, row)]
-    if any(residual):
+    form = [(min(row), row) for row in _rows_of(H)]
+    coeffs = _reduce(n, form, {j: a % n for j, a in enumerate(b) if a % n})
+    if coeffs is None:
         return None, kernel
     return _flat_mul(n, 1, H.rows, M.rows, coeffs, U.entries), kernel
 

@@ -671,6 +671,15 @@ def test_gtilde_experiment_cli(capsys):
     assert e["passed"] is True
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_gtilde_d8_feasible_pairs(n, capsys):
+    # pinned from the code that solved one linear system per (a, k) pair
+    (e,) = run_ok(["gtilde", "--group", "builtin D_8", "--x", "g1", "--n", str(n)], capsys)
+    assert e["report"]["pairs_tested"] == 32
+    assert e["report"]["feasible_pairs"] == [[0, 0], [1, 1], [3, 2], [6, 3]]
+    assert e["passed"] is True
+
+
 def test_quotient_iso_experiment_cli(capsys):
     (e,) = run_ok(["quotient-iso", "--group", "builtin S_3"], capsys)
     assert e["passed"] is True

@@ -380,6 +380,17 @@ def test_kcap_tower_linear_rows_at_generator_2(n):
     assert all(not r.verified_brute and r.brute_matches for r in rows)
 
 
+def test_kcap_tower_rows_past_exponent_13():
+    # e = 16: a 2-power modulus, where Howell pivots need not be units;
+    # e = 17: a 289-dimensional ring.  Values from the dense Howell loop
+    rows = kcap_tower(2, 2, [16, 17], 1, 1)
+    assert [(r.e, r.q_order, r.kernel_span, r.k_cap, r.group_order) for r in rows] == [
+        (16, 256, 16**257, 2**68, 256 * 16**257),
+        (17, 289, 17**290, 17**18, 289 * 17**290),
+    ]
+    assert all(not r.verified_brute and r.brute_matches for r in rows)
+
+
 # --------------------------------------------------------------- surfaces
 
 

@@ -3,7 +3,8 @@
 Small shapes are checked exhaustively against brute-force enumeration of
 row spans, kernels and solution sets; larger shapes get randomized and
 property-based coverage.  Frozen values below were computed by hand or by
-the brute-force oracles in this file.
+the brute-force oracles in this file.  The dense Howell loop that the
+sparse-row elimination replaced is kept here as a reference oracle.
 """
 
 import itertools
@@ -14,11 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msolv import zmodlin
+from msolv.crowell import QuotientContext, build_complex
 from msolv.errors import DimensionMismatch, RingMismatch, TooLarge
+from msolv.models import build_solv_model
 from msolv.zmodlin import (
     RMatrix,
     ResidueRing,
     _howell_split,
+    _xgcd,
     howell_form,
     kernel_basis,
     scalar_kernel,
@@ -445,3 +450,124 @@ def test_solve_feasibility_random(M, seed):
         if c:
             v = [(a + c * e) % M.modulus for a, e in zip(v, M.row(i))]
     assert v == b
+
+
+# ------------------------------------------- the dense elimination as oracle
+
+
+def dense_howell_reference(M: RMatrix) -> RMatrix:
+    """The dense Howell loop that preceded the sparse-row elimination,
+    kept verbatim (first nonzero row as pivot, a 2x2 combine for every row
+    below, every row operation over the full width)."""
+    n = M.modulus
+    ring = ResidueRing(n)
+    work = [list(M.row(i)) for i in range(M.rows)]
+
+    def combine(i: int, k: int, col: int) -> None:
+        # unimodular 2x2 transform making work[k][col] = 0
+        a, b = work[i][col], work[k][col]
+        if b == 0:
+            return
+        if a == 0:
+            work[i], work[k] = work[k], work[i]
+            return
+        g, s, t = _xgcd(a, b)
+        p, q = -(b // g), a // g
+        wi, wk = work[i], work[k]
+        work[i] = [(s * x + t * y) % n for x, y in zip(wi, wk)]
+        work[k] = [(p * x + q * y) % n for x, y in zip(wi, wk)]
+
+    r = 0
+    for col in range(M.cols):
+        if r >= len(work):
+            break
+        pivot_row = None
+        for k in range(r, len(work)):
+            if work[k][col]:
+                pivot_row = k
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        for k in range(r + 1, len(work)):
+            combine(r, k, col)
+        u = ring.stab_unit(work[r][col])
+        if u != 1:
+            work[r] = [(u * x) % n for x in work[r]]
+        p = work[r][col]
+        for k in range(r):
+            q = work[k][col] // p
+            if q:
+                work[k] = [(x - q * y) % n for x, y in zip(work[k], work[r])]
+        ann = n // p
+        if ann != 1 and ann != n:
+            arow = [(ann * x) % n for x in work[r]]
+            if any(arow):
+                work.append(arow)
+        r += 1
+
+    return RMatrix.from_rows(n, [row for row in work if any(row)], cols=M.cols)
+
+
+def augmented(M: RMatrix) -> RMatrix:
+    """[M | I] as a dense matrix."""
+    return RMatrix.from_rows(
+        M.modulus,
+        [list(M.row(i)) + [int(i == j) for j in range(M.rows)] for i in range(M.rows)],
+        cols=M.cols + M.rows,
+    )
+
+
+def random_sparse(rng: random.Random, n: int) -> RMatrix:
+    """A sparse matrix up to 30 x 45 whose columns are empty, all units, all
+    non-units, or a mix of both."""
+    rows, cols = rng.randint(1, 30), rng.randint(1, 45)
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    nonunits = [a for a in range(1, n) if gcd(a, n) != 1] or units
+    density = rng.choice((0.05, 0.1, 0.25))
+    ents = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        pool = rng.choice(([], units, nonunits, units + nonunits, units + nonunits))
+        for i in range(rows):
+            if pool and rng.random() < density:
+                ents[i][j] = rng.choice(pool)
+    return RMatrix.from_rows(n, ents, cols=cols)
+
+
+def test_sparse_howell_matches_dense_reference(monkeypatch):
+    # both the one-row update and the 2x2 combine must have run
+    calls = {"_axpy": 0, "_lin": 0}
+    for name in calls:
+        real = getattr(zmodlin, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(zmodlin, name, counted)
+    rng = random.Random(8)
+    moduli = (4, 6, 8, 9, 12, 13, 27)
+    for case in range(504):
+        M = random_sparse(rng, moduli[case % len(moduli)])
+        assert howell_form(M).matrix == dense_howell_reference(M), (case, M)
+        if case % 4 == 0:
+            c = M.cols
+            full = dense_howell_reference(augmented(M)).row_list()
+            lead = [r for r in full if any(r[:c])]
+            tail = [r for r in full if not any(r[:c])]
+            expect = (
+                RMatrix.from_rows(M.modulus, [r[:c] for r in lead], cols=c),
+                RMatrix.from_rows(M.modulus, [r[c:] for r in lead], cols=M.rows),
+                RMatrix.from_rows(M.modulus, [r[c:] for r in tail], cols=M.rows),
+            )
+            assert _howell_split(M) == expect, case
+    assert calls["_axpy"] and calls["_lin"]
+
+
+@pytest.mark.parametrize("e", [4, 8, 9, 13])
+def test_sparse_howell_matches_dense_reference_on_f_augmented(e):
+    # [f | I] of the level-2 complex over W(2, e, 1): the kcap-linear input
+    Q = build_solv_model(2, e, 1).group
+    f = build_complex(QuotientContext(2, Q, list(Q.gen_indices), e)).f_matrix
+    FI = augmented(f)
+    assert howell_form(FI).matrix == dense_howell_reference(FI)
