@@ -479,20 +479,51 @@ class Subgroup:
         return hash((id(self.parent), self.indices))
 
 
+def _grow(G: FiniteGroup, elems: list, seen: set, gens: list, g: int) -> None:
+    """One Dimino step: extend the closed element list of H to <H, g>.
+
+    `elems` and `seen` hold H, and `gens` the generators it was grown
+    from; all three are extended in place.  Nothing happens when g is
+    already in H.  Otherwise the new group is built as a union of right
+    cosets H*c, starting from H itself: each coset representative c is
+    pushed through every generator s, and a product c*s outside the list
+    opens the coset H*(c*s) (the first one is H*g).  A union of right
+    cosets of H that holds the identity and is closed under right
+    products with the generators is the whole group, and H*c*s = H*(c*s)
+    means the representatives alone need pushing.  Cost: |H| products
+    per new coset, plus (number of cosets) x (number of generators) for
+    the representatives.
+    """
+    if g in seen:
+        return
+    gens.append(g)
+    mul = G.mul
+    block = elems[:]  # H, the subgroup being extended
+    reps = [0]  # H itself, then one representative per new coset
+    for c in reps:
+        for s in gens:
+            t = mul(c, s)
+            if t not in seen:
+                reps.append(t)
+                coset = [mul(h, t) for h in block]
+                elems.extend(coset)
+                seen.update(coset)
+
+
 def subgroup_closure(G: FiniteGroup, gen_idxs: Iterable[int]) -> Subgroup:
-    """Subgroup of G generated by the given element indices."""
+    """Subgroup of G generated by the given element indices.
+
+    Dimino's algorithm (`_grow`), one generator at a time: a generator
+    already in the subgroup costs one set lookup, and every other one
+    costs |H| products per new right coset of the subgroup H built so
+    far, plus (number of cosets) x (number of generators) products for
+    the coset representatives.  `gen_indices` keeps every nonzero given
+    index in order, redundant ones included.
+    """
     gen_idxs = [i for i in gen_idxs if i != 0]
-    seen = {0}
-    order_list = [0]
-    i = 0
-    while i < len(order_list):
-        a = order_list[i]
-        for g in gen_idxs:
-            b = G.mul(a, g)
-            if b not in seen:
-                seen.add(b)
-                order_list.append(b)
-        i += 1
+    elems, seen, used = [0], {0}, []
+    for g in gen_idxs:
+        _grow(G, elems, seen, used, g)
     return Subgroup(G, tuple(sorted(seen)), tuple(gen_idxs) or (0,))
 
 
@@ -501,22 +532,29 @@ def normal_closure(G: FiniteGroup, seed_idxs: Iterable[int], conjugators: Option
 
     Conjugators default to G's generators (normal closure in G); passing a
     subgroup's generators computes the normal closure within that subgroup.
+
+    One subgroup grows by Dimino steps (`_grow`): each pass conjugates
+    only the generators added by the pass before, since the conjugates of
+    older ones were already found in a subgroup that has only grown
+    since.  The cost is that of `subgroup_closure` on all the generators
+    at once: |H| products per new coset, plus (number of cosets) x
+    (number of generators) for the representatives, plus two products and
+    an inverse per conjugate.  `gen_indices` holds the seeds and then
+    every conjugate found outside the subgroup of its pass, in the order
+    found.
     """
     if conjugators is None:
         conjugators = G.gen_indices
     gens = [i for i in dict.fromkeys(seed_idxs) if i != 0]
-    sub = subgroup_closure(G, gens)
-    while True:
-        new = []
-        for h in sub.gen_indices:
-            for c in conjugators:
-                t = G.conj(h, c)
-                if t not in sub.element_set:
-                    new.append(t)
-        if not new:
-            return sub
-        gens.extend(dict.fromkeys(new))
-        sub = subgroup_closure(G, gens)
+    elems, seen, used = [0], {0}, []
+    fresh = list(gens)
+    while fresh:
+        for g in fresh:
+            _grow(G, elems, seen, used, g)
+        new = [G.conj(h, c) for h in fresh for c in conjugators]
+        fresh = [t for t in dict.fromkeys(new) if t not in seen]
+        gens.extend(fresh)
+    return Subgroup(G, tuple(sorted(seen)), tuple(gens) or (0,))
 
 
 def derived_subgroup(G: FiniteGroup, sub: Optional[Subgroup] = None) -> Subgroup:
@@ -691,12 +729,11 @@ def center(G: FiniteGroup) -> Subgroup:
 def _reduce_generators(G: FiniteGroup, members: Sequence[int]) -> tuple:
     """Greedy small generating set for a subgroup given as an element list."""
     gens: list = []
-    have = {0}
+    elems, have = [0], {0}
     for i in members:
         if i in have:
             continue
-        gens.append(i)
-        have = subgroup_closure(G, gens).element_set
+        _grow(G, elems, have, gens, i)
         if len(have) == len(members):
             break
     return tuple(gens) or (0,)
@@ -929,11 +966,10 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[Homomorphism]
         return None
     # irredundant generating sequence for G1
     gens: list = []
-    span = {0}
+    elems, span = [0], {0}
     for i in range(G1.order):
         if i not in span:
-            gens.append(i)
-            span = subgroup_closure(G1, gens).element_set
+            _grow(G1, elems, span, gens, i)
             if len(span) == G1.order:
                 break
     by_order: dict = {}
@@ -987,12 +1023,28 @@ def iso_test_small(G1: FiniteGroup, G2: FiniteGroup) -> bool:
 
 
 def normal_subgroups(G: FiniteGroup) -> list:
-    """All normal subgroups, as the join-closure of element normal closures."""
+    """All normal subgroups, as the join-closure of element normal closures.
+
+    Conjugate elements have the same normal closure, so one is taken per
+    conjugacy class, at its smallest index: the class of i is its orbit
+    under conjugation by G's generators.
+    """
     seen = {}
     trivial = Subgroup(G, (0,), (0,))
     seen[trivial.indices] = trivial
     atoms = []
+    classed = {0}
     for i in range(1, G.order):
+        if i in classed:
+            continue
+        orbit = [i]
+        classed.add(i)
+        for a in orbit:
+            for c in G.gen_indices:
+                b = G.conj(a, c)
+                if b not in classed:
+                    classed.add(b)
+                    orbit.append(b)
         nc = normal_closure(G, [i])
         if nc.indices not in seen:
             seen[nc.indices] = nc

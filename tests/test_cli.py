@@ -13,6 +13,7 @@ bound or an unknown key exits 2 with a message and no traceback.
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -651,6 +652,16 @@ def test_derived_series_experiment(capsys):
     (e,) = run_ok(["derived-series", "--group", "builtin S_4"], capsys)
     assert e["report"]["orders"] == [24, 12, 4, 1]
     assert e["report"]["solvable"] is True
+
+
+def test_derived_series_s8_bytes_are_pinned(capsys):
+    # stdout sha256 taken from the closures that restarted on every pass
+    rc = main(["derived-series", "--group", "builtin S_8"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e1bb6b7703529a3ca004de0ea5f9e4668da6e0e3d0b4182a5ec834ddb9004e51"
+    )
 
 
 def test_msolv_quotient_experiment(capsys):

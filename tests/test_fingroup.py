@@ -623,6 +623,103 @@ def test_cayley_table_only_at_or_below_limit(monkeypatch):
     assert built == [24, CAYLEY_LIMIT]
 
 
+# ------------------------------------------------------ Dimino closures
+#
+# The restart closures below are the previous subgroup_closure and
+# normal_closure, kept verbatim as reference oracles: one BFS over all the
+# generators collected so far, rebuilt from scratch on every pass.
+
+
+def restart_subgroup_closure_reference(G, gen_idxs):
+    """Subgroup of G generated by the given element indices."""
+    gen_idxs = [i for i in gen_idxs if i != 0]
+    seen = {0}
+    order_list = [0]
+    i = 0
+    while i < len(order_list):
+        a = order_list[i]
+        for g in gen_idxs:
+            b = G.mul(a, g)
+            if b not in seen:
+                seen.add(b)
+                order_list.append(b)
+        i += 1
+    return Subgroup(G, tuple(sorted(seen)), tuple(gen_idxs) or (0,))
+
+
+def restart_normal_closure_reference(G, seed_idxs, conjugators=None):
+    """Smallest subgroup containing the seeds and stable under conjugation.
+
+    Conjugators default to G's generators (normal closure in G); passing a
+    subgroup's generators computes the normal closure within that subgroup.
+    """
+    if conjugators is None:
+        conjugators = G.gen_indices
+    gens = [i for i in dict.fromkeys(seed_idxs) if i != 0]
+    sub = restart_subgroup_closure_reference(G, gens)
+    while True:
+        new = []
+        for h in sub.gen_indices:
+            for c in conjugators:
+                t = G.conj(h, c)
+                if t not in sub.element_set:
+                    new.append(t)
+        if not new:
+            return sub
+        gens.extend(dict.fromkeys(new))
+        sub = restart_subgroup_closure_reference(G, gens)
+
+
+def test_dimino_closures_match_restart_references():
+    S6 = closure([cyc(6, (0, 1, 2, 3, 4, 5)), cyc(6, (0, 1))])
+    assert S6.order == 720 > CAYLEY_LIMIT
+    rng = random.Random(9)
+    later = 0
+    for G in cayley_corpus() + [S6]:
+        n = G.order
+        for _ in range(12):
+            gens = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+            if gens and rng.random() < 0.3:
+                gens.append(rng.choice(gens))  # a repeated generator
+            got = subgroup_closure(G, gens)
+            want = restart_subgroup_closure_reference(G, gens)
+            assert (got.indices, got.gen_indices) == (want.indices, want.gen_indices)
+        for trial in range(12):
+            seeds = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+            conj = None  # G's generators
+            if trial % 2:
+                conj = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+            got = normal_closure(G, seeds, conj)
+            want = restart_normal_closure_reference(G, seeds, conj)
+            assert (got.indices, got.gen_indices) == (want.indices, want.gen_indices)
+            if conj is None:
+                assert got.is_normal
+            first = set(seeds) | {G.conj(h, c) for h in seeds for c in conj or G.gen_indices}
+            later += any(h not in first for h in got.gen_indices)
+    # conjugates of conjugates: some closures needed a second pass
+    assert later >= 20
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_derived_subgroup_gen_indices_match_restart_reference(name):
+    G = CORPUS[name]()
+    sub = G.full_subgroup()
+    while True:
+        gi = sub.gen_indices
+        comms = [
+            c
+            for a in gi
+            for b in gi
+            if (c := G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))) != 0
+        ]
+        want = restart_normal_closure_reference(G, comms, conjugators=gi)
+        got = derived_subgroup(G, sub)
+        assert (got.indices, got.gen_indices) == (want.indices, want.gen_indices)
+        if got.order in (1, sub.order):
+            break
+        sub = got
+
+
 # ------------------------------------------------- subgroup enumerations
 
 
@@ -633,6 +730,58 @@ def test_normal_subgroup_lattices():
     assert sorted(N.order for N in normal_subgroups(make_q8())) == [1, 2, 4, 4, 4, 8]
     for N in normal_subgroups(make_s4()):
         assert N.is_normal
+
+
+def every_element_normal_subgroups_reference(G):
+    """The previous normal_subgroups, verbatim: one normal closure per
+    nontrivial element."""
+    seen = {}
+    trivial = Subgroup(G, (0,), (0,))
+    seen[trivial.indices] = trivial
+    atoms = []
+    for i in range(1, G.order):
+        nc = normal_closure(G, [i])
+        if nc.indices not in seen:
+            seen[nc.indices] = nc
+            atoms.append(nc)
+    frontier = list(seen.values())
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in atoms:
+                joined_gens = list(dict.fromkeys(list(a.gen_indices) + list(b.gen_indices)))
+                j = subgroup_closure(G, joined_gens)
+                if j.indices not in seen:
+                    sub = Subgroup(G, j.indices, j.gen_indices)
+                    seen[j.indices] = sub
+                    fresh.append(sub)
+        frontier = fresh
+    return sorted(seen.values(), key=lambda s: (s.order, s.indices))
+
+
+def test_normal_subgroups_one_closure_per_class(monkeypatch):
+    import msolv.fingroup as fg
+
+    seeds = []
+
+    def recording(G, seed_idxs, conjugators=None):
+        seeds.append(list(seed_idxs))
+        return normal_closure(G, seed_idxs, conjugators)
+
+    for G in cayley_corpus():
+        want = every_element_normal_subgroups_reference(G)
+        seeds.clear()
+        monkeypatch.setattr(fg, "normal_closure", recording)
+        got = normal_subgroups(G)
+        monkeypatch.undo()
+        assert [(N.indices, N.gen_indices) for N in got] == [
+            (N.indices, N.gen_indices) for N in want
+        ]
+        # one seed per nontrivial conjugacy class, its smallest index
+        first_of_class = {}
+        for i in range(G.order):
+            first_of_class.setdefault(frozenset(G.conj(i, c) for c in range(G.order)), i)
+        assert seeds == [[i] for i in sorted(first_of_class.values())[1:]]
 
 
 def test_all_subgroups_counts():

@@ -21,7 +21,7 @@ import pytest
 from msolv import models
 from msolv.crowell import MagnusMatrix
 from msolv.errors import PreconditionViolated, TooLarge, VerdictFailed
-from msolv.fingroup import PermElem, center, closure, derived_series
+from msolv.fingroup import FiniteGroup, PermElem, center, closure, derived_series
 from msolv.models import (
     MODEL_NOTE,
     _power_products,
@@ -199,6 +199,23 @@ def test_table_products_sampled_on_w232(w232):
         el = law.decode(W.elements[k])
         assert R[k] == W.index[law.encode(el * mu_n)]
         assert L[k] == W.index[law.encode(mu_n * el)]
+
+
+def test_w232_derived_series_grows_its_closures(w232, monkeypatch):
+    # restarting the subgroup closure on every normal-closure pass made
+    # 114,848 products here; growing it one coset at a time makes ~7,500
+    W = w232.group
+    calls = [0]
+    mul = FiniteGroup.mul
+
+    def counting(G, i, j):
+        calls[0] += 1
+        return mul(G, i, j)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counting)
+    series = derived_series(W)
+    assert [s.order for s in series] == [531441, 6561, 1]
+    assert calls[0] <= 15_000
 
 
 # -------------------------------------------- centralizer oracle (m = 2)
