@@ -62,8 +62,8 @@ from .fingroup import (
     quotient_iso_check,
     semidirect_product,
     transfer_map,
-    conj_action_on_ab,
     trivial_group,
+    _ab_action,
 )
 from .foxcalc import FreeWord, QuotientContext, empty_word, expansion_check, fox_row, generator_word
 from .crowell import build_complex, exactness_check, magnus_image, relation_module_report, relator_kernel_check
@@ -589,7 +589,8 @@ def _exp_derived_series(p: dict, rng) -> Tuple[dict, bool]:
     series = derived_series(G)
     layers_abelian = []
     for top, bottom in zip(series, series[1:]):
-        Q, _ = m_step_quotient(top.as_group(), 1)
+        # the first term is G itself, already enumerated
+        Q, _ = m_step_quotient(G if top is series[0] else top.as_group(), 1)
         layers_abelian.append(Q.order * bottom.order == top.order)
     report = {
         "group": label,
@@ -830,8 +831,7 @@ def _exp_transfer(p: dict, rng) -> Tuple[dict, bool]:
     entries = []
     all_ok = True
     for N in normal_subgroups(G):
-        NG = N.as_group()
-        Nab, projN = abelianization(NG)
+        NG, Nab, projN, action = _ab_action(G, N)
         tr = transfer_map(G, N)
         T = left_transversal(G, N)
         # an alternative transversal: shift each non-identity representative
@@ -845,7 +845,7 @@ def _exp_transfer(p: dict, rng) -> Tuple[dict, bool]:
         identity_ok = True
         scaling_ok = True
         index = G.order // N.order
-        actions = [conj_action_on_ab(G, N, g) for g in G.gen_indices]
+        actions = [action(g) for g in G.gen_indices]
         for n_idx in N.indices:
             acc = 0
             for a in T:

@@ -324,14 +324,6 @@ class FiniteGroup:
         self._order_cache[i] = k
         return k
 
-    def cyclic_subgroup(self, i: int) -> "Subgroup":
-        idxs = [0]
-        j = i
-        while j != 0:
-            idxs.append(j)
-            j = self.mul(j, i)
-        return Subgroup(self, tuple(sorted(idxs)), (i,) if i else (0,))
-
     def is_abelian(self) -> bool:
         gi = self.gen_indices
         return all(self.mul(a, b) == self.mul(b, a) for a in gi for b in gi)
@@ -444,9 +436,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.indices)
 
-    def contains(self, i: int) -> bool:
-        return i in self.element_set
-
     @property
     def is_normal(self) -> bool:
         # conjugating every subgroup generator by every parent generator
@@ -458,9 +447,6 @@ class Subgroup:
                 G.conj(h, g) in s for g in G.gen_indices for h in self.gen_indices
             )
         return self._normal
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def as_group(self) -> FiniteGroup:
         """Materialize as a standalone FiniteGroup (same element objects)."""
@@ -575,23 +561,33 @@ def derived_subgroup(G: FiniteGroup, sub: Optional[Subgroup] = None) -> Subgroup
     return normal_closure(G, comms, conjugators=gi)
 
 
+def _derived_terms(G: FiniteGroup):
+    """Yield G^[0] = G, G^[1], ... down to the first repeated (perfect or
+    trivial) term, computing each term only when it is asked for."""
+    term = G.full_subgroup()
+    yield term
+    while term.order > 1:
+        nxt = derived_subgroup(G, term)
+        if nxt.order == term.order:
+            return
+        yield nxt
+        term = nxt
+
+
 def derived_series(G: FiniteGroup) -> list:
     """[G = G^[0], G^[1], ...] down to the first repeated (perfect or trivial) term."""
-    series = [G.full_subgroup()]
-    while True:
-        nxt = derived_subgroup(G, series[-1])
-        if nxt.order == series[-1].order:
-            break
-        series.append(nxt)
-        if nxt.order == 1:
-            break
-    return series
+    return list(_derived_terms(G))
 
 
 def derived_term(G: FiniteGroup, m: int) -> Subgroup:
-    """G^[m], with the series frozen at its stabilization point."""
-    series = derived_series(G)
-    return series[m] if m < len(series) else series[-1]
+    """G^[m], with the series frozen at its stabilization point.
+
+    Only G^[1], ..., G^[m] are computed, not the rest of the series.
+    """
+    for k, term in enumerate(_derived_terms(G)):
+        if k == m:
+            break
+    return term
 
 
 @dataclass
@@ -860,18 +856,30 @@ def natural_ab_map(G: FiniteGroup, N: Subgroup) -> Homomorphism:
     return Homomorphism.build(Nab, Gab, images)
 
 
-def conj_action_on_ab(G: FiniteGroup, N: Subgroup, g: int) -> tuple:
-    """The permutation of N^ab induced by conjugation by G-element g."""
+def _ab_action(G: FiniteGroup, N: Subgroup):
+    """N materialized, its abelianization, and G's conjugation action on it.
+
+    Returns (NG, Nab, projN, action) with NG = N.as_group(),
+    (Nab, projN) = abelianization(NG), and action(g) the permutation of
+    Nab's element indices induced by conjugation by the G-element index g,
+    read on one representative per class of N^ab.
+    """
     NG = N.as_group()
     Nab, projN = abelianization(NG)
     lookup = {}
     for i in range(NG.order):
         lookup.setdefault(projN(i), i)
-    out = []
-    for q in range(Nab.order):
-        u = G.index[NG.elements[lookup[q]]]
-        out.append(projN(NG.index[G.elements[G.conj(u, g)]]))
-    return tuple(out)
+    reps = [G.index[NG.elements[lookup[q]]] for q in range(Nab.order)]
+
+    def action(g: int) -> tuple:
+        return tuple(projN(NG.index[G.elements[G.conj(u, g)]]) for u in reps)
+
+    return NG, Nab, projN, action
+
+
+def conj_action_on_ab(G: FiniteGroup, N: Subgroup, g: int) -> tuple:
+    """The permutation of N^ab induced by conjugation by G-element g."""
+    return _ab_action(G, N)[3](g)
 
 
 def conj_action_faithful(H: FiniteGroup, N: Subgroup):
@@ -882,20 +890,9 @@ def conj_action_faithful(H: FiniteGroup, N: Subgroup):
     """
     if not N.is_normal:
         raise NotNormal("conjugation action needs a normal subgroup")
-    NG = N.as_group()
-    Nab, projN = abelianization(NG)
-    lookup = {}
-    for i in range(NG.order):
-        lookup.setdefault(projN(i), i)
-    ab_reps = [NG.elements[lookup[q]] for q in range(Nab.order)]
+    _, Nab, _, action = _ab_action(H, N)
     Q, projQ = quotient_by(H, N)
     trivial = tuple(range(Nab.order))
-
-    def action(h: int) -> tuple:
-        return tuple(
-            projN(NG.index[H.elements[H.conj(H.index[u], h)]]) for u in ab_reps
-        )
-
     kernel_members = [
         q for q in range(Q.order) if action(H.index[Q.elements[q]]) == trivial
     ]
@@ -964,14 +961,8 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[Homomorphism]
         return None
     if _invariant_signature(G1) != _invariant_signature(G2):
         return None
-    # irredundant generating sequence for G1
-    gens: list = []
-    elems, span = [0], {0}
-    for i in range(G1.order):
-        if i not in span:
-            _grow(G1, elems, span, gens, i)
-            if len(span) == G1.order:
-                break
+    # irredundant generating sequence for G1, empty for the trivial group
+    gens = [i for i in _reduce_generators(G1, range(G1.order)) if i != 0]
     by_order: dict = {}
     for j in range(G2.order):
         by_order.setdefault(G2.element_order(j), []).append(j)
@@ -1022,17 +1013,49 @@ def iso_test_small(G1: FiniteGroup, G2: FiniteGroup) -> bool:
     return find_isomorphism(G1, G2) is not None
 
 
+def _join_lattice(G: FiniteGroup, seeds: Sequence[Subgroup], extras: Sequence[tuple]) -> list:
+    """Close a set of subgroups under joins with extra generators.
+
+    `seeds` are subgroups of G, and each member s is joined with every
+    generator-index tuple in `extras`, breadth first, until no join gives
+    a new member; the first join to reach a subgroup names it.  A join
+    <s, extra> grows s's own closed element list by Dimino steps
+    (`_grow`), so only its new cosets cost products, and one whose extra
+    generators all lie in s costs nothing.  Its `gen_indices` are those
+    of s followed by the extra ones, without repeats or the identity.
+    Returns every member, sorted by (order, indices).
+    """
+    seen = {s.indices: s for s in seeds}
+    frontier = list(seen.values())
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for extra in extras:
+                if all(g in s.element_set for g in extra):
+                    continue
+                elems, have = list(s.indices), set(s.indices)
+                used = [g for g in s.gen_indices if g != 0]
+                for g in extra:
+                    _grow(G, elems, have, used, g)
+                key = tuple(sorted(have))
+                if key not in seen:
+                    gens = [g for g in dict.fromkeys(s.gen_indices + extra) if g != 0]
+                    seen[key] = sub = Subgroup(G, key, tuple(gens))
+                    fresh.append(sub)
+        frontier = fresh
+    return sorted(seen.values(), key=lambda s: (s.order, s.indices))
+
+
 def normal_subgroups(G: FiniteGroup) -> list:
     """All normal subgroups, as the join-closure of element normal closures.
 
     Conjugate elements have the same normal closure, so one is taken per
     conjugacy class, at its smallest index: the class of i is its orbit
-    under conjugation by G's generators.
+    under conjugation by G's generators.  Every member, starting from the
+    trivial subgroup and these closures, is joined with each closure
+    (`_join_lattice`).
     """
-    seen = {}
-    trivial = Subgroup(G, (0,), (0,))
-    seen[trivial.indices] = trivial
-    atoms = []
+    atoms = {}
     classed = {0}
     for i in range(1, G.order):
         if i in classed:
@@ -1046,45 +1069,20 @@ def normal_subgroups(G: FiniteGroup) -> list:
                     classed.add(b)
                     orbit.append(b)
         nc = normal_closure(G, [i])
-        if nc.indices not in seen:
-            seen[nc.indices] = nc
-            atoms.append(nc)
-    frontier = list(seen.values())
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in atoms:
-                joined_gens = list(dict.fromkeys(list(a.gen_indices) + list(b.gen_indices)))
-                j = subgroup_closure(G, joined_gens)
-                if j.indices not in seen:
-                    sub = Subgroup(G, j.indices, j.gen_indices)
-                    seen[j.indices] = sub
-                    fresh.append(sub)
-        frontier = fresh
-    return sorted(seen.values(), key=lambda s: (s.order, s.indices))
+        atoms.setdefault(nc.indices, nc)
+    joins = [nc.gen_indices for nc in atoms.values()]
+    trivial = Subgroup(G, (0,), (0,))
+    return _join_lattice(G, [trivial, *atoms.values()], joins)
 
 
 def all_subgroups(G: FiniteGroup) -> list:
-    """Every subgroup (order <= 128 guard); breadth-first over generation."""
+    """Every subgroup (order <= 128 guard), breadth first over generation:
+    every member, starting from the trivial subgroup, is joined with each
+    element outside it (`_join_lattice`)."""
     if G.order > 128:
         raise TooLarge("subgroup enumeration is limited to order 128")
-    trivial = Subgroup(G, (0,), (0,))
-    seen = {trivial.indices: trivial}
-    frontier = [trivial]
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for i in range(1, G.order):
-                if i in s.element_set:
-                    continue
-                gens = list(dict.fromkeys(list(s.gen_indices) + [i]))
-                t = subgroup_closure(G, gens)
-                if t.indices not in seen:
-                    sub = Subgroup(G, t.indices, t.gen_indices)
-                    seen[t.indices] = sub
-                    fresh.append(sub)
-        frontier = fresh
-    return sorted(seen.values(), key=lambda s: (s.order, s.indices))
+    singles = [(i,) for i in range(1, G.order)]
+    return _join_lattice(G, [Subgroup(G, (0,), (0,))], singles)
 
 
 def semidirect_product(N: FiniteGroup, H: FiniteGroup, action_gen_images: Sequence[Sequence[int]]) -> FiniteGroup:

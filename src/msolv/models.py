@@ -57,9 +57,8 @@ from .fingroup import (
     closure,
     conj_action_faithful,
     derived_series,
-    derived_term,
-    m_step_quotient,
     normal_subgroups,
+    quotient_by,
     trivial_group,
 )
 from .foxcalc import FreeWord, QuotientContext, commutator, empty_word, generator_word
@@ -651,9 +650,11 @@ def centerfree_scan(corpus: Sequence, m: int) -> list:
     out = []
     for label, G in corpus:
         Z = center(G)
-        Q, proj = m_step_quotient(G, m)
+        series = derived_series(G)
+        last = len(series) - 1
+        Q, proj = quotient_by(G, series[min(m, last)])
         ZQ = center(Q)
-        upper = derived_term(G, max(m - 1, 0))
+        upper = series[min(max(m - 1, 0), last)]
         upper_image = {proj(i) for i in upper.indices}
         center_in = all(q in upper_image for q in ZQ.indices)
         faith = []

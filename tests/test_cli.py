@@ -664,6 +664,32 @@ def test_derived_series_s8_bytes_are_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["transfer", "--group", "builtin paper_counterexample"],
+            "d6856ebd3505e8fd8ecb9422b2b44b1a22b2b6a00506df421e67e08b7eaf9fb9",
+        ),
+        (
+            ["quotient-iso", "--group", "builtin paper_counterexample", "--m", "2"],
+            "5f7846ed871089648aed8762803ea0830a32704cf26dbf02ce6dc214439f0fcd",
+        ),
+        (
+            ["centerfree-scan", "--m", "2"],
+            "8b0b78c2cc6825d13076089f28408091b7410ce3d6576e434755ed25429d4f23",
+        ),
+    ],
+)
+def test_lattice_experiment_bytes_are_pinned(argv, digest, capsys):
+    # stdout sha256 taken from the lattices that closed every join from the
+    # identity and the derived terms that computed the whole series
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_msolv_quotient_experiment(capsys):
     (e,) = run_ok(
         ["msolv-quotient", "--group", "builtin paper_counterexample", "--m", "2"],

@@ -784,6 +784,68 @@ def test_normal_subgroups_one_closure_per_class(monkeypatch):
         assert seeds == [[i] for i in sorted(first_of_class.values())[1:]]
 
 
+def restart_all_subgroups_reference(G):
+    """The previous all_subgroups, verbatim: every join closed from the
+    identity by subgroup_closure of the joined generators."""
+    if G.order > 128:
+        raise TooLarge("subgroup enumeration is limited to order 128")
+    trivial = Subgroup(G, (0,), (0,))
+    seen = {trivial.indices: trivial}
+    frontier = [trivial]
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for i in range(1, G.order):
+                if i in s.element_set:
+                    continue
+                gens = list(dict.fromkeys(list(s.gen_indices) + [i]))
+                t = subgroup_closure(G, gens)
+                if t.indices not in seen:
+                    sub = Subgroup(G, t.indices, t.gen_indices)
+                    seen[t.indices] = sub
+                    fresh.append(sub)
+        frontier = fresh
+    return sorted(seen.values(), key=lambda s: (s.order, s.indices))
+
+
+def test_lattices_grow_joins_from_members(monkeypatch):
+    import msolv.fingroup as fg
+
+    def restart(G, gen_idxs):
+        raise AssertionError("a lattice join was closed from the identity")
+
+    for G in cayley_corpus():
+        want = restart_all_subgroups_reference(G)
+        monkeypatch.setattr(fg, "subgroup_closure", restart)
+        got = all_subgroups(G)
+        normal_subgroups(G)
+        monkeypatch.undo()
+        assert [(H.indices, H.gen_indices) for H in got] == [
+            (H.indices, H.gen_indices) for H in want
+        ]
+
+
+def test_derived_term_stops_at_the_asked_term(monkeypatch):
+    import msolv.fingroup as fg
+
+    calls = []
+
+    def counting(G, sub=None):
+        calls.append(sub)
+        return derived_subgroup(G, sub)
+
+    for G in cayley_corpus():
+        series = derived_series(G)
+        assert series[-1].order == 1  # the corpus is solvable
+        for m in range(len(series) + 2):
+            calls.clear()
+            monkeypatch.setattr(fg, "derived_subgroup", counting)
+            term = derived_term(G, m)
+            monkeypatch.undo()
+            assert term == series[min(m, len(series) - 1)]
+            assert len(calls) == min(m, len(series) - 1)
+
+
 def test_all_subgroups_counts():
     assert len(all_subgroups(make_s3())) == 6
     assert len(all_subgroups(make_d8())) == 10
