@@ -3,8 +3,9 @@
 Groups are materialized completely: a FiniteGroup is an indexed list of
 elements (index 0 = identity) enumerated by breadth-first closure from its
 generators, plus the (element, generator) product table built during the
-enumeration.  No Schreier-Sims, no coset enumeration: every target in this
-package is desk-scale and exactness matters more than asymptotics.
+enumeration, held as one flat row-major `array('i')`.  No Schreier-Sims, no
+coset enumeration: every target in this package is desk-scale and exactness
+matters more than asymptotics.
 
 Elements are immutable hashable objects with `*`, `inverse()`, equality and
 hashing; two variants are provided here (permutations and invertible
@@ -28,6 +29,7 @@ product, a hash and a lookup into two subscripts.  The brute-force
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -234,8 +236,10 @@ class FiniteGroup:
     """A fully enumerated finite group.
 
     Fields: `elements` (index 0 is the identity), `index` (element -> index),
-    `generators` / `gen_indices`, and `gen_table` with
-    gen_table[i][g] = index of elements[i] * generators[g].
+    `generators` / `gen_indices`, and `gen_table`, one flat row-major
+    `array('i')` of order x ngens ints with
+    gen_table[i * ngens + g] = index of elements[i] * generators[g], 4 bytes
+    per edge and no object per row.
 
     `mul` and `inv` work on indices.  At order <= CAYLEY_LIMIT they read a
     Cayley table built on their first call; it costs order**2 int
@@ -286,13 +290,17 @@ class FiniteGroup:
         where column k holds the identity.
         """
         n = len(self.elements)
-        by_gen = list(zip(*self.gen_table))  # by_gen[g][a] = index of a * generators[g]
+        table = self.gen_table
+        ng = len(self.generators)
+        # by_gen[g][a] = index of a * generators[g]; tuples hand back their
+        # ints where an array would box a new one per subscript
+        by_gen = [tuple(table[g::ng]) for g in range(ng)]
         cols: list = [None] * n
         cols[0] = tuple(range(n))
-        for p, row in enumerate(self.gen_table):
-            for g, k in enumerate(row):
-                if cols[k] is None:
-                    cols[k] = tuple(map(by_gen[g].__getitem__, cols[p]))
+        for pos, k in enumerate(table):
+            if cols[k] is None:
+                p, g = divmod(pos, ng)
+                cols[k] = tuple(map(by_gen[g].__getitem__, cols[p]))
         self._invs = [col.index(0) for col in cols]
         self._cols = cols
         return cols
@@ -354,30 +362,32 @@ def _check_variant(gens: Sequence) -> None:
 def _bfs(gens: Sequence, identity, law, cap: int):
     """Breadth-first enumeration from `identity` by right products with `gens`.
 
-    Returns (elements, index, gen_table, complete).  The enumeration stops
-    as soon as an element past the first `cap` turns up, with complete
-    False and exactly `cap` elements; gen_table then covers only the rows
-    finished so far.
+    Returns (elements, index, gen_table, complete), gen_table flat and
+    row-major as in FiniteGroup, one int appended per edge.  The
+    enumeration stops as soon as an element past the first `cap` turns up,
+    with complete False and exactly `cap` elements; the row the cap cut
+    short is trimmed, so gen_table holds len(gen_table) // len(gens)
+    finished rows.
     """
     elements = [identity]
     index = {identity: 0}
-    gen_table: list = []
+    gen_table = array("i")
+    edge = gen_table.append
+    mul = law.mul
     i = 0
     while i < len(elements):
-        row = []
+        a = elements[i]
         for g in gens:
-            p = law.mul(elements[i], g)
+            p = mul(a, g)
             k = index.get(p)
             if k is None:
                 if len(elements) >= cap:
+                    del gen_table[i * len(gens):]
                     return elements, index, gen_table, False
                 k = len(elements)
                 elements.append(p)
                 index[p] = k
-            row.append(k)
-        # tuples of ints leave the cyclic collector's tracking and lists do
-        # not, so GC passes stay cheap while a large closure grows
-        gen_table.append(tuple(row))
+            edge(k)
         i += 1
     return elements, index, gen_table, True
 
@@ -607,9 +617,11 @@ class Homomorphism:
             raise NotHomomorphism("identity does not map to identity")
         # consistency on every Cayley edge extends to all pairs by induction
         # on the word length of the right factor
+        table = source.gen_table
+        ng = len(source.gen_indices)
         for i in range(source.order):
             for g, gi in enumerate(source.gen_indices):
-                if images[source.gen_table[i][g]] != target.mul(images[i], images[gi]):
+                if images[table[i * ng + g]] != target.mul(images[i], images[gi]):
                     raise NotHomomorphism(f"edge ({i}, generator {g}) breaks multiplicativity")
         return Homomorphism(source, target, images)
 
@@ -619,11 +631,13 @@ class Homomorphism:
         if the assignment is inconsistent."""
         if len(gen_images) != len(source.gen_indices):
             raise NotHomomorphism("one image per generator required")
+        table = source.gen_table
+        ng = len(gen_images)
         images = [None] * source.order
         images[0] = 0
         for i in range(source.order):
-            for g in range(len(source.gen_indices)):
-                j = source.gen_table[i][g]
+            for g in range(ng):
+                j = table[i * ng + g]
                 v = target.mul(images[i], gen_images[g])
                 if images[j] is None:
                     images[j] = v
@@ -768,7 +782,7 @@ def abelian_invariants(G: FiniteGroup) -> tuple:
     for i in range(G.order):
         v = vec[i]
         for g in range(k):
-            j = G.gen_table[i][g]
+            j = G.gen_table[i * k + g]
             w = list(v)
             w[g] += 1
             w = tuple(w)

@@ -23,10 +23,12 @@ Elements of levels >= 2 are packed ints q + |Q| * code, with the vector
 part v held as base-e digits code = sum_k v[k] e^k (`_PackedMagnusLaw` in
 crowell).  A right product by a generator is then a table lookup and one
 digit bump, which is what the BFS closure does per edge.  The brute side
-of the centralizer experiment reads the closure's Cayley table: el_k x^n
-by n steps along generator column i-1, and x^n el_k along the BFS tree,
-since (x^n p) g = x^n (p g).  It is group arithmetic from the Cayley graph
-alone and never touches the kernel of f it is checked against.
+of the centralizer experiment reads the closure's Cayley table, the flat
+`gen_table` array: el_k x^n by n steps along generator column i-1 (the
+slice gen_table[i-1::ngens]), and x^n el_k along the BFS tree, since
+(x^n p) g = x^n (p g), in one pass over the table's flat positions.  It is
+group arithmetic from the Cayley graph alone and never touches the kernel
+of f it is checked against.
 
 The capped probe enumerates its BFS prefix of W_m as packed ints in the
 same way.  Products with x^n may leave the prefix, so they stay packed
@@ -44,6 +46,7 @@ entries v[src[k]] - v[k].  Level orders are predicted before any closure
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -210,10 +213,21 @@ def _k_cap(ctx: QuotientContext, K: RMatrix, xn_q: int):
     """The linear K_cap oracle: {v in span K : (x^n - 1) v = 0}.
 
     `xn_q` is the index of x^n one level down.  Returns (basis, |K_cap|).
+    The kernel's coefficient rows are mostly zero, so each basis row is
+    summed from x * K.row(j) over the nonzero coefficients x only.
     """
     src = _left_sources(ctx, xn_q)
-    rows = [[row[s] - a for s, a in zip(src, row)] for row in map(K.row, range(K.rows))]
-    basis = kernel_basis(RMatrix.from_rows(K.modulus, rows, cols=K.cols)).mul(K)
+    krows = [K.row(j) for j in range(K.rows)]
+    rows = [[row[s] - a for s, a in zip(src, row)] for row in krows]
+    coeffs = kernel_basis(RMatrix.from_rows(K.modulus, rows, cols=K.cols))
+    out = []
+    for c in map(coeffs.row, range(coeffs.rows)):
+        acc = [0] * K.cols
+        for x, krow in zip(c, krows):
+            if x:
+                acc = [a + x * y for a, y in zip(acc, krow)]
+        out.append(acc)
+    basis = RMatrix.from_rows(K.modulus, out, cols=K.cols)
     return basis, howell_form(basis).span_size
 
 
@@ -248,20 +262,21 @@ def _power_products(W: FiniteGroup, i: int, n: int):
 
     Both come from W's Cayley table alone: R by n steps along generator
     column i-1, and L along the BFS tree, since (x^n p) g = x^n (p g) gives
-    L[child] = gen_table[L[parent]][g].
+    L[child] = gen_table[L[parent] * ngens + g].  Walking the flat table in
+    order, the first position holding a child is its BFS-tree edge.
     """
     table = W.gen_table
-    col = [row[i - 1] for row in table]
+    ng = len(W.generators)
+    col = table[i - 1 :: ng]
     R = col
     for _ in range(n - 1):
-        R = [col[k] for k in R]
-    L = [-1] * W.order
+        R = array("i", map(col.__getitem__, R))
+    L = array("i", [-1]) * W.order
     L[0] = R[0]
-    for k, row in enumerate(table):
-        lrow = table[L[k]]
-        for g, child in enumerate(row):
-            if L[child] < 0:
-                L[child] = lrow[g]
+    for pos, child in enumerate(table):
+        if L[child] < 0:
+            p, g = divmod(pos, ng)
+            L[child] = table[L[p] * ng + g]
     return R, L
 
 
@@ -297,9 +312,10 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     oracle_equal = len(brute_module) == k_cap_linear and span_equal(k_basis, stacked)
 
     # decomposition: C must equal <mu(x_i)> * K_cap as a set
+    table, ng = W.gen_table, len(W.generators)
     powers = [0]
-    while W.gen_table[powers[-1]][i - 1] != 0:
-        powers.append(W.gen_table[powers[-1]][i - 1])
+    while table[powers[-1] * ng + i - 1] != 0:
+        powers.append(table[powers[-1] * ng + i - 1])
     module = [law.encode(MagnusMatrix(ctx, 0, v)) for v in brute_module]
     product_set = {law.mul(W.elements[p], v) for p in powers for v in module}
     decomposition = product_set == set(cz_elements)
@@ -404,8 +420,9 @@ def _capped_prefix(r: int, e: int, m: int, cap: int):
     """The packed law of W(r, e, m) and its first `cap` BFS elements.
 
     Returns (law, (elements, index, gen_table, complete)), the second part
-    as `_bfs` gives it; the BFS runs from the identity 0 over
-    `law.generators`, so element k is the one `closure` would list at k.
+    as `_bfs` gives it (gen_table flat, holding only finished rows); the BFS
+    runs from the identity 0 over `law.generators`, so element k is the one
+    `closure` would list at k.
     """
     _predicted_orders(r, e, m)  # refuses an oversized law before any closure
     prev = build_solv_model(r, e, m - 1).group
@@ -418,13 +435,16 @@ def _prefix_power_products(law, elements, index, table, i: int, n: int):
 
     Both are packed ints, possibly outside the prefix, found by generator
     steps alone: right[k] by n steps from el_k, and left along the BFS tree,
-    since (x^n p) g = x^n (p g) gives left[child] = left[parent] g.  A
-    capped BFS stops inside row len(table), so that row's edges are
-    recomputed with law.mul and index.
+    since (x^n p) g = x^n (p g) gives left[child] = left[parent] g.  The
+    flat `table` holds len(table) // ngens finished rows; a capped BFS
+    stops inside the next row, so that row's edges are recomputed with
+    law.mul and index.
     """
     gens = law.generators
+    ng = len(gens)
     x = gens[i - 1]
     size = len(elements)
+    rows = len(table) // ng
     right = elements
     for _ in range(n):
         right = [law.mul(a, x) for a in right]
@@ -434,8 +454,8 @@ def _prefix_power_products(law, elements, index, table, i: int, n: int):
     for p in range(size):
         if not unseen:
             break
-        if p < len(table):
-            row = table[p]
+        if p < rows:
+            row = table[p * ng : (p + 1) * ng]
         else:
             row = [index.get(law.mul(elements[p], g), size) for g in gens]
         lp = left[p]

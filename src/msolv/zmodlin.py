@@ -63,12 +63,6 @@ class ResidueRing:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
 
-    def normalize(self, a: int) -> int:
-        return a % self.modulus
-
-    def is_unit(self, a: int) -> bool:
-        return gcd(a, self.modulus) == 1
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a unit."""
         return pow(a % self.modulus, -1, self.modulus)

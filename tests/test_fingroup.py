@@ -7,6 +7,7 @@ both on frozen known answers and via theorem-level properties.
 """
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -182,14 +183,39 @@ def test_closure_cap():
 
 
 def test_bfs_prefix_stops_exactly_at_cap():
-    # the capped BFS is closure's enumeration cut after `cap` elements
+    # the capped BFS is closure's enumeration cut after `cap` elements, and
+    # its flat table holds exactly the rows it finished
     gens = [cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))]
     full = closure(gens)
+    law = _DirectLaw()
     for cap in (1, 2, 7, 23, 24, 25):
-        elements, index, _, complete = _bfs(gens, full.elements[0], _DirectLaw(), cap)
+        elements, index, table, complete = _bfs(gens, full.elements[0], law, cap)
         assert elements == full.elements[:cap]
         assert len(index) == len(elements)
         assert complete == (cap >= 24)
+        assert isinstance(table, array) and table.typecode == "i"
+        rows = len(table) // len(gens)
+        assert len(table) == len(gens) * rows
+        if complete:
+            assert rows == 24
+        else:
+            # row `rows` is the one the cap cut short: it reaches a new element
+            assert any(law.mul(elements[rows], x) not in index for x in gens)
+        for i in range(rows):
+            for g, x in enumerate(gens):
+                assert table[i * len(gens) + g] == index[law.mul(elements[i], x)]
+
+
+def test_closure_table_is_flat_and_complete():
+    # one int per (element, generator) edge, row-major
+    for G in (make_s4(), make_q8(), closure([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1)), cyc(5, (1, 2))])):
+        ng = len(G.generators)
+        assert isinstance(G.gen_table, array)
+        assert len(G.gen_table) == G.order * ng
+        for i, a in enumerate(G.elements):
+            for g, x in enumerate(G.generators):
+                assert G.gen_table[i * ng + g] == G.index[a * x]
+    assert len(trivial_group().gen_table) == 0
 
 
 def test_trivial_group():

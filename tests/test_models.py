@@ -37,7 +37,7 @@ from msolv.models import (
     surface_presentation,
 )
 from msolv.foxcalc import QuotientContext
-from msolv.zmodlin import RMatrix, span_equal
+from msolv.zmodlin import RMatrix, howell_form, kernel_basis, span_equal
 
 
 def cyclic_group(k):
@@ -174,7 +174,7 @@ def magnus_power(law, i, n):
 
 
 @pytest.mark.parametrize("i", [1, 2])
-@pytest.mark.parametrize("n", [1, 3, 5, 7])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_table_scan_matches_honest_products(i, n):
     W = build_solv_model(2, 2, 2).group
     law = W.law
@@ -377,6 +377,25 @@ def test_kcap_tower_exponent_3():
     assert rows[0].k_cap == 81
     assert rows[0].verified_brute and rows[0].brute_matches
     assert rows[1].k_cap > rows[0].k_cap  # kernel grows with the level
+
+
+@pytest.mark.parametrize("e", [4, 5, 7, 8, 9, 11, 13])
+def test_k_cap_sparse_products_equal_dense(e):
+    # the benchmark's tower exponents at r = 2, m = 2, and its n: the basis
+    # summed from the nonzero kernel coefficients is the dense product
+    # coefficients * K
+    prev = build_solv_model(2, e, 1).group
+    ctx = QuotientContext(2, prev, list(prev.gen_indices), e)
+    K, _ = models._ker_f(ctx)
+    for i in (1, 2):
+        for n in (1, 2, 3):
+            xn_q = prev.power(ctx.images[i - 1], n)
+            src = models._left_sources(ctx, xn_q)
+            rows = [[row[s] - a for s, a in zip(src, row)] for row in map(K.row, range(K.rows))]
+            dense = kernel_basis(RMatrix.from_rows(e, rows, cols=K.cols)).mul(K)
+            basis, size = models._k_cap(ctx, K, xn_q)
+            assert basis == dense
+            assert size == howell_form(dense).span_size
 
 
 @pytest.mark.parametrize("n", [1, 2])
