@@ -264,13 +264,31 @@ def _power_products(W: FiniteGroup, i: int, n: int):
     column i-1, and L along the BFS tree, since (x^n p) g = x^n (p g) gives
     L[child] = gen_table[L[parent] * ngens + g].  Walking the flat table in
     order, the first position holding a child is its BFS-tree edge.
+
+    Column i-1 is a permutation, so R walks each of its cycles once and
+    reads off the element n places further round: one array read per
+    element whatever n is, where n - 1 compositions of the column would
+    box every entry n - 1 times.
     """
     table = W.gen_table
     ng = len(W.generators)
     col = table[i - 1 :: ng]
     R = col
-    for _ in range(n - 1):
-        R = array("i", map(col.__getitem__, R))
+    if n > 1:
+        R = array("i", col)
+        seen = bytearray(W.order)
+        start = 0
+        while start >= 0:
+            cycle = [start]
+            k = col[start]
+            while k != start:
+                cycle.append(k)
+                k = col[k]
+            s = n % len(cycle)
+            for a, b in zip(cycle, cycle[s:] + cycle[:s]):
+                R[a] = b
+                seen[a] = 1
+            start = seen.find(0, start + 1)
     L = array("i", [-1]) * W.order
     L[0] = R[0]
     for pos, child in enumerate(table):
