@@ -265,30 +265,26 @@ def _power_products(W: FiniteGroup, i: int, n: int):
     L[child] = gen_table[L[parent] * ngens + g].  Walking the flat table in
     order, the first position holding a child is its BFS-tree edge.
 
-    Column i-1 is a permutation, so R walks each of its cycles once and
-    reads off the element n places further round: one array read per
-    element whatever n is, where n - 1 compositions of the column would
-    box every entry n - 1 times.
+    Column i-1 is a permutation, so R walks each of its cycles once with
+    a and b = a x^n in lockstep: two array reads per element whatever n
+    is.  Composing a list copy of the column n - 1 times is faster for
+    small n, but its boxed entries add 20-24 MB to the peak RSS of a
+    W(2,3,2) run (BENCH_11.json).
     """
     table = W.gen_table
     ng = len(W.generators)
     col = table[i - 1 :: ng]
     R = col
     if n > 1:
-        R = array("i", col)
-        seen = bytearray(W.order)
-        start = 0
-        while start >= 0:
-            cycle = [start]
-            k = col[start]
-            while k != start:
-                cycle.append(k)
-                k = col[k]
-            s = n % len(cycle)
-            for a, b in zip(cycle, cycle[s:] + cycle[:s]):
-                R[a] = b
-                seen[a] = 1
-            start = seen.find(0, start + 1)
+        R = array("i", [-1]) * W.order
+        for start in range(W.order):
+            if R[start] < 0:
+                a = b = start
+                for _ in range(n):
+                    b = col[b]
+                while R[a] < 0:
+                    R[a] = b
+                    a, b = col[a], col[b]
     L = array("i", [-1]) * W.order
     L[0] = R[0]
     for pos, child in enumerate(table):
