@@ -34,7 +34,6 @@ carries the witness), 2 for configuration, parse, or precondition errors,
 from __future__ import annotations
 
 import argparse
-import ast
 import functools
 import itertools
 import json
@@ -56,14 +55,14 @@ from .fingroup import (
     center,
     closure,
     derived_series,
-    left_transversal,
     m_step_quotient,
     normal_subgroups,
     quotient_iso_check,
     semidirect_product,
-    transfer_map,
     trivial_group,
     _ab_action,
+    _left_cosets,
+    _transfer,
 )
 from .foxcalc import FreeWord, QuotientContext, empty_word, expansion_check, fox_row, generator_word
 from .crowell import build_complex, exactness_check, magnus_image, relation_module_report, relator_kernel_check
@@ -495,27 +494,25 @@ def _eval_gen_word(G: FiniteGroup, text: str) -> int:
 def parse_element(G: FiniteGroup, text: str) -> int:
     """Element of G from cycle notation, a matrix literal, or a g-word."""
     t = text.strip()
+    ident = G.elements[0]
     if t.startswith("("):
-        ident = G.elements[0]
         if not isinstance(ident, PermElem):
             raise MsolvError("cycle notation needs a permutation group")
-        degree = len(ident.images)
         sub = _Parser(t)
-        el = sub._perm_gen(degree)
-        if sub.pos != len(sub.toks):
-            sub.fail("end of input")
+        el = sub._perm_gen(len(ident.images))
     elif t.startswith("["):
-        ident = G.elements[0]
         if not isinstance(ident, MatElem):
             raise MsolvError("matrix literal needs a matrix group")
+        sub = _Parser(t)
+        rows = sub._matrix(ident.modulus)
         try:
-            rows = ast.literal_eval(t)
-            flat = [int(v) for r in rows for v in r]
-            el = MatElem(ident.modulus, flat)
-        except (ValueError, SyntaxError, TypeError) as e:
-            raise ParseError(f"bad matrix literal: {e}", 1, 1) from None
+            el = MatElem(ident.modulus, [v for r in rows for v in r])
+        except ValueError as e:
+            raise MsolvError(f"matrix {t!r} is not invertible: {e}") from None
     else:
         return _eval_gen_word(G, t)
+    if sub.pos != len(sub.toks):
+        sub.fail("end of input")
     idx = G.index.get(el)
     if idx is None:
         raise MsolvError(f"element {text!r} does not lie in the group")
@@ -831,16 +828,19 @@ def _exp_transfer(p: dict, rng) -> Tuple[dict, bool]:
     entries = []
     all_ok = True
     for N in normal_subgroups(G):
-        NG, Nab, projN, action = _ab_action(G, N)
-        tr = transfer_map(G, N)
-        T = left_transversal(G, N)
+        # N^ab, the cosets of N and G^ab are built once for both transfers
+        ab = _ab_action(G, N)
+        Nab, ab_class, action = ab
+        cosets = _left_cosets(G, N)
+        T = sorted(set(cosets.values()))
+        tr = _transfer(G, N, cosets, T, Gab, ab)
         # an alternative transversal: shift each non-identity representative
         # by a nontrivial subgroup element
         alt = list(T)
         if N.order > 1:
             nz = next(i for i in N.indices if i != 0)
             alt = [T[0]] + [G.mul(a, nz) for a in T[1:]]
-        tr2 = transfer_map(G, N, transversal=alt)
+        tr2 = _transfer(G, N, cosets, alt, Gab, ab)
         independent = all(tr(i) == tr2(i) for i in range(Gab.order))
         identity_ok = True
         scaling_ok = True
@@ -850,8 +850,8 @@ def _exp_transfer(p: dict, rng) -> Tuple[dict, bool]:
             acc = 0
             for a in T:
                 c = G.mul(G.mul(G.inv(a), n_idx), a)
-                acc = Nab.mul(acc, projN(NG.index[G.elements[c]]))
-            cls = projN(NG.index[G.elements[n_idx]])
+                acc = Nab.mul(acc, ab_class[c])
+            cls = ab_class[n_idx]
             if tr(projG(n_idx)) != acc:
                 identity_ok = False
             if all(act[cls] == cls for act in actions):

@@ -674,6 +674,24 @@ class Homomorphism:
                             tuple(self.images[v] for v in inner.images))
 
 
+def _left_cosets(G: FiniteGroup, K: Subgroup, over: Optional[Iterable[int]] = None) -> dict:
+    """Map each index in `over` (default: all of G) to the least index of
+    its left coset aK.
+
+    The one left-coset scan.  `over` must be ascending and a union of left
+    cosets of K, as G or a subgroup containing K is: the first index not
+    yet seen then opens its coset and is the least index in it, so each
+    coset costs |K| products and no sort.
+    """
+    cls: dict = {}
+    mul = G.mul
+    for a in range(G.order) if over is None else over:
+        if a not in cls:
+            for k in K.indices:
+                cls[mul(a, k)] = a
+    return cls
+
+
 def quotient_by(G: FiniteGroup, N: Subgroup):
     """G/N for normal N, as a FiniteGroup of canonical coset representatives.
 
@@ -682,14 +700,7 @@ def quotient_by(G: FiniteGroup, N: Subgroup):
     """
     if not N.is_normal:
         raise NotNormal("quotient requires a normal subgroup")
-    rep_map: dict = {}
-    for i in range(G.order):
-        if i in rep_map:
-            continue
-        coset = sorted(G.mul(i, n) for n in N.indices)
-        rep = coset[0]
-        for j in coset:
-            rep_map[j] = rep
+    rep_map = _left_cosets(G, N)
     law = _CosetLaw(G, rep_map)
     q_gens = []
     for gi in G.gen_indices:
@@ -800,15 +811,7 @@ def abelian_invariants(G: FiniteGroup) -> tuple:
 
 def left_transversal(G: FiniteGroup, N: Subgroup) -> list:
     """Minimal-index representatives of the left cosets aN, identity first."""
-    reps = []
-    seen = set()
-    for i in range(G.order):
-        if i in seen:
-            continue
-        reps.append(i)
-        for n in N.indices:
-            seen.add(G.mul(i, n))
-    return reps
+    return sorted(set(_left_cosets(G, N).values()))
 
 
 def transfer_map(G: FiniteGroup, N: Subgroup, transversal: Optional[Sequence[int]] = None) -> Homomorphism:
@@ -819,37 +822,35 @@ def transfer_map(G: FiniteGroup, N: Subgroup, transversal: Optional[Sequence[int
     depend on the transversal (tested property).
 
     Returns a Homomorphism whose source is abelianization(G)[0] and whose
-    target is the abelianization of N materialized as its own group.
+    target is N^ab labelled as abelianization(N.as_group())[0].
     """
     if not N.is_normal:
         raise NotNormal("transfer implemented for normal subgroups")
+    cosets = _left_cosets(G, N)
     if transversal is None:
-        transversal = left_transversal(G, N)
-    else:
-        transversal = list(transversal)
-        covered = set()
-        for a in transversal:
-            for n in N.indices:
-                covered.add(G.mul(a, n))
-        if len(transversal) * N.order != G.order or len(covered) != G.order:
-            raise ValueError("not a left transversal")
-    Gab, projG = abelianization(G)
-    NG = N.as_group()
-    Nab, projN = abelianization(NG)
-    # coset id: parent element -> index of its transversal rep
-    coset_of = {}
-    for t, a in enumerate(transversal):
-        for n in N.indices:
-            coset_of[G.mul(a, n)] = t
+        transversal = sorted(set(cosets.values()))
+    return _transfer(G, N, cosets, transversal, abelianization(G)[0], _ab_action(G, N))
+
+
+def _transfer(G: FiniteGroup, N: Subgroup, cosets: dict, transversal: Sequence[int],
+              Gab: FiniteGroup, ab: tuple) -> Homomorphism:
+    """transfer_map's worker: the left cosets of N (`_left_cosets`), G^ab
+    and the `_ab_action` bundle of (G, N) come from the caller, which
+    builds them once for every transfer it takes of one N."""
+    Nab, ab_class, _ = ab
+    transversal = list(transversal)
+    # least index of a coset -> position of its representative
+    pos = {cosets.get(a): t for t, a in enumerate(transversal)}
+    if None in pos or len(pos) != len(transversal) or len(transversal) * N.order != G.order:
+        raise ValueError("not a left transversal")
     images = []
     for q in range(Gab.order):
         g = G.index[Gab.elements[q]]  # any representative works: N >= G^[1]
         acc = 0
         for a in transversal:
             ga = G.mul(g, a)
-            a2 = transversal[coset_of[ga]]
-            n = G.mul(G.inv(a2), ga)
-            acc = Nab.mul(acc, projN(NG.index[G.elements[n]]))
+            a2 = transversal[pos[cosets[ga]]]
+            acc = Nab.mul(acc, ab_class[G.mul(G.inv(a2), ga)])
         images.append(acc)
     return Homomorphism.build(Gab, Nab, images)
 
@@ -857,12 +858,10 @@ def transfer_map(G: FiniteGroup, N: Subgroup, transversal: Optional[Sequence[int
 def natural_ab_map(G: FiniteGroup, N: Subgroup) -> Homomorphism:
     """R_N : N^ab -> G^ab induced by inclusion."""
     Gab, projG = abelianization(G)
-    NG = N.as_group()
-    Nab, projN = abelianization(NG)
+    Nab, ab_class, _ = _ab_action(G, N)
     images = [None] * Nab.order
-    for i in range(NG.order):
-        q = projN(i)
-        v = projG(G.index[NG.elements[i]])
+    for i, q in ab_class.items():
+        v = projG(i)
         if images[q] is None:
             images[q] = v
         elif images[q] != v:
@@ -871,45 +870,52 @@ def natural_ab_map(G: FiniteGroup, N: Subgroup) -> Homomorphism:
 
 
 def _ab_action(G: FiniteGroup, N: Subgroup):
-    """N materialized, its abelianization, and G's conjugation action on it.
+    """N^ab, labelled as abelianization(N.as_group()), and G's conjugation
+    action on it.
 
-    Returns (NG, Nab, projN, action) with NG = N.as_group(),
-    (Nab, projN) = abelianization(NG), and action(g) the permutation of
+    Returns (Nab, ab_class, action): ab_class maps the G-index of each
+    element of N to its class in Nab, and action(g) is the permutation of
     Nab's element indices induced by conjugation by the G-element index g,
-    read on one representative per class of N^ab.
+    read on one representative per class.  The functions whose answer
+    carries these labels build the bundle once per (G, N).
     """
     NG = N.as_group()
     Nab, projN = abelianization(NG)
-    lookup = {}
-    for i in range(NG.order):
-        lookup.setdefault(projN(i), i)
-    reps = [G.index[NG.elements[lookup[q]]] for q in range(Nab.order)]
+    ab_class = {G.index[x]: projN(i) for i, x in enumerate(NG.elements)}
+    rep = {q: u for u, q in ab_class.items()}
+    reps = [rep[q] for q in range(Nab.order)]
 
     def action(g: int) -> tuple:
-        return tuple(projN(NG.index[G.elements[G.conj(u, g)]]) for u in reps)
+        return tuple(ab_class[G.conj(u, g)] for u in reps)
 
-    return NG, Nab, projN, action
+    return Nab, ab_class, action
 
 
 def conj_action_on_ab(G: FiniteGroup, N: Subgroup, g: int) -> tuple:
     """The permutation of N^ab induced by conjugation by G-element g."""
-    return _ab_action(G, N)[3](g)
+    return _ab_action(G, N)[2](g)
 
 
 def conj_action_faithful(H: FiniteGroup, N: Subgroup):
     """Whether H/N -> Aut(N^ab) by conjugation is injective.
+
+    Decided inside H, on the left cosets of N' = derived_subgroup(H, N)
+    within N, which are the classes of N^ab: conjugation by h induces an
+    automorphism of N^ab, so h acts trivially iff it keeps each generator
+    of N in its class.  No copy of N or of N^ab is built.
 
     Returns:
         (faithful, kernel) with kernel a Subgroup of the quotient H/N.
     """
     if not N.is_normal:
         raise NotNormal("conjugation action needs a normal subgroup")
-    _, Nab, _, action = _ab_action(H, N)
-    Q, projQ = quotient_by(H, N)
-    trivial = tuple(range(Nab.order))
-    kernel_members = [
-        q for q in range(Q.order) if action(H.index[Q.elements[q]]) == trivial
-    ]
+    cls = _left_cosets(H, derived_subgroup(H, N), N.indices)
+    Q, _ = quotient_by(H, N)
+
+    def acts_trivially(h: int) -> bool:
+        return all(cls[H.conj(n, h)] == cls[n] for n in N.gen_indices)
+
+    kernel_members = [q for q in range(Q.order) if acts_trivially(H.index[Q.elements[q]])]
     gens = _reduce_generators(Q, kernel_members)
     kernel = Subgroup(Q, tuple(kernel_members), gens)
     return kernel.order == 1, kernel

@@ -174,7 +174,8 @@ class CyclicTower:
     Each level N materializes the group H x C_N (direct product of
     permutation groups) and its group ring over Z/n.  The projection from
     level kM to level M is the linear extension of the group morphism that
-    fixes H and sends the C_{kM} generator to the C_M generator.
+    fixes H and sends the C_{kM} generator to the C_M generator.  A base H
+    whose elements are not permutations raises PreconditionViolated.
     """
 
     def __init__(self, modulus: int, levels: Sequence[int], base: Optional[FiniteGroup] = None,
@@ -182,6 +183,8 @@ class CyclicTower:
         self.modulus = modulus
         self.sigma = frozenset(sigma)
         self.base = base if base is not None else trivial_group()
+        if not isinstance(self.base.elements[0], PermElem):
+            raise PreconditionViolated("the tower's base group must be a permutation group")
         self.levels = sorted(set(int(N) for N in levels))
         if any(N < 1 for N in self.levels):
             raise ValueError("levels must be positive")
@@ -194,7 +197,7 @@ class CyclicTower:
             if N not in self.levels:
                 raise LevelMismatch(f"level {N} not in tower")
             H = self.base
-            hdeg = _perm_degree(H)
+            hdeg = H.elements[0].degree
             gens = []
             for g in H.generators:
                 gens.append(_pad_perm(g, hdeg, N))
@@ -249,13 +252,6 @@ class CyclicTower:
             if a:
                 out[hom(i)] += a
         return Rm.from_coeffs(out)
-
-
-def _perm_degree(G: FiniteGroup) -> int:
-    for e in G.elements:
-        if isinstance(e, PermElem):
-            return e.degree
-    return 1
 
 
 def _pad_perm(p: PermElem, hdeg: int, extra: int) -> PermElem:

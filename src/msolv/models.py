@@ -50,7 +50,7 @@ from array import array
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .errors import PreconditionViolated, VerdictFailed
+from .errors import CapExceeded, PreconditionViolated, VerdictFailed
 from .fingroup import (
     FiniteGroup,
     PermElem,
@@ -117,13 +117,16 @@ class SolvModel:
 
 
 def build_solv_model(r: int, e: int, m: int, cap: int = 2_000_000) -> SolvModel:
-    """Materialize the level-m model; CapExceeded if the closure passes cap.
+    """Materialize the level-m model; CapExceeded, before any closure, if
+    its predicted order passes cap.
 
     Levels >= 2 are groups of packed Magnus ints (see `_PackedMagnusLaw`);
     the model's derived series is computed once and kept on the result.
     Each enumerated level must have its predicted order.
     """
     orders = _predicted_orders(r, e, m)
+    if orders[-1] > cap:
+        raise CapExceeded(cap, orders[-1])
     contexts: List[QuotientContext] = []
     if m == 0:
         levels = [trivial_group()]
@@ -212,22 +215,13 @@ def _ker_f(ctx: QuotientContext):
 def _k_cap(ctx: QuotientContext, K: RMatrix, xn_q: int):
     """The linear K_cap oracle: {v in span K : (x^n - 1) v = 0}.
 
-    `xn_q` is the index of x^n one level down.  Returns (basis, |K_cap|).
-    The kernel's coefficient rows are mostly zero, so each basis row is
-    summed from x * K.row(j) over the nonzero coefficients x only.
+    `xn_q` is the index of x^n one level down.  Returns (basis, |K_cap|):
+    the kernel's coefficient rows times K, a product that skips their
+    many zero coefficients (`RMatrix.mul` runs in row-axpy order).
     """
     src = _left_sources(ctx, xn_q)
-    krows = [K.row(j) for j in range(K.rows)]
-    rows = [[row[s] - a for s, a in zip(src, row)] for row in krows]
-    coeffs = kernel_basis(RMatrix.from_rows(K.modulus, rows, cols=K.cols))
-    out = []
-    for c in map(coeffs.row, range(coeffs.rows)):
-        acc = [0] * K.cols
-        for x, krow in zip(c, krows):
-            if x:
-                acc = [a + x * y for a, y in zip(acc, krow)]
-        out.append(acc)
-    basis = RMatrix.from_rows(K.modulus, out, cols=K.cols)
+    rows = [[row[s] - a for s, a in zip(src, row)] for row in map(K.row, range(K.rows))]
+    basis = kernel_basis(RMatrix.from_rows(K.modulus, rows, cols=K.cols)).mul(K)
     return basis, howell_form(basis).span_size
 
 

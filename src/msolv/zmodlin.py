@@ -97,17 +97,17 @@ class ResidueRing:
 
 def _flat_mul(n: int, rows: int, inner: int, cols: int, a: Sequence[int], b: Sequence[int]) -> tuple:
     """Row-major entries of the product over Z/n of row-major a (rows x inner)
-    and b (inner x cols); zero entries of a are skipped."""
+    and b (inner x cols), in row-axpy order: row i of the product sums
+    a[i, j] * (row j of b) over the nonzero a[i, j] only, so a zero entry
+    of a costs one test."""
+    b_rows = [b[j * cols:(j + 1) * cols] for j in range(inner)]
     out = []
     for i in range(rows):
-        base = i * inner
-        for k in range(cols):
-            s = 0
-            for j in range(inner):
-                x = a[base + j]
-                if x:
-                    s += x * b[j * cols + k]
-            out.append(s % n)
+        acc = [0] * cols
+        for x, b_row in zip(a[i * inner:(i + 1) * inner], b_rows):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.extend(s % n for s in acc)
     return tuple(out)
 
 

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msolv
-from msolv import cli
+from msolv import cli, fingroup
 from msolv.cli import (
     INT_LIST,
     PARAMS,
@@ -46,6 +46,7 @@ from msolv.cli import (
 )
 from msolv.errors import MsolvError, ParseError, VerdictFailed
 from msolv.fingroup import PermElem, center, iso_test_small
+from msolv.models import centerfree_scan
 
 
 # ------------------------------------------------------------- DSL parser
@@ -148,6 +149,10 @@ def test_parse_element_matrix_form():
     assert 0 <= e < G.order
     with pytest.raises(MsolvError):
         parse_element(G, "[[0, 0], [0, 0]]")  # singular: not in the group
+    # the DSL's matrix grammar: integers only, no trailing commas
+    for bad in ("[[1.5, 0], [0, 1]]", "[[True, 0], [0, 1]]", "[[1, 0], [0, 1],]", "[[2, 0], [0, 3]] x"):
+        with pytest.raises(ParseError):
+            parse_element(G, bad)
 
 
 def test_word_round_trip():
@@ -314,6 +319,9 @@ def test_internal_error_exits_3(monkeypatch, capsys):
         (["fox", "--group", "builtin S_3", "--images", "g1,g2", "--word", "x1", "--n", "0"], None),
         (["kernel-projection", "--modulus", "0"], None),
         (["crowell", "--group", "builtin S_3", "--images", "g1,g2", "--rank", "0"], None),
+        # a tower needs a permutation base; matrix groups are refused
+        (["kernel-projection", "--modulus", "3", "--levels", "1,2", "--base-group", "builtin Q8"], None),
+        (["kernel-projection", "--modulus", "3", "--levels", "1,2", "--base-group", "mat 5 : [[2,0],[0,3]]"], None),
     ],
 )
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
@@ -727,3 +735,74 @@ def test_centerfree_scan_cli(capsys):
     rows = e["report"]["entries"]
     flagged = [r["group"] for r in rows if r["flagged"]]
     assert flagged == ["builtin paper_counterexample"]
+
+
+# ------------------------------------------ normal subgroups and N^ab
+
+
+# the ten groups of the benchmark's corpus-scan workload
+SCAN_CORPUS = (
+    "builtin S_3",
+    "builtin S_4",
+    "builtin S_5",
+    "builtin D_8",
+    "builtin D_24",
+    "builtin D_48",
+    "builtin Q8",
+    "builtin C_12",
+    "builtin paper_counterexample",
+    "semidirect(builtin C_12, builtin C_6, action=[[[5]]])",
+)
+
+
+def _count_calls(monkeypatch):
+    """Count abelianization and Subgroup.as_group calls, however bound."""
+    counts = {"abelianization": 0, "as_group": 0}
+    true_ab, true_as_group = fingroup.abelianization, fingroup.Subgroup.as_group
+
+    def abelianization(G):
+        counts["abelianization"] += 1
+        return true_ab(G)
+
+    def as_group(self):
+        counts["as_group"] += 1
+        return true_as_group(self)
+
+    for mod in (fingroup, cli):
+        monkeypatch.setattr(mod, "abelianization", abelianization)
+    monkeypatch.setattr(fingroup.Subgroup, "as_group", as_group)
+    return counts
+
+
+def test_transfer_builds_each_abelianization_once(monkeypatch, capsys):
+    # one G^ab, and one N^ab per normal subgroup (7 of them) shared by both
+    # transfers of N
+    counts = _count_calls(monkeypatch)
+    (e,) = run_ok(["transfer", "--group", "builtin paper_counterexample"], capsys)
+    assert len(e["report"]["normals"]) == 7
+    assert counts == {"abelianization": 8, "as_group": 7}
+
+
+def test_conj_action_faithful_matches_the_action_on_labelled_ab():
+    # reference: the kernel read off the permutations of abelianization(N)
+    for text in SCAN_CORPUS:
+        G = build_group(parse_group_dsl(text))
+        for N in fingroup.normal_subgroups(G):
+            faithful, kernel = fingroup.conj_action_faithful(G, N)
+            Q, _ = fingroup.quotient_by(G, N)
+            trivial = tuple(range(len(fingroup.conj_action_on_ab(G, N, 0))))
+            expected = tuple(
+                q for q in range(Q.order)
+                if fingroup.conj_action_on_ab(G, N, G.index[Q.elements[q]]) == trivial
+            )
+            assert kernel.parent.elements == Q.elements, (text, N.order)
+            assert kernel.indices == expected, (text, N.order)
+            assert faithful == (expected == (0,)), (text, N.order)
+
+
+def test_centerfree_scan_builds_no_subgroup_copy(monkeypatch):
+    counts = _count_calls(monkeypatch)
+    corpus = [(t, build_group(parse_group_dsl(t))) for t in SCAN_CORPUS]
+    for m in (1, 2, 3):
+        assert len(centerfree_scan(corpus, m)) == len(SCAN_CORPUS)
+    assert counts["as_group"] == 0

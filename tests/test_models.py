@@ -20,7 +20,7 @@ import pytest
 
 from msolv import models
 from msolv.crowell import MagnusMatrix
-from msolv.errors import PreconditionViolated, TooLarge, VerdictFailed
+from msolv.errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed
 from msolv.fingroup import FiniteGroup, PermElem, center, closure, derived_series
 from msolv.models import (
     MODEL_NOTE,
@@ -134,6 +134,21 @@ def test_oversized_law_refused_before_any_closure(monkeypatch):
         build_solv_model(2, 3, 3)
     with pytest.raises(TooLarge, match="needs 1062882 digits"):
         centralizer_probe_capped(2, 3, 3, 100, 1, 1)
+
+
+def test_over_cap_model_refused_before_any_closure(monkeypatch):
+    # |W(2,4,2)| = 16 * 4^17 is predicted before anything is enumerated, so
+    # a model past the cap is refused without a closure
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an enumeration ran before the cap check")
+
+    monkeypatch.setattr(models, "_bfs", no_enumeration)
+    monkeypatch.setattr(models, "closure", no_enumeration)
+    with pytest.raises(CapExceeded) as info:
+        build_solv_model(2, 4, 2)
+    assert (info.value.cap, info.value.reached) == (2_000_000, 16 * 4**17)
+    with pytest.raises(CapExceeded):
+        build_solv_model(2, 3, 2, cap=531440)
 
 
 def test_left_sources_is_left_multiplication():

@@ -416,6 +416,26 @@ def test_howell_split_of_augmented_form_random(M):
     assert howell_form(form).span_size * howell_form(K).span_size == M.modulus**M.rows
 
 
+@given(
+    st.integers(2, 12),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_the_entrywise_definition(n, rows, inner, cols, data):
+    # mostly-zero entries, as in the kernel coefficients the product skips
+    entry = st.sampled_from([0, 0, 0, 1, n - 1, n // 2])
+    a = data.draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    product = RMatrix.from_rows(n, a, cols=inner).mul(RMatrix.from_rows(n, b, cols=cols))
+    assert (product.rows, product.cols) == (rows, cols)
+    for i in range(rows):
+        for k in range(cols):
+            assert product[i, k] == sum(a[i][j] * b[j][k] for j in range(inner)) % n
+
+
 def test_mul_through_an_empty_inner_dimension():
     assert RMatrix.zero(5, 2, 0).mul(RMatrix.zero(5, 0, 3)) == RMatrix.zero(5, 2, 3)
     assert kernel_basis(RMatrix.zero(4, 0, 2)) == RMatrix.zero(4, 0, 0)
