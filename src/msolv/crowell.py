@@ -155,16 +155,20 @@ class _PackedMagnusLaw:
         self.generators = [
             self.encode(MagnusMatrix.generator(ctx, i)) for i in range(1, ctx.rank + 1)
         ]
-        # generator value -> per-q (delta, e*w, (e-1)*w) where w is the weight
-        # of digit (i-1)*d + q and delta = q*q_i - q + w bumps that digit; it
-        # wraps (subtract e*w) when the digit already is e-1
-        self._steps = {}
-        for i, g in enumerate(self.generators):
-            steps = []
-            for q in range(d):
+        self._gen_pos = {g: i for i, g in enumerate(self.generators)}
+        # step_rows[q][i] = (delta, e*w, (e-1)*w): the right product of an
+        # element with quotient index q by generator i+1.  w is the weight of
+        # digit i*d + q, and delta = q*q_(i+1) - q + w bumps that digit; it
+        # wraps (subtract e*w) when the digit already is e-1, i.e. when
+        # a % (e*w) >= (e-1)*w.  fingroup._bfs runs this step inline.
+        rows = []
+        for q in range(d):
+            row = []
+            for i in range(ctx.rank):
                 w = self.weight[i * d + q]
-                steps.append((ctx.group.mul(q, ctx.images[i]) - q + w, e * w, (e - 1) * w))
-            self._steps[g] = tuple(steps)
+                row.append((ctx.group.mul(q, ctx.images[i]) - q + w, e * w, (e - 1) * w))
+            rows.append(tuple(row))
+        self.step_rows = tuple(rows)
 
     def encode(self, m: MagnusMatrix) -> int:
         code = 0
@@ -200,9 +204,9 @@ class _PackedMagnusLaw:
         return t
 
     def mul(self, a: int, b: int) -> int:
-        step = self._steps.get(b)
-        if step is not None:
-            delta, ew, top = step[a % self.base]
+        i = self._gen_pos.get(b)
+        if i is not None:
+            delta, ew, top = self.step_rows[a % self.base][i]
             if a % ew >= top:
                 return a + delta - ew
             return a + delta

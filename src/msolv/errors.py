@@ -18,10 +18,19 @@ class MixedVariant(MsolvError):
 
 
 class CapExceeded(MsolvError):
-    """A closure enumeration grew past its configured cap."""
+    """A closure enumeration grew past its configured cap, or a group whose
+    order is known in advance was refused before any enumeration.
 
-    def __init__(self, cap: int, reached: int):
-        super().__init__(f"closure exceeded cap {cap} (at least {reached} elements)")
+    `reached` is a lower bound on the order, or, with `predicted`, the
+    predicted order itself.
+    """
+
+    def __init__(self, cap: int, reached: int, predicted: bool = False):
+        if predicted:
+            msg = f"predicted order {reached} exceeds cap {cap}; nothing was enumerated"
+        else:
+            msg = f"closure exceeded cap {cap} (at least {reached} elements)"
+        super().__init__(msg)
         self.cap = cap
         self.reached = reached
 

@@ -337,7 +337,8 @@ class FiniteGroup:
         return all(self.mul(a, b) == self.mul(b, a) for a in gi for b in gi)
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)), tuple(self.gen_indices))
+        # a range, not a tuple: on W(2,3,2) a tuple would box 531,441 ints
+        return Subgroup(self, range(self.order), tuple(self.gen_indices))
 
     def element_order_profile(self) -> tuple:
         return tuple(sorted(self.element_order(i) for i in range(self.order)))
@@ -368,11 +369,37 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     with complete False and exactly `cap` elements; the row the cap cut
     short is trimmed, so gen_table holds len(gen_table) // len(gens)
     finished rows.
+
+    A law with `step_rows` (the packed Magnus law), enumerated over its own
+    `generators`, has its generator step run inline here rather than by a
+    `law.mul` call per edge: row q of the table holds one (delta, e*w,
+    (e-1)*w) per generator for the elements a with a % base == q, and the
+    product is a + delta, less e*w when a % (e*w) >= (e-1)*w.  Same
+    products in the same order, so the same enumeration.
     """
     elements = [identity]
     index = {identity: 0}
     gen_table = array("i")
     edge = gen_table.append
+    rows = getattr(law, "step_rows", None)
+    if rows is not None and list(gens) == law.generators:
+        base = law.base
+        i = 0
+        while i < len(elements):
+            a = elements[i]
+            for delta, ew, top in rows[a % base]:
+                p = a + delta - ew if a % ew >= top else a + delta
+                k = index.get(p)
+                if k is None:
+                    if len(elements) >= cap:
+                        del gen_table[i * len(gens):]
+                        return elements, index, gen_table, False
+                    k = len(elements)
+                    elements.append(p)
+                    index[p] = k
+                edge(k)
+            i += 1
+        return elements, index, gen_table, True
     mul = law.mul
     i = 0
     while i < len(elements):
@@ -428,10 +455,15 @@ def trivial_group() -> FiniteGroup:
 
 @dataclass
 class Subgroup:
-    """A subgroup given by its sorted element-index set inside a parent."""
+    """A subgroup given by its sorted element-index set inside a parent.
+
+    `indices` is a tuple, or `range(parent.order)` for the whole group as
+    `full_subgroup` gives it.  Equality and hashing treat every whole-group
+    subgroup of one parent as the same, whichever way its indices are held.
+    """
 
     parent: FiniteGroup
-    indices: tuple
+    indices: Sequence[int]
     gen_indices: tuple
     _normal: Optional[bool] = field(default=None, repr=False)
     _set: Optional[frozenset] = field(default=None, repr=False)
@@ -464,15 +496,19 @@ class Subgroup:
         gens = [G.elements[i] for i in self.gen_indices if i != 0]
         return closure(gens, cap=self.order + 1, identity=G.elements[0], law=G.law)
 
+    def _key(self):
+        # indices are distinct, so only the whole group has parent.order of them
+        return None if len(self.indices) == self.parent.order else self.indices
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup)
             and other.parent is self.parent
-            and other.indices == self.indices
+            and other._key() == self._key()
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.indices))
+        return hash((id(self.parent), self._key()))
 
 
 def _grow(G: FiniteGroup, elems: list, seen: set, gens: list, g: int) -> None:

@@ -126,7 +126,7 @@ def build_solv_model(r: int, e: int, m: int, cap: int = 2_000_000) -> SolvModel:
     """
     orders = _predicted_orders(r, e, m)
     if orders[-1] > cap:
-        raise CapExceeded(cap, orders[-1])
+        raise CapExceeded(cap, orders[-1], predicted=True)
     contexts: List[QuotientContext] = []
     if m == 0:
         levels = [trivial_group()]

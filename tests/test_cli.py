@@ -592,6 +592,19 @@ def test_capped_probe_past_packed_limit_exits_2():
     assert err.startswith("msolv: error: packed Magnus law")
 
 
+def test_over_cap_model_refusal_says_nothing_was_enumerated(capsys):
+    # |W(2,4,2)| = 16 * 4^17 is predicted before any closure, so the message
+    # names the predicted order, not a closure that never ran
+    rc = main(["centralizer", "--r", "2", "--e", "4", "--m", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"msolv: error: predicted order {16 * 4**17} exceeds cap 2000000; "
+        "nothing was enumerated\n"
+    )
+
+
 def test_same_seed_same_bytes_across_runs(capsys):
     args = ["reduction-lemma", "--umax", "1", "--random", "50", "--seed", "9"]
     rc = main(args)

@@ -5,9 +5,12 @@ free groups onto solvable groups of order <= 24 for several coefficient
 moduli; relator rows are checked to land in ker f; the Magnus matrix
 representation is compared against Fox rows exhaustively on short words
 and on random (word, quotient) pairs.  The packed-int law of the Magnus
-models is checked against MagnusMatrix arithmetic on random words.
+models is checked against MagnusMatrix arithmetic on random words, and the
+BFS that runs its generator step inline against the generic loop of one
+`mul` call per edge.
 """
 
+import copy
 import functools
 import random
 
@@ -27,7 +30,7 @@ from msolv.crowell import (
     relator_kernel_check,
 )
 from msolv.errors import MixedVariant, RelatorNotInKernel, TooLarge
-from msolv.fingroup import PermElem, closure, derived_series, subgroup_closure
+from msolv.fingroup import PermElem, _bfs, closure, derived_series, subgroup_closure
 from msolv.foxcalc import (
     QuotientContext,
     commutator,
@@ -217,6 +220,74 @@ def test_packed_generator_step_wraps_digit(label):
             prod = m * MagnusMatrix.generator(ctx, i)
             assert prod.vec[(i - 1) * ctx.ring.dimension + q] == 0
             assert law.mul(law.encode(m), g) == law.encode(prod)
+
+
+@pytest.mark.parametrize("label", ["W222", "W232", "d128"])
+def test_packed_generator_branch_matches_general_product(label):
+    # the generator branch of mul reads step_rows; with no generator known,
+    # the same law takes the general packed product for every b
+    law = packed_law(label)
+    general = copy.copy(law)
+    general._gen_pos = {}
+    d, e = law.base, law.e
+    rng = random.Random(5)
+    for _ in range(200):
+        a = rng.randrange(d) + d * rng.randrange(e ** len(law.weight))
+        for g in law.generators:
+            assert law.mul(a, g) == general.mul(a, g)
+
+
+class _MulInvOnly:
+    """The packed law seen through mul and inv alone: _bfs runs its generic
+    loop over it, one mul call per edge."""
+
+    def __init__(self, law):
+        self.mul, self.inv = law.mul, law.inv
+
+
+def _inline_and_generic_bfs(law, cap, monkeypatch):
+    def no_mul(a, b):
+        raise AssertionError("the inline generator step called law.mul")
+
+    generic = _bfs(law.generators, 0, _MulInvOnly(law), cap)
+    with monkeypatch.context() as m:
+        m.setattr(law, "mul", no_mul)
+        inline = _bfs(law.generators, 0, law, cap)
+    return inline, generic
+
+
+def _assert_same_bfs(inline, generic):
+    (el_a, idx_a, tab_a, done_a), (el_b, idx_b, tab_b, done_b) = inline, generic
+    assert el_a == el_b
+    assert idx_a == idx_b
+    assert tab_a.tobytes() == tab_b.tobytes()
+    assert done_a == done_b
+
+
+@pytest.mark.parametrize("label, order", [("W222", 128), ("W232", 531441)])
+def test_inline_bfs_matches_generic_loop_on_whole_models(label, order, monkeypatch):
+    inline, generic = _inline_and_generic_bfs(packed_law(label), 2_000_000, monkeypatch)
+    _assert_same_bfs(inline, generic)
+    assert len(inline[0]) == order and inline[3]
+
+
+def test_inline_bfs_matches_generic_loop_on_capped_prefixes(monkeypatch):
+    law = packed_law("d128")  # the law of W(2,2,3)
+    ng = len(law.generators)
+    # a cap c cuts the BFS at the edge that first reaches element c, and
+    # keeps only the rows before it; the cut ends mid-row when that edge
+    # is not the first of its row
+    _, _, table, _ = _bfs(law.generators, 0, law, 21000)
+    first = {}
+    for pos, k in enumerate(table):
+        first.setdefault(k, pos)
+    mid_row = next(c for c in range(4, 20000) if first[c] % ng and first[c] >= ng)
+    for cap in (2, 3, mid_row, 1500, 1501, 20000):
+        inline, generic = _inline_and_generic_bfs(law, cap, monkeypatch)
+        _assert_same_bfs(inline, generic)
+        elements, _, table, complete = inline
+        assert len(elements) == cap and not complete
+        assert len(table) == first[cap] // ng * ng
 
 
 def test_packed_encode_rejects_unreduced_entries():

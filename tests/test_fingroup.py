@@ -872,6 +872,28 @@ def test_derived_term_stops_at_the_asked_term(monkeypatch):
             assert len(calls) == min(m, len(series) - 1)
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_whole_group_subgroup_is_one_subgroup(name):
+    # full_subgroup holds its indices as a range; closures reach the whole
+    # group as a tuple, and the two must be the same subgroup
+    G = CORPUS[name]()
+    full = G.full_subgroup()
+    assert isinstance(full.indices, range)
+    for other in (subgroup_closure(G, G.gen_indices), normal_closure(G, G.gen_indices)):
+        assert isinstance(other.indices, tuple)
+        assert other == full and full == other
+        assert hash(other) == hash(full)
+        assert len({full, other}) == 1
+    assert full != Subgroup(G, (0,), (0,))
+    assert derived_term(G, 0) == full
+    assert full.element_set == frozenset(range(G.order))
+    assert normal_subgroups(G)[-1] == full
+    Q, proj = quotient_by(G, full)
+    assert Q.order == 1 and proj.images == (0,) * G.order
+    T = trivial_group()
+    assert T.full_subgroup() == subgroup_closure(T, [])
+
+
 def test_all_subgroups_counts():
     assert len(all_subgroups(make_s3())) == 6
     assert len(all_subgroups(make_d8())) == 10

@@ -180,6 +180,14 @@ def test_w232_bfs_order_is_frozen(w232):
     )
 
 
+def test_w232_series_holds_no_index_tuple(w232):
+    # the whole group is the first term of the derived series; its index set
+    # is a range, not 531,441 boxed ints
+    whole = w232.series[0]
+    assert isinstance(whole.indices, range)
+    assert whole == w232.group.full_subgroup() and whole.order == 531441
+
+
 def magnus_power(law, i, n):
     g = MagnusMatrix.generator(law.ctx, i)
     m = MagnusMatrix.identity(law.ctx)
