@@ -1195,8 +1195,8 @@ def run_experiment(kind: str, params: dict, seed: int, index: int) -> dict:
     func = EXPERIMENTS[kind]
     try:
         report, passed = func(params, rng)
-    except (AssertionError, VerdictFailed) as e:
-        report, passed = {"witness": str(e) or "assertion failed"}, False
+    except VerdictFailed as e:
+        report, passed = {"witness": str(e)}, False
     echo = {k: v for k, v in sorted(params.items())}
     return {
         "kind": kind,

@@ -2,11 +2,13 @@
 utilities and the center-freeness corpus scan.
 
 A SolvModel materializes a finite stand-in for the free m-step solvable
-group of rank r: level 1 is Q_1 = (Z/e)^r, and each further level is the
-group generated by the Magnus generator matrices [[q_i, e_i], [0, 1]] over
-the ring (Z/e)[previous level].  The models live in the solvable variety
-of length <= m but are NOT claimed to be relatively free in it — they are
-distinguished finite quotients, and every report says so.
+group of rank r.  Every level is the group generated by the Magnus
+generator matrices [[q_i, e_i], [0, 1]] over the ring (Z/e)[level below],
+starting from the trivial group: over it every q_i is 1, the Magnus image
+is [[1, v]] with v the exponent sums mod e, and level 1 is (Z/e)^r.  The
+models live in the solvable variety of length <= m but are NOT claimed to
+be relatively free in it — they are distinguished finite quotients, and
+every report says so.
 
 Degenerate parameters short-circuit: a free group of rank 1 is Z, all of
 whose higher derived subgroups vanish, so its model is C_e at every m; and
@@ -19,11 +21,12 @@ one level down and (x^n - 1)v = (q - 1)w_n), and the decomposition
 C = <mu(x_i)> * K_cap is asserted.  |K_cap| is the finite-level defect
 that disappears in the limit the models approximate.
 
-Elements of levels >= 2 are packed ints q + |Q| * code, with the vector
+Elements of every level are packed ints q + |Q| * code, with the vector
 part v held as base-e digits code = sum_k v[k] e^k (`_PackedMagnusLaw` in
-crowell).  A right product by a generator is then a table lookup and one
-digit bump, which is what the BFS closure does per edge.  The brute side
-of the centralizer experiment reads the closure's Cayley table, the flat
+crowell), and `_context_above` is the one place a level's context is made.
+A right product by a generator is then a table lookup and one digit bump,
+which is what the BFS closure does per edge.  The brute side of the
+centralizer experiment reads the closure's Cayley table, the flat
 `gen_table` array: el_k x^n by n steps along generator column i-1 (the
 slice gen_table[i-1::ngens]), and x^n el_k along the BFS tree, since
 (x^n p) g = x^n (p g), in one pass over the table's flat positions.  It is
@@ -32,11 +35,11 @@ of f it is checked against.
 
 The capped probe enumerates its BFS prefix of W_m as packed ints in the
 same way.  Products with x^n may leave the prefix, so they stay packed
-values: el_k x^n by n generator steps, and x^n el_k carried along the BFS
-tree by one generator step per edge; an element commutes iff the two ints
-are equal.  The linear prediction decides its q-part once over Q, as the
-set of q commuting with x^n one level down, and decodes only the prefix
-elements whose q lies in that set.
+values: el_k x^n by n generator steps, and x^n el_k as element k of the
+same BFS started at x^n; an element commutes iff the two ints are equal.
+The linear prediction decides its q-part once over Q, as the set of q
+commuting with x^n one level down, and decodes only the prefix elements
+whose q lies in that set.
 
 `_left_sources` is the one encoding of q's left action on R^r, which
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
@@ -53,7 +56,6 @@ from typing import List, Sequence
 from .errors import CapExceeded, PreconditionViolated, VerdictFailed
 from .fingroup import (
     FiniteGroup,
-    PermElem,
     Subgroup,
     _bfs,
     center,
@@ -94,15 +96,6 @@ def _is_prime_power(e: int) -> bool:
     return True  # n is prime
 
 
-def _elementary_abelian(r: int, e: int) -> FiniteGroup:
-    """(Z/e)^r as e-cycles on r disjoint blocks of points."""
-    gens = [
-        PermElem.from_cycles(r * e, [tuple(range(b * e, (b + 1) * e))])
-        for b in range(r)
-    ]
-    return closure(gens, cap=e**r + 1)
-
-
 @dataclass
 class SolvModel:
     rank: int
@@ -110,7 +103,6 @@ class SolvModel:
     m: int
     group: FiniteGroup
     levels: List[FiniteGroup]
-    contexts: List[QuotientContext]
     series: List[Subgroup]  # derived series of `group`
     degenerate: bool
     note: str = MODEL_NOTE
@@ -120,46 +112,50 @@ def build_solv_model(r: int, e: int, m: int, cap: int = 2_000_000) -> SolvModel:
     """Materialize the level-m model; CapExceeded, before any closure, if
     its predicted order passes cap.
 
-    Levels >= 2 are groups of packed Magnus ints (see `_PackedMagnusLaw`);
-    the model's derived series is computed once and kept on the result.
-    Each enumerated level must have its predicted order.
+    Every level is a group of packed Magnus ints (see `_PackedMagnusLaw`),
+    each one the closure over the level below, starting from the trivial
+    group; the model's derived series is computed once and kept on the
+    result.  Each enumerated level must have its predicted order.
     """
     orders = _predicted_orders(r, e, m)
     if orders[-1] > cap:
         raise CapExceeded(cap, orders[-1], predicted=True)
-    contexts: List[QuotientContext] = []
-    if m == 0:
-        levels = [trivial_group()]
-    elif r == 1:
-        levels = [_elementary_abelian(1, e)]
-    else:
-        levels = [_elementary_abelian(r, e)]
-        for _ in range(2, m + 1):
-            prev = levels[-1]
-            ctx = QuotientContext(r, prev, list(prev.gen_indices), e)
-            law = _PackedMagnusLaw(ctx)
-            W = closure(law.generators, cap=cap, identity=0, law=law)
-            contexts.append(ctx)
-            levels.append(W)
-    for k, (W, order) in enumerate(zip(levels, orders), 1):
-        if W.order != order:
-            raise VerdictFailed(f"model level {k} has {W.order} elements, predicted {order}")
+    W = trivial_group()
+    levels = []
+    for _ in range(len(orders) if m else 0):
+        law = _PackedMagnusLaw(_context_above(r, e, W))
+        W = closure(law.generators, cap=cap, identity=0, law=law)
+        levels.append(W)
+    levels = levels or [W]
+    for k, (level, order) in enumerate(zip(levels, orders), 1):
+        if level.order != order:
+            raise VerdictFailed(f"model level {k} has {level.order} elements, predicted {order}")
     degenerate = m <= 1 or r == 1
-    series = derived_series(levels[-1])
+    series = derived_series(W)
     if not degenerate and len(series) - 1 > m:
         raise VerdictFailed(
             f"model exceeds its solvable length bound: derived length "
             f"{len(series) - 1} > m = {m}"
         )
-    return SolvModel(r, e, m, levels[-1], levels, contexts, series, degenerate)
+    return SolvModel(r, e, m, W, levels, series, degenerate)
+
+
+def _context_above(r: int, e: int, Q: FiniteGroup) -> QuotientContext:
+    """The context of the level above Q: x_i -> Q's generator i, over (Z/e)[Q].
+
+    The trivial group has no generators, so there every x_i maps to the
+    identity and the level above is (Z/e)^r.
+    """
+    return QuotientContext(r, Q, list(Q.gen_indices) or [0] * r, e)
 
 
 def _predicted_orders(r: int, e: int, m: int) -> list:
     """|W(r, e, k)| for k = 1..m, before anything is enumerated.
 
-    |W_1| = e^r and |W_k| = |Q| |ker f| over Q = W_(k-1), where im f is the
-    augmentation ideal, free of rank |Q| - 1, so |ker f| = e^((r-1)|Q|+1).
-    TooLarge at the first level whose packed law would pass the digit limit.
+    |W_k| = |Q| |ker f| over Q = W_(k-1), from |W_0| = 1: im f is the
+    augmentation ideal, free of rank |Q| - 1, so |ker f| = e^((r-1)|Q|+1),
+    which is e^r at k = 1.  TooLarge at the first level whose packed law
+    would pass the digit limit.
     """
     if not _is_prime_power(e):
         raise PreconditionViolated(f"coefficient exponent {e} is not a prime power")
@@ -167,15 +163,14 @@ def _predicted_orders(r: int, e: int, m: int) -> list:
         raise PreconditionViolated("need rank >= 1 and level m >= 0")
     if m == 0:
         return [1]
-    if r == 1:
-        # a rank-1 free group is Z: every higher derived subgroup vanishes,
-        # so the model collapses to C_e at every level
-        return [e]
-    orders = [e**r]
-    for _ in range(2, m + 1):
-        q = orders[-1]
+    orders = []
+    q = 1
+    # a rank-1 free group is Z: every higher derived subgroup vanishes, so
+    # the model collapses to level 1, C_e, at every m
+    for _ in range(1 if r == 1 else m):
         _PackedMagnusLaw.check_size(r, q)
-        orders.append(q * e ** ((r - 1) * q + 1))
+        q *= e ** ((r - 1) * q + 1)
+        orders.append(q)
     return orders
 
 
@@ -192,7 +187,7 @@ def module_part_basis(model: SolvModel):
         raise PreconditionViolated("no module part below level 2")
     W = model.group
     law = W.law
-    ctx = model.contexts[-1]
+    ctx = law.ctx
     K, span = _ker_f(ctx)
     module_count = sum(1 for x in W.elements if law.q(x) == 0)
     if module_count != span:
@@ -302,7 +297,7 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
         raise PreconditionViolated("centralizer experiment needs a level >= 2 model")
     W = model.group
     law = W.law
-    ctx = model.contexts[-1]
+    ctx = law.ctx
 
     # brute force: every element against mu(x_i)^n, over the Cayley table
     R, L = _power_products(W, i, n)
@@ -368,15 +363,16 @@ def kcap_tower(
     """
     if not 1 <= i <= r:
         raise PreconditionViolated(f"generator index {i} outside 1..{r}")
+    if m < 2:
+        raise PreconditionViolated("K_cap tower needs level >= 2")
     entries = []
     for e in exponents:
         if n < 1 or n % e == 0:
             raise PreconditionViolated(
                 f"need positive n with x_{i}^{n} nontrivial mod e = {e}"
             )
-        lower = build_solv_model(r, e, m - 1, cap=cap)
-        prev = lower.group
-        ctx = QuotientContext(r, prev, list(prev.gen_indices), e)
+        prev = build_solv_model(r, e, m - 1, cap=cap).group
+        ctx = _context_above(r, e, prev)
         K, kf_span = _ker_f(ctx)
         _, k_cap = _k_cap(ctx, K, prev.power(ctx.images[i - 1], n))
         order = prev.order * kf_span
@@ -433,45 +429,23 @@ def _capped_prefix(r: int, e: int, m: int, cap: int):
     `closure` would list at k.
     """
     _predicted_orders(r, e, m)  # refuses an oversized law before any closure
-    prev = build_solv_model(r, e, m - 1).group
-    law = _PackedMagnusLaw(QuotientContext(r, prev, list(prev.gen_indices), e))
+    law = _PackedMagnusLaw(_context_above(r, e, build_solv_model(r, e, m - 1).group))
     return law, _bfs(law.generators, 0, law, cap)
 
 
-def _prefix_power_products(law, elements, index, table, i: int, n: int):
+def _prefix_power_products(law, elements, i: int, n: int):
     """(right, left) with right[k], left[k] = el_k x_i^n and x_i^n el_k.
 
-    Both are packed ints, possibly outside the prefix, found by generator
-    steps alone: right[k] by n steps from el_k, and left along the BFS tree,
-    since (x^n p) g = x^n (p g) gives left[child] = left[parent] g.  The
-    flat `table` holds len(table) // ngens finished rows; a capped BFS
-    stops inside the next row, so that row's edges are recomputed with
-    law.mul and index.
+    Both are packed ints, possibly outside the prefix.  right[k] takes n
+    generator steps from el_k.  Left multiplication by x^n is injective and
+    commutes with right products, so the BFS from x^n, cut at the prefix's
+    size, lists x^n el_k at position k.
     """
-    gens = law.generators
-    ng = len(gens)
-    x = gens[i - 1]
-    size = len(elements)
-    rows = len(table) // ng
+    x = law.generators[i - 1]
     right = elements
     for _ in range(n):
         right = [law.mul(a, x) for a in right]
-    left = [None] * size
-    left[0] = right[0]
-    unseen = size - 1
-    for p in range(size):
-        if not unseen:
-            break
-        if p < rows:
-            row = table[p * ng : (p + 1) * ng]
-        else:
-            row = [index.get(law.mul(elements[p], g), size) for g in gens]
-        lp = left[p]
-        for g, child in zip(gens, row):
-            if child < size and left[child] is None:
-                left[child] = law.mul(lp, g)
-                unseen -= 1
-    return right, left
+    return right, _bfs(law.generators, right[0], law, len(elements))[0]
 
 
 def centralizer_probe_capped(
@@ -505,11 +479,11 @@ def centralizer_probe_capped(
         raise PreconditionViolated("probe needs level >= 2")
     if cap < 2:
         raise PreconditionViolated("cap too small to enumerate anything")
-    law, (elements, index, table, complete) = _capped_prefix(r, e, m, cap)
+    law, (elements, _, _, complete) = _capped_prefix(r, e, m, cap)
     ctx = law.ctx
     prev = ctx.group
     size = len(elements)
-    right, left = _prefix_power_products(law, elements, index, table, i, n)
+    right, left = _prefix_power_products(law, elements, i, n)
 
     mu = MagnusMatrix.generator(ctx, i)
     mu_inv = mu.inverse()

@@ -204,14 +204,16 @@ def test_run_experiment_seeds_are_per_instance():
     assert r1 != r2
 
 
-def test_run_experiment_packages_assertion_as_failure(monkeypatch):
+def test_internal_assert_exits_3_not_as_a_failed_verdict(monkeypatch, capsys):
+    # exit 1 means a failed verdict only; a broken internal invariant is a bug
     def boom(params, rng):
-        raise AssertionError("witness text")
+        raise AssertionError("invariant text")
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "boom", boom)
-    res = run_experiment("boom", {}, seed=0, index=0)
-    assert res["passed"] is False
-    assert res["report"]["witness"] == "witness text"
+    monkeypatch.setitem(cli.EXPERIMENTS, "counterexample", boom)
+    assert main(["counterexample"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "msolv: internal error" in captured.err
 
 
 def test_run_experiment_packages_verdict_failed_as_failure(monkeypatch):
@@ -705,6 +707,42 @@ def test_derived_series_s8_bytes_are_pinned(capsys):
 def test_lattice_experiment_bytes_are_pinned(argv, digest, capsys):
     # stdout sha256 taken from the lattices that closed every join from the
     # identity and the derived terms that computed the whole series
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["solv-model", "--r", "1", "--e", "3", "--m", "3"],
+            "05aa44b792348d5f4aec08edb9fee58debf9f987a5a4fe0360ed662cddd7e3d1",
+        ),
+        (
+            ["solv-model", "--r", "3", "--e", "2", "--m", "1"],
+            "667cba26049658a94aad0eb771a28a340b375ce8fdd59de29f652563ad39e4f8",
+        ),
+        (
+            ["solv-model", "--r", "2", "--e", "2", "--m", "0"],
+            "9fc1e2c142789a90cb6a145f42778a05d39b57d41972da545fb87dcabdc718b3",
+        ),
+        (
+            ["solv-model", "--r", "3", "--e", "9", "--m", "1"],
+            "dc4a53b94fbb8f0b49c77c4a0eb1a14911e1033acc70f9d41047c4817a11c5f4",
+        ),
+        (
+            ["solv-model", "--r", "2", "--m", "2", "--tower", "23", "--i", "1", "--n", "1"],
+            "b030663e7d12d7928b1e34dad98c6f4c56990e3d2cbaddd908b84b8d387e53cc",
+        ),
+    ],
+)
+def test_level_one_report_bytes_are_pinned(argv, digest, capsys):
+    # stdout sha256 taken when level 1 was a permutation group of e-cycles:
+    # the packed level over the trivial group reports the same bytes, on
+    # the degenerate paths, above the Cayley limit (order 729) and under
+    # a tower row over level 1 of order 529
     rc = main(argv)
     out = capsys.readouterr().out
     assert rc == 0

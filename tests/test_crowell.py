@@ -245,14 +245,14 @@ class _MulInvOnly:
         self.mul, self.inv = law.mul, law.inv
 
 
-def _inline_and_generic_bfs(law, cap, monkeypatch):
+def _inline_and_generic_bfs(law, cap, monkeypatch, start=0):
     def no_mul(a, b):
         raise AssertionError("the inline generator step called law.mul")
 
-    generic = _bfs(law.generators, 0, _MulInvOnly(law), cap)
+    generic = _bfs(law.generators, start, _MulInvOnly(law), cap)
     with monkeypatch.context() as m:
         m.setattr(law, "mul", no_mul)
-        inline = _bfs(law.generators, 0, law, cap)
+        inline = _bfs(law.generators, start, law, cap)
     return inline, generic
 
 
@@ -271,23 +271,54 @@ def test_inline_bfs_matches_generic_loop_on_whole_models(label, order, monkeypat
     assert len(inline[0]) == order and inline[3]
 
 
-def test_inline_bfs_matches_generic_loop_on_capped_prefixes(monkeypatch):
-    law = packed_law("d128")  # the law of W(2,2,3)
+def _first_edges(law):
+    """(first, mid_row) for the BFS of W(2,2,3): first[k] is the flat table
+    position of the edge that first reaches element k, and mid_row a cap
+    whose cut ends inside a row.
+
+    A cap c cuts the BFS at the edge that first reaches element c, and
+    keeps only the rows before it; the cut ends mid-row when that edge is
+    not the first of its row.
+    """
     ng = len(law.generators)
-    # a cap c cuts the BFS at the edge that first reaches element c, and
-    # keeps only the rows before it; the cut ends mid-row when that edge
-    # is not the first of its row
     _, _, table, _ = _bfs(law.generators, 0, law, 21000)
     first = {}
     for pos, k in enumerate(table):
         first.setdefault(k, pos)
     mid_row = next(c for c in range(4, 20000) if first[c] % ng and first[c] >= ng)
+    return first, mid_row
+
+
+def test_inline_bfs_matches_generic_loop_on_capped_prefixes(monkeypatch):
+    law = packed_law("d128")  # the law of W(2,2,3)
+    ng = len(law.generators)
+    first, mid_row = _first_edges(law)
     for cap in (2, 3, mid_row, 1500, 1501, 20000):
         inline, generic = _inline_and_generic_bfs(law, cap, monkeypatch)
         _assert_same_bfs(inline, generic)
         elements, _, table, complete = inline
         assert len(elements) == cap and not complete
         assert len(table) == first[cap] // ng * ng
+
+
+@pytest.mark.parametrize("i, n", [(1, 1), (2, 3)])
+def test_inline_bfs_from_a_power_matches_generic_loop_at_mid_row_cap(i, n, monkeypatch):
+    # the capped probe reads x^n el_k as element k of the BFS started at
+    # x^n: left multiplication by x^n is injective and commutes with right
+    # products, so that BFS meets the elements in the same order
+    law = packed_law("d128")
+    ng = len(law.generators)
+    first, mid_row = _first_edges(law)
+    xn = 0
+    for _ in range(n):
+        xn = law.mul(xn, law.generators[i - 1])
+    for cap in (mid_row, 1501):
+        assert first[cap] % ng  # the cut ends inside a row
+        inline, generic = _inline_and_generic_bfs(law, cap, monkeypatch, start=xn)
+        _assert_same_bfs(inline, generic)
+        elements, _, _, complete = _bfs(law.generators, 0, law, cap)
+        assert len(elements) == cap and not complete
+        assert inline[0] == [law.mul(xn, a) for a in elements]
 
 
 def test_packed_encode_rejects_unreduced_entries():

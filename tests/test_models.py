@@ -21,7 +21,14 @@ import pytest
 from msolv import models
 from msolv.crowell import MagnusMatrix
 from msolv.errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed
-from msolv.fingroup import FiniteGroup, PermElem, center, closure, derived_series
+from msolv.fingroup import (
+    CAYLEY_LIMIT,
+    FiniteGroup,
+    PermElem,
+    center,
+    closure,
+    derived_series,
+)
 from msolv.models import (
     MODEL_NOTE,
     _power_products,
@@ -61,6 +68,43 @@ def test_degenerate_models():
     assert m_r1.degenerate and m_r1.group.order == 3
     m_ab = build_solv_model(3, 2, 1)
     assert m_ab.degenerate and m_ab.group.order == 8
+
+
+def elementary_abelian(r, e):
+    """(Z/e)^r as e-cycles on r disjoint blocks of points: level 1 built as
+    a permutation group, independently of the packed Magnus step."""
+    gens = [
+        PermElem.from_cycles(r * e, [tuple(range(b * e, (b + 1) * e))])
+        for b in range(r)
+    ]
+    return closure(gens, cap=e**r + 1)
+
+
+@pytest.mark.parametrize("r, e", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 23), (3, 9)])
+def test_level_one_matches_the_permutation_construction(r, e):
+    # the packed step over the trivial group enumerates the same labelled
+    # Cayley graph of (Z/e)^r as the e-cycles: same indices, same tables,
+    # and so the same context for level 2
+    packed = build_solv_model(r, e, 1).group
+    perm = elementary_abelian(r, e)
+    assert packed.gen_table.tobytes() == perm.gen_table.tobytes()
+    assert packed.gen_indices == perm.gen_indices
+    n = perm.order
+    if n <= CAYLEY_LIMIT:
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        qs = range(n)
+    else:
+        # above the Cayley limit every product is an element product: a
+        # seeded sample keeps the test fast
+        rng = random.Random(f"{r}:{e}")
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+        qs = [rng.randrange(n) for _ in range(4)]
+    assert all(packed.mul(a, b) == perm.mul(a, b) for a, b in pairs)
+    assert [packed.inv(a) for a in range(n)] == [perm.inv(a) for a in range(n)]
+    above_packed = models._context_above(r, e, packed)
+    above_perm = QuotientContext(r, perm, list(perm.gen_indices), e)
+    for q in qs:
+        assert above_packed.left_mult_perm(q) == above_perm.left_mult_perm(q)
 
 
 def test_model_preconditions():
@@ -326,15 +370,17 @@ def test_w223_probe_prefix_is_frozen():
 @pytest.mark.parametrize(
     "e, m, cap, i, n",
     [(2, 3, 1500, i, n) for i in (1, 2) for n in (1, 3)]
-    + [(2, 3, 1501, 2, 3), (3, 2, 2000, 1, 2), (3, 2, 2001, 2, 1)],
+    + [(2, 3, 1501, 2, 3), (3, 2, 2000, 1, 2), (3, 2, 2001, 2, 1)]
+    + [(2, 2, 128, 1, 3), (2, 2, 500, 2, 1)],
 )
 def test_probe_products_match_honest_products(e, m, cap, i, n):
     # the probe's packed el x^n and x^n el against MagnusMatrix products,
     # element by element, and its counts against commutation decided by
     # those products; at caps 1501 and 2001 the last element is a child of
-    # the BFS row that the cap cut short, which gen_table does not hold
-    law, (elements, index, table, _) = models._capped_prefix(2, e, m, cap)
-    right, left = models._prefix_power_products(law, elements, index, table, i, n)
+    # the BFS row that the cap cut short, and at caps 128 and 500 the
+    # prefix is all of W(2, 2, 2)
+    law, (elements, _, _, _) = models._capped_prefix(2, e, m, cap)
+    right, left = models._prefix_power_products(law, elements, i, n)
     mu_n = magnus_power(law, i, n)
     d = law.ctx.ring.dimension
     cz = module = kcap = 0
@@ -352,7 +398,7 @@ def test_probe_products_match_honest_products(e, m, cap, i, n):
     assert wraps
     rep = centralizer_probe_capped(2, e, m, cap, i, n)
     assert (rep.enumerated, rep.centralizer_seen, rep.module_seen, rep.k_cap_seen) == (
-        cap,
+        len(elements),
         cz,
         module,
         kcap,
@@ -393,6 +439,14 @@ def test_kcap_tower_exponent_2():
     assert rows[1].k_cap == 1024
     assert rows[1].group_order == 16 * 4**17  # far beyond any materialization
     assert not rows[1].verified_brute and rows[1].brute_matches
+
+
+def test_kcap_tower_needs_level_2():
+    # below level 2 there is no module part; at e = 1427 the level-1 row
+    # would pass the cap and skip the brute check that refuses it at small e
+    for m in (0, 1):
+        with pytest.raises(PreconditionViolated, match="needs level >= 2"):
+            kcap_tower(2, m, [1427], 1, 1)
 
 
 def test_kcap_tower_exponent_3():
