@@ -38,8 +38,8 @@ same way.  Products with x^n may leave the prefix, so they stay packed
 values: el_k x^n by n generator steps, and x^n el_k as element k of the
 same BFS started at x^n; an element commutes iff the two ints are equal.
 The linear prediction decides its q-part once over Q, as the set of q
-commuting with x^n one level down, and decodes only the prefix elements
-whose q lies in that set.
+commuting with x^n one level down, and reads the vector condition off the
+packed int digit by digit, stopping at the first slot that fails.
 
 `_left_sources` is the one encoding of q's left action on R^r, which
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
@@ -365,6 +365,10 @@ def kcap_tower(
         raise PreconditionViolated(f"generator index {i} outside 1..{r}")
     if m < 2:
         raise PreconditionViolated("K_cap tower needs level >= 2")
+    if r == 1:
+        raise PreconditionViolated(
+            "K_cap tower needs rank >= 2: at rank 1 the model is C_e at every m"
+        )
     entries = []
     for e in exponents:
         if n < 1 or n % e == 0:
@@ -437,14 +441,22 @@ def _prefix_power_products(law, elements, i: int, n: int):
     """(right, left) with right[k], left[k] = el_k x_i^n and x_i^n el_k.
 
     Both are packed ints, possibly outside the prefix.  right[k] takes n
-    generator steps from el_k.  Left multiplication by x^n is injective and
-    commutes with right products, so the BFS from x^n, cut at the prefix's
-    size, lists x^n el_k at position k.
+    generator steps from el_k, each the step `_bfs` runs inline: column
+    i-1 of `law.step_rows` gives (delta, e*w, (e-1)*w) for a's quotient
+    index, and the product is a + delta, less e*w when the digit wraps.
+    Left multiplication by x^n is injective and commutes with right
+    products, so the BFS from x^n, cut at the prefix's size, lists x^n el_k
+    at position k.
     """
-    x = law.generators[i - 1]
+    col = [row[i - 1] for row in law.step_rows]
+    base = law.base
     right = elements
     for _ in range(n):
-        right = [law.mul(a, x) for a in right]
+        right = [
+            a + delta - ew if a % ew >= top else a + delta
+            for a in right
+            for delta, ew, top in (col[a % base],)
+        ]
     return right, _bfs(law.generators, right[0], law, len(elements))[0]
 
 
@@ -465,11 +477,16 @@ def centralizer_probe_capped(
     The prefix is packed ints (`_capped_prefix`), and whether an element
     commutes is decided by generator steps alone (`_prefix_power_products`).
     The linear prediction decides its q-part once, as the set of q that
-    commute with x^n one level down, and decodes only the elements whose
-    q lies in it.  That set is a filter, not a second condition: Fox's
-    formula gives f(v) = q - 1 for [[q, v]] in W, and applying f to
-    (x^n - 1) v = (q - 1) w_n gives x^n q = q x^n, so the vector condition
-    alone already excludes every other q.
+    commute with x^n one level down.  That set is a filter, not a second
+    condition: Fox's formula gives f(v) = q - 1 for [[q, v]] in W, and
+    applying f to (x^n - 1) v = (q - 1) w_n gives x^n q = q x^n, so the
+    vector condition alone already excludes every other q.  For each q in
+    it, the vector condition is one congruence per slot k,
+    v[src[k]] - v[k] = ((q - 1) w_n)[k] mod e with src from
+    `_left_sources`, and digit k of a packed element a is
+    a // weight[k] % e; so no element is decoded, and an element is
+    dropped at its first failing slot.  The prediction reads neither the
+    products with x^n nor `law.mul`.
     """
     if not 1 <= i <= r:
         raise PreconditionViolated(f"generator index {i} outside 1..{r}")
@@ -477,12 +494,15 @@ def centralizer_probe_capped(
         raise PreconditionViolated("need positive n with x_i^n nontrivial mod e")
     if m < 2:
         raise PreconditionViolated("probe needs level >= 2")
+    if r == 1:
+        raise PreconditionViolated(
+            "probe needs rank >= 2: at rank 1 the model is C_e at every m"
+        )
     if cap < 2:
         raise PreconditionViolated("cap too small to enumerate anything")
     law, (elements, _, _, complete) = _capped_prefix(r, e, m, cap)
     ctx = law.ctx
     prev = ctx.group
-    size = len(elements)
     right, left = _prefix_power_products(law, elements, i, n)
 
     mu = MagnusMatrix.generator(ctx, i)
@@ -492,15 +512,17 @@ def centralizer_probe_capped(
         mu_n = mu_n * mu
     xn_hat = mu_n.q
 
-    # linear prediction, decided once over Q: q must commute with x^n one
-    # level down, and then the right-hand side (q - 1) w_n depends on q only
+    # linear prediction, decided once over Q: for each q that commutes with
+    # x^n one level down, slot k pairs the weights of digits src[k] and k
+    # with entry k of (q - 1) w_n
     w_n = mu_n.vec
+    weight = law.weight
+    slots = [(weight[s], weight[k]) for k, s in enumerate(_left_sources(ctx, xn_hat))]
     rhs_of = {
-        q: [(w_n[s] - c) % e for s, c in zip(_left_sources(ctx, q), w_n)]
+        q: tuple(zip(slots, [(w_n[s] - c) % e for s, c in zip(_left_sources(ctx, q), w_n)]))
         for q in range(prev.order)
         if prev.mul(q, xn_hat) == prev.mul(xn_hat, q)
     }
-    xn_sources = _left_sources(ctx, xn_hat)
 
     # powers of the one-level-down image of x_i, for the decomposition
     hat_powers = {0: 0}
@@ -513,16 +535,13 @@ def centralizer_probe_capped(
     oracle_ok = True
     decomposition_ok = True
     cz_seen = module_seen = kcap_seen = 0
-    for k in range(size):
+    for k, a in enumerate(elements):
         commutes = right[k] == left[k]
-        q = law.q(elements[k])
+        q = law.q(a)
         # linear prediction: q commutes with x^n one level down, and
-        # (x^n - 1) v = (q - 1) w_n holds blockwise over the ring
+        # (x^n - 1) v = (q - 1) w_n holds slot by slot, up to the first miss
         rhs = rhs_of.get(q)
-        lin = rhs is not None
-        if lin:
-            vec = law.decode(elements[k]).vec
-            lin = [(vec[s] - c) % e for s, c in zip(xn_sources, vec)] == rhs
+        lin = rhs is not None and all((a // ws - a // w) % e == c for (ws, w), c in rhs)
         if commutes != lin:
             oracle_ok = False
         if q == 0:
@@ -535,7 +554,7 @@ def centralizer_probe_capped(
             if t is None:
                 decomposition_ok = False
             else:
-                factor = law.decode(elements[k])
+                factor = law.decode(a)
                 for _ in range(t):
                     factor = mu_inv * factor
                 if factor.q != 0 or (factor * mu_n) != (mu_n * factor):
@@ -547,7 +566,7 @@ def centralizer_probe_capped(
         generator=i,
         n=n,
         cap=cap,
-        enumerated=size,
+        enumerated=len(elements),
         complete=complete,
         centralizer_seen=cz_seen,
         module_seen=module_seen,

@@ -11,6 +11,7 @@ declared experiment parameter is validated: a bad type, a value below its
 bound or an unknown key exits 2 with a message and no traceback.
 """
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -22,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import types
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msolv
-from msolv import cli, fingroup
+from msolv import cli, fingroup, models
 from msolv.cli import (
     INT_LIST,
     PARAMS,
@@ -251,6 +253,59 @@ def test_verdicts_survive_optimized_mode(experiment):
     assert json.loads(runs[1].stdout)["experiments"][0]["passed"] is True
 
 
+# the asserts left under src/msolv guard internal invariants, not verdicts;
+# a verdict resting on a new one would vanish under python -O
+KNOWN_ASSERT_SITES = sorted(
+    [
+        ("constructions.py", "regular_representation"),
+        ("fingroup.py", "kernel"),
+        ("grpring.py", "_level_group"),
+        ("models.py", "surface_presentation"),
+    ]
+)
+
+
+def _assert_sites(tree, module):
+    # (module, innermost enclosing function) of every assert statement
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assert):
+                sites.append((module, func))
+            inner = func
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            visit(child, inner)
+
+    visit(tree, None)
+    return sites
+
+
+def test_asserts_under_src_are_the_known_invariants():
+    # the walker itself: nested functions, methods and module level
+    probe = "\n".join(
+        [
+            "assert a",
+            "class C:",
+            "    def f(self):",
+            "        def g():",
+            "            assert b",
+            "        assert c",
+        ]
+    )
+    assert _assert_sites(ast.parse(probe), "m.py") == [
+        ("m.py", None),
+        ("m.py", "g"),
+        ("m.py", "f"),
+    ]
+    src = Path(msolv.__file__).parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        sites += _assert_sites(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert sorted(sites) == KNOWN_ASSERT_SITES
+
+
 def test_invalid_permutation_exits_2(capsys):
     # the group DSL still validates permutations, which products no longer do
     rc = main(["derived-series", "--group", "perm 3 : (0 5)"])
@@ -299,6 +354,31 @@ def test_magnus_reports_fox_mismatch_as_failure(monkeypatch):
     assert res["report"]["fox_consistent"] is False
 
 
+def test_broken_prediction_fails_the_probe(monkeypatch, capsys):
+    # swap slots d and d + 1 of every _left_sources tuple: the first two
+    # slots of the second block, past the slots where most elements already
+    # fail the prediction, so stopping at an element's first miss must not
+    # hide the fault
+    real = models._left_sources
+
+    def swapped(ctx, q):
+        src = list(real(ctx, q))
+        d = ctx.ring.dimension
+        src[d], src[d + 1] = src[d + 1], src[d]
+        return tuple(src)
+
+    monkeypatch.setattr(models, "_left_sources", swapped)
+    assert not models.centralizer_probe_capped(2, 2, 3, 1500, 2, 3).oracle_equal_pointwise
+    rc = main(
+        ["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "3"]
+        + ["--cap", "1500", "--i", "2", "--n", "3"]
+    )
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["experiments"][0]["passed"] is False
+    assert doc["experiments"][0]["report"]["oracle_equal_pointwise"] is False
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     # exit 1 is reserved for failed verdicts; a bug gets its own code
     def broken(params, rng):
@@ -337,6 +417,27 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     assert captured.err.startswith("msolv: error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centralizer", "--capped", "--r", "1", "--e", "3", "--m", "2", "--cap", "100"],
+        ["solv-model", "--r", "1", "--m", "2", "--tower", "2003", "--i", "1", "--n", "1"],
+    ],
+)
+def test_rank_1_probe_and_tower_exit_2_up_front(argv, capsys):
+    # at rank 1 the model is C_e at every m, so there is no level >= 2 to
+    # probe or to stack a tower on; the refusal comes before any build
+    t0 = time.perf_counter()
+    rc = main(argv)
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("msolv: error: ") and "rank >= 2" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(

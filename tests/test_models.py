@@ -371,7 +371,7 @@ def test_w223_probe_prefix_is_frozen():
     "e, m, cap, i, n",
     [(2, 3, 1500, i, n) for i in (1, 2) for n in (1, 3)]
     + [(2, 3, 1501, 2, 3), (3, 2, 2000, 1, 2), (3, 2, 2001, 2, 1)]
-    + [(2, 2, 128, 1, 3), (2, 2, 500, 2, 1)],
+    + [(2, 2, 128, 1, 3), (2, 2, 500, 2, 1), (2, 3, 1500, 1, 7)],
 )
 def test_probe_products_match_honest_products(e, m, cap, i, n):
     # the probe's packed el x^n and x^n el against MagnusMatrix products,
@@ -447,6 +447,20 @@ def test_kcap_tower_needs_level_2():
     for m in (0, 1):
         with pytest.raises(PreconditionViolated, match="needs level >= 2"):
             kcap_tower(2, m, [1427], 1, 1)
+
+
+def test_rank_1_probe_and_tower_refused_before_any_build(monkeypatch):
+    # a rank-1 model is C_e at every m: neither the probe nor the tower has
+    # a level >= 2 to work on, and both say so before anything is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built before the rank check")
+
+    for name in ("build_solv_model", "_bfs", "closure"):
+        monkeypatch.setattr(models, name, no_build)
+    with pytest.raises(PreconditionViolated, match="rank >= 2"):
+        centralizer_probe_capped(1, 3, 2, 100, 1, 1)
+    with pytest.raises(PreconditionViolated, match="rank >= 2"):
+        kcap_tower(1, 2, [2003], 1, 1)
 
 
 def test_kcap_tower_exponent_3():
