@@ -26,6 +26,11 @@ the subcommand flags, supplies the defaults, names the required keys, and
 validates every value from the command line, a config file or an instance
 (type, lower bound, no unknown keys).
 
+The instances of one run share its run memos (`models.run_memo`): a
+corpus scanned at several m is parsed and profiled once, and capped probes
+on one (r, e, m, cap) enumerate one prefix.  `main` empties the memos when
+a run starts and when it ends.
+
 Exit codes: 0 all verdicts pass, 1 at least one verdict failed (the report
 carries the witness), 2 for configuration, parse, or precondition errors,
 3 for an internal error (the traceback goes to stderr).
@@ -76,13 +81,16 @@ from .constructions import (
 )
 from .models import (
     MODEL_NOTE,
+    ScanProfile,
     build_solv_model,
     centerfree_scan,
     centralizer_experiment,
     centralizer_probe_capped,
+    clear_run_memos,
     euler_char,
     kcap_tower,
     presentation_abelianization,
+    run_memo,
     surface_presentation,
 )
 from .zmodlin import RMatrix, scalar_kernel, valuation
@@ -927,22 +935,30 @@ def _exp_solv_model(p: dict, rng) -> Tuple[dict, bool]:
     return report, len(series) - 1 <= m
 
 
+DEFAULT_SCAN_GROUPS = (
+    "builtin S_3",
+    "builtin S_4",
+    "builtin D_8",
+    "builtin Q8",
+    "builtin C_12",
+    "builtin paper_counterexample",
+)
+
+
+@run_memo
+def _scan_corpus(texts: tuple) -> list:
+    """(label, ScanProfile) per group text: the instances of one run that
+    scan the same groups parse and profile them once."""
+    groups = [_group_from_text(t) for t in texts]
+    return [(label, ScanProfile(G)) for G, label in groups]
+
+
 def _exp_centerfree_scan(p: dict, rng) -> Tuple[dict, bool]:
-    if p.get("groups"):
-        texts = [s for s in p["groups"].split(";") if s.strip()]
-    else:
-        texts = [
-            "builtin S_3",
-            "builtin S_4",
-            "builtin D_8",
-            "builtin Q8",
-            "builtin C_12",
-            "builtin paper_counterexample",
-        ]
-    corpus = []
-    for t in texts:
-        G, label = _group_from_text(t)
-        corpus.append((label, G))
+    groups = p.get("groups")
+    texts = tuple(s for s in groups.split(";") if s.strip()) if groups else DEFAULT_SCAN_GROUPS
+    if not texts:
+        raise MsolvError(f"centerfree-scan --groups names no group: {groups!r}")
+    corpus = _scan_corpus(texts)
     entries = centerfree_scan(corpus, p["m"])
     rows = []
     consistent = True
@@ -1241,6 +1257,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"msolv: error: {e}", file=sys.stderr)
         return 2
 
+    # the instances of a run share its run memos, and nothing else does
+    clear_run_memos()
     try:
         results = [run_experiment(kind, p, seed, idx) for idx, p in enumerate(merged)]
         blob = emit_report(results)
@@ -1252,6 +1270,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         traceback.print_exc()
         print("msolv: internal error", file=sys.stderr)
         return 3
+    finally:
+        clear_run_memos()
     sys.stdout.write(blob.decode())
     if ns.out:
         try:

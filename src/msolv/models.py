@@ -45,10 +45,15 @@ packed int digit by digit, stopping at the first slot that fails.
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
 entries v[src[k]] - v[k].  Level orders are predicted before any closure
 (`_predicted_orders`), so an oversized packed law is refused up front.
+
+Work that several instances of one CLI run share is done once per run:
+the probe's BFS prefix is a run memo (`run_memo`), and the corpus scan
+reads each group's m-independent part from a `ScanProfile`.
 """
 
 from __future__ import annotations
 
+import functools
 from array import array
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -80,6 +85,38 @@ MODEL_NOTE = (
     "finite Magnus-matrix model: lies in the solvable variety of length <= m "
     "but is not claimed to be relatively free in it"
 )
+
+
+_RUN_MEMOS: list = []
+
+
+def run_memo(func):
+    """Memoize `func` on its most recent arguments only.
+
+    The instances of one CLI run may repeat an input: one corpus scanned
+    at several m, one probe prefix read at several (i, n).  A run memo
+    keeps one value, and a call with new arguments drops the old value
+    before computing the new one, so a run never holds more than one
+    instance would.  `clear_run_memos` empties every run memo; `cli.main`
+    calls it when a run starts and when it ends.
+    """
+    slot: dict = {}
+
+    @functools.wraps(func)
+    def memo(*args):
+        if args not in slot:
+            slot.clear()
+            slot[args] = func(*args)
+        return slot[args]
+
+    _RUN_MEMOS.append(slot)
+    return memo
+
+
+def clear_run_memos() -> None:
+    """Forget every value a `run_memo` holds."""
+    for slot in _RUN_MEMOS:
+        slot.clear()
 
 
 def _is_prime_power(e: int) -> bool:
@@ -425,16 +462,26 @@ class CappedCentralizerReport:
 
 
 def _capped_prefix(r: int, e: int, m: int, cap: int):
-    """The packed law of W(r, e, m) and its first `cap` BFS elements.
+    """The packed law of W(r, e, m), its first `cap` BFS elements, and
+    whether they are all of W.
 
-    Returns (law, (elements, index, gen_table, complete)), the second part
-    as `_bfs` gives it (gen_table flat, holding only finished rows); the BFS
-    runs from the identity 0 over `law.generators`, so element k is the one
-    `closure` would list at k.
+    Returns (law, elements, complete), elements a tuple; the BFS runs from
+    the identity 0 over `law.generators`, so element k is the one `closure`
+    would list at k.  The size refusal runs on every call, before the
+    prefix is looked up: the prefix is a run memo (`_bfs_prefix`), built
+    once for the probe instances of a run that share (r, e, m, cap).
     """
     _predicted_orders(r, e, m)  # refuses an oversized law before any closure
+    return _bfs_prefix(r, e, m, cap)
+
+
+@run_memo
+def _bfs_prefix(r: int, e: int, m: int, cap: int):
+    # kept between instances, so it holds only what the probe reads: not
+    # the BFS's index dict or its Cayley rows
     law = _PackedMagnusLaw(_context_above(r, e, build_solv_model(r, e, m - 1).group))
-    return law, _bfs(law.generators, 0, law, cap)
+    elements, _, _, complete = _bfs(law.generators, 0, law, cap)
+    return law, tuple(elements), complete
 
 
 def _prefix_power_products(law, elements, i: int, n: int):
@@ -500,7 +547,7 @@ def centralizer_probe_capped(
         )
     if cap < 2:
         raise PreconditionViolated("cap too small to enumerate anything")
-    law, (elements, _, _, complete) = _capped_prefix(r, e, m, cap)
+    law, elements, complete = _capped_prefix(r, e, m, cap)
     ctx = law.ctx
     prev = ctx.group
     right, left = _prefix_power_products(law, elements, i, n)
@@ -659,31 +706,58 @@ class CenterScanEntry:
     ab_faithful: tuple  # ((order of normal subgroup N, faithful?), ...)
 
 
+class ScanProfile:
+    """The part of a group's center-freeness scan that no m changes.
+
+    Z(G), the derived series and the normal-subgroup lattice are computed
+    when the profile is made; the verdict of whether G/N acts faithfully
+    on N^ab is decided for the k-th normal N the first time some m asks
+    for it (`faithful`).
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.group = G
+        self.center = center(G)
+        self.series = derived_series(G)
+        self.normals = normal_subgroups(G)
+        self._faithful: dict = {}
+
+    def faithful(self, k: int) -> bool:
+        if k not in self._faithful:
+            self._faithful[k] = conj_action_faithful(self.group, self.normals[k])[0]
+        return self._faithful[k]
+
+
 def centerfree_scan(corpus: Sequence, m: int) -> list:
     """Center-freeness of G versus its maximal m-step solvable quotient.
 
-    Corpus entries are (label, FiniteGroup) pairs.  For each group the scan
-    records Z(G), Z(G^(m)), whether Z(G^(m)) lies in the image of the
-    (m-1)-st derived subgroup, and conjugation-faithfulness on N^ab for
-    every normal N containing that derived subgroup.  A group is flagged
-    when it is center-free but its quotient is not.
+    Corpus entries are (label, group) pairs, the group a FiniteGroup or
+    its `ScanProfile`.  For each group the scan records Z(G), Z(G^(m)),
+    whether Z(G^(m)) lies in the image of the (m-1)-st derived subgroup,
+    and conjugation-faithfulness on N^ab for every normal N containing
+    that derived subgroup.  A group is flagged when it is center-free but
+    its quotient is not.
+
+    Only the quotient G/G^(m), its center and the derived-image test
+    depend on m; the rest is read from the profile, which a FiniteGroup
+    gets for this call alone.  The CLI passes profiles, so a run that
+    scans one corpus at several m builds each lattice once.
     """
     out = []
     for label, G in corpus:
-        Z = center(G)
-        series = derived_series(G)
+        profile = G if isinstance(G, ScanProfile) else ScanProfile(G)
+        G, Z, series = profile.group, profile.center, profile.series
         last = len(series) - 1
         Q, proj = quotient_by(G, series[min(m, last)])
         ZQ = center(Q)
         upper = series[min(max(m - 1, 0), last)]
         upper_image = {proj(i) for i in upper.indices}
         center_in = all(q in upper_image for q in ZQ.indices)
-        faith = []
-        for N in normal_subgroups(G):
-            if not set(upper.indices) <= N.element_set:
-                continue
-            ok, _ = conj_action_faithful(G, N)
-            faith.append((N.order, ok))
+        faith = [
+            (N.order, profile.faithful(k))
+            for k, N in enumerate(profile.normals)
+            if upper.element_set <= N.element_set
+        ]
         out.append(
             CenterScanEntry(
                 label=label,

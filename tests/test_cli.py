@@ -404,6 +404,9 @@ def test_internal_error_exits_3(monkeypatch, capsys):
         # a tower needs a permutation base; matrix groups are refused
         (["kernel-projection", "--modulus", "3", "--levels", "1,2", "--base-group", "builtin Q8"], None),
         (["kernel-projection", "--modulus", "3", "--levels", "1,2", "--base-group", "mat 5 : [[2,0],[0,3]]"], None),
+        # a groups value that names no group is not the default corpus
+        (["centerfree-scan", "--m", "1", "--groups", ";"], None),
+        (["centerfree-scan"], {"instances": [{"m": 2}, {"groups": " ; "}]}),
     ],
 )
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
@@ -887,6 +890,54 @@ def test_centerfree_scan_cli(capsys):
     rows = e["report"]["entries"]
     flagged = [r["group"] for r in rows if r["flagged"]]
     assert flagged == ["builtin paper_counterexample"]
+    # an empty groups value keeps the default corpus
+    (empty,) = run_ok(["centerfree-scan", "--groups", ""], capsys)
+    assert empty["report"] == e["report"]
+
+
+@pytest.mark.parametrize(
+    "argv, instances",
+    [
+        (
+            ["centerfree-scan"],
+            [
+                {"groups": "builtin S_4;builtin paper_counterexample", "m": 1},
+                {"groups": "builtin D_8;builtin S_3", "m": 2},
+                {"groups": "builtin S_4;builtin paper_counterexample", "m": 3},
+            ],
+        ),
+        (
+            ["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "3"],
+            [{"cap": 300, "i": 1, "n": 1}, {"cap": 400, "i": 2, "n": 3}, {"cap": 300, "i": 2, "n": 1}],
+        ),
+    ],
+)
+def test_instances_that_alternate_inputs_match_single_runs(argv, instances, tmp_path, capsys):
+    # the run memos hold one corpus and one prefix, so A, B, A misses them
+    # every time; each instance still reports what a run of its own does
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"instances": instances}))
+    batched = run_ok([*argv, "--config", str(path)], capsys)
+    assert len(batched) == len(instances)
+    for got, inst in zip(batched, instances):
+        flags = [a for k, v in inst.items() for a in (f"--{k}", str(v))]
+        (alone,) = run_ok([*argv, *flags], capsys)
+        for key in ("params", "report", "passed"):
+            assert got[key] == alone[key], (inst, key)
+
+
+def test_no_run_memo_outlives_main(monkeypatch, capsys):
+    argv = ["centerfree-scan", "--groups", "builtin S_4", "--m", "2"]
+    (first,) = run_ok(argv, capsys)
+    assert not any(models._RUN_MEMOS)
+    run_ok(["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "3", "--cap", "300"], capsys)
+    assert not any(models._RUN_MEMOS)
+    # the lattice is read only when a group's profile is built: a second
+    # run that reused the first run's profile would not see this one
+    monkeypatch.setattr(models, "normal_subgroups", lambda G: [G.full_subgroup()])
+    (second,) = run_ok(argv, capsys)
+    assert second["report"]["entries"][0]["ab_faithful"] == [[24, True]]
+    assert second["report"] != first["report"]
 
 
 # ------------------------------------------ normal subgroups and N^ab

@@ -356,7 +356,7 @@ def test_w223_probe_prefix_is_frozen():
     # sha256 over repr((q, vec)) of the probe's first 2000 elements of
     # W(2, 2, 3), taken from the MagnusMatrix BFS before the probe enumerated
     # packed ints: index k is unchanged
-    law, (elements, _, _, complete) = models._capped_prefix(2, 2, 3, 2000)
+    law, elements, complete = models._capped_prefix(2, 2, 3, 2000)
     assert len(elements) == 2000 and not complete
     h = hashlib.sha256()
     for x in elements:
@@ -379,7 +379,7 @@ def test_probe_products_match_honest_products(e, m, cap, i, n):
     # those products; at caps 1501 and 2001 the last element is a child of
     # the BFS row that the cap cut short, and at caps 128 and 500 the
     # prefix is all of W(2, 2, 2)
-    law, (elements, _, _, _) = models._capped_prefix(2, e, m, cap)
+    law, elements, _ = models._capped_prefix(2, e, m, cap)
     right, left = models._prefix_power_products(law, elements, i, n)
     mu_n = magnus_power(law, i, n)
     d = law.ctx.ring.dimension
