@@ -728,11 +728,12 @@ def _left_cosets(G: FiniteGroup, K: Subgroup, over: Optional[Iterable[int]] = No
     return cls
 
 
-def quotient_by(G: FiniteGroup, N: Subgroup):
+def _coset_quotient(G: FiniteGroup, N: Subgroup):
     """G/N for normal N, as a FiniteGroup of canonical coset representatives.
 
     Returns:
-        (Q, proj) with proj the projection Homomorphism G -> Q.
+        (Q, rep_map) with rep_map[i] the index in G of element i's coset
+        representative; Q's elements are those representatives' objects.
     """
     if not N.is_normal:
         raise NotNormal("quotient requires a normal subgroup")
@@ -744,6 +745,16 @@ def quotient_by(G: FiniteGroup, N: Subgroup):
         if e is not G.elements[0]:
             q_gens.append(e)
     Q = closure(q_gens, cap=G.order + 1, identity=G.elements[0], law=law)
+    return Q, rep_map
+
+
+def quotient_by(G: FiniteGroup, N: Subgroup):
+    """G/N for normal N, as a FiniteGroup of canonical coset representatives.
+
+    Returns:
+        (Q, proj) with proj the projection Homomorphism G -> Q.
+    """
+    Q, rep_map = _coset_quotient(G, N)
     proj = Homomorphism.build(G, Q, tuple(Q.index[G.elements[rep_map[i]]] for i in range(G.order)))
     return Q, proj
 
@@ -938,7 +949,8 @@ def conj_action_faithful(H: FiniteGroup, N: Subgroup):
     Decided inside H, on the left cosets of N' = derived_subgroup(H, N)
     within N, which are the classes of N^ab: conjugation by h induces an
     automorphism of N^ab, so h acts trivially iff it keeps each generator
-    of N in its class.  No copy of N or of N^ab is built.
+    of N in its class.  No copy of N or of N^ab is built, and H/N is
+    built without its projection.
 
     Returns:
         (faithful, kernel) with kernel a Subgroup of the quotient H/N.
@@ -946,7 +958,7 @@ def conj_action_faithful(H: FiniteGroup, N: Subgroup):
     if not N.is_normal:
         raise NotNormal("conjugation action needs a normal subgroup")
     cls = _left_cosets(H, derived_subgroup(H, N), N.indices)
-    Q, _ = quotient_by(H, N)
+    Q, _ = _coset_quotient(H, N)
 
     def acts_trivially(h: int) -> bool:
         return all(cls[H.conj(n, h)] == cls[n] for n in N.gen_indices)

@@ -34,9 +34,11 @@ group arithmetic from the Cayley graph alone and never touches the kernel
 of f it is checked against.
 
 The capped probe enumerates its BFS prefix of W_m as packed ints in the
-same way.  Products with x^n may leave the prefix, so they stay packed
-values: el_k x^n by n generator steps, and x^n el_k as element k of the
-same BFS started at x^n; an element commutes iff the two ints are equal.
+same way, and keeps the BFS tree edge into each element.  Products with
+x^n may leave the prefix, so they stay packed values: el_k x^n by the n
+generator steps folded into one step per quotient index, and x^n el_k by
+one generator step along the tree from x^n; an element commutes iff the
+two ints are equal.
 The linear prediction decides its q-part once over Q, as the set of q
 commuting with x^n one level down, and reads the vector condition off the
 packed int digit by digit, stopping at the first slot that fails.
@@ -56,6 +58,8 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import List, Sequence
 
 from .errors import CapExceeded, PreconditionViolated, VerdictFailed
@@ -295,13 +299,19 @@ def _power_products(W: FiniteGroup, i: int, n: int):
     a and b = a x^n in lockstep: two array reads per element whatever n
     is.  Composing a list copy of the column n - 1 times is faster for
     small n, but its boxed entries add 20-24 MB to the peak RSS of a
-    W(2,3,2) run (BENCH_11.json).
+    W(2,3,2) run (BENCH_11.json).  n is first reduced mod the order of x,
+    the length of the column's cycle through 0, so each cycle's first b
+    costs fewer than ord(x) steps however large n is.
     """
     table = W.gen_table
     ng = len(W.generators)
     col = table[i - 1 :: ng]
+    order, b = 1, col[0]
+    while b != 0:
+        order, b = order + 1, col[b]
+    n %= order
     R = col
-    if n > 1:
+    if n != 1:
         R = array("i", [-1]) * W.order
         for start in range(W.order):
             if R[start] < 0:
@@ -462,14 +472,17 @@ class CappedCentralizerReport:
 
 
 def _capped_prefix(r: int, e: int, m: int, cap: int):
-    """The packed law of W(r, e, m), its first `cap` BFS elements, and
-    whether they are all of W.
+    """The packed law of W(r, e, m), its first `cap` BFS elements, the BFS
+    tree that reached them, and whether they are all of W.
 
-    Returns (law, elements, complete), elements a tuple; the BFS runs from
-    the identity 0 over `law.generators`, so element k is the one `closure`
-    would list at k.  The size refusal runs on every call, before the
-    prefix is looked up: the prefix is a run memo (`_bfs_prefix`), built
-    once for the probe instances of a run that share (r, e, m, cap).
+    Returns (law, elements, edges, complete), elements a tuple; the BFS
+    runs from the identity 0 over `law.generators`, so element k is the one
+    `closure` would list at k.  edges[k - 1] is the Cayley-table position
+    row * ngens + g of the edge that first reached element k >= 1: element
+    k is element `row` times generator g + 1.  The size refusal runs on
+    every call, before the prefix is looked up: the prefix is a run memo
+    (`_bfs_prefix`), built once for the probe instances of a run that share
+    (r, e, m, cap).
     """
     _predicted_orders(r, e, m)  # refuses an oversized law before any closure
     return _bfs_prefix(r, e, m, cap)
@@ -478,33 +491,97 @@ def _capped_prefix(r: int, e: int, m: int, cap: int):
 @run_memo
 def _bfs_prefix(r: int, e: int, m: int, cap: int):
     # kept between instances, so it holds only what the probe reads: not
-    # the BFS's index dict or its Cayley rows
+    # the BFS's index dict or its Cayley rows, only one tree edge per element
     law = _PackedMagnusLaw(_context_above(r, e, build_solv_model(r, e, m - 1).group))
-    elements, _, _, complete = _bfs(law.generators, 0, law, cap)
-    return law, tuple(elements), complete
+    elements, _, table, complete = _bfs(law.generators, 0, law, cap)
+    return law, tuple(elements), _tree_edges(law, elements, table), complete
 
 
-def _prefix_power_products(law, elements, i: int, n: int):
-    """(right, left) with right[k], left[k] = el_k x_i^n and x_i^n el_k.
+def _tree_edges(law, elements, table) -> array:
+    """The table position of the BFS-tree edge into each element k >= 1.
 
-    Both are packed ints, possibly outside the prefix.  right[k] takes n
-    generator steps from el_k, each the step `_bfs` runs inline: column
-    i-1 of `law.step_rows` gives (delta, e*w, (e-1)*w) for a's quotient
-    index, and the product is a + delta, less e*w when the digit wraps.
-    Left multiplication by x^n is injective and commutes with right
-    products, so the BFS from x^n, cut at the prefix's size, lists x^n el_k
-    at position k.
+    `_bfs` appends each child at its first edge, so walking `table` in
+    order, the first position holding k is k's tree edge.  The row the cap
+    cut short is trimmed from `table`; its children are recovered by
+    stepping that one row again.
+    """
+    ng = len(law.generators)
+    edges = array("i")
+    k = 1
+    for pos, child in enumerate(table):
+        if child == k:
+            edges.append(pos)
+            k += 1
+    row = len(table) // ng
+    if k < len(elements):
+        a = elements[row]
+        for g, (delta, ew, top) in enumerate(law.step_rows[a % law.base]):
+            p = a + delta - ew if a % ew >= top else a + delta
+            if k < len(elements) and elements[k] == p:
+                edges.append(row * ng + g)
+                k += 1
+    return edges
+
+
+def _folded_steps(law, i: int, n: int) -> list:
+    """n right steps by x_i folded into one step per quotient index q.
+
+    From [[q, v]], n steps along column i-1 of `law.step_rows` move q to
+    q x^n one level down and add 1 to the digit of slot (i-1)*d + q x^j,
+    x^j also taken one level down, for each j < n.  Entry q is (shift,
+    wraps): a x_i^n is a + shift, less e*w for each (e*w, (e-c)*w) in
+    wraps with a % (e*w) >= (e-c)*w, where c is the slot's hit count mod e
+    (a slot hit a multiple of e times drops out).
     """
     col = [row[i - 1] for row in law.step_rows]
+    e = law.e
+    folded = []
+    for q in range(law.base):
+        hits: dict = {}
+        p = q
+        for _ in range(n):
+            delta, ew, _top = col[p]
+            w = ew // e
+            hits[w] = hits.get(w, 0) + 1
+            p += delta - w
+        shift = p - q
+        wraps = []
+        for w, c in hits.items():
+            c %= e
+            if c:
+                shift += c * w
+                wraps.append((e * w, (e - c) * w))
+        folded.append((shift, tuple(wraps)))
+    return folded
+
+
+def _prefix_power_products(law, elements, edges, i: int, n: int):
+    """(right, left) with right[k], left[k] = el_k x_i^n and x_i^n el_k.
+
+    Both are packed ints, possibly outside the prefix, taken by generator
+    steps of `law.step_rows` alone.  right[k] is one folded step from el_k
+    (`_folded_steps`).  Left multiplication by x^n commutes with right
+    products, so left[k] = left[row] g along the prefix's BFS-tree edge
+    into element k, starting from left[0] = x^n.
+    """
     base = law.base
-    right = elements
-    for _ in range(n):
-        right = [
-            a + delta - ew if a % ew >= top else a + delta
-            for a in right
-            for delta, ew, top in (col[a % base],)
-        ]
-    return right, _bfs(law.generators, right[0], law, len(elements))[0]
+    folded = _folded_steps(law, i, n)
+    right = []
+    for a in elements:
+        shift, wraps = folded[a % base]
+        b = a + shift
+        for ew, top in wraps:
+            if a % ew >= top:
+                b -= ew
+        right.append(b)
+    rows = law.step_rows
+    ng = len(law.generators)
+    left = [right[0]]
+    for pos in edges:
+        a = left[pos // ng]
+        delta, ew, top = rows[a % base][pos % ng]
+        left.append(a + delta - ew if a % ew >= top else a + delta)
+    return right, left
 
 
 def centralizer_probe_capped(
@@ -521,8 +598,13 @@ def centralizer_probe_capped(
     cofactor need not itself lie in the prefix).  `complete` is True when
     the prefix is the whole group.
 
-    The prefix is packed ints (`_capped_prefix`), and whether an element
-    commutes is decided by generator steps alone (`_prefix_power_products`).
+    The prefix is packed ints with its BFS tree (`_capped_prefix`), and
+    whether an element commutes is decided by generator steps alone
+    (`_prefix_power_products`): el x^n by one folded step per quotient
+    index, x^n el along the tree.  x^o = [[1, v]] for o the order of x
+    one level down, so x^(o e) = 1 and both the products and mu(x_i)^n are
+    taken at n mod o e; the report echoes n.
+
     The linear prediction decides its q-part once, as the set of q that
     commute with x^n one level down.  That set is a filter, not a second
     condition: Fox's formula gives f(v) = q - 1 for [[q, v]] in W, and
@@ -547,65 +629,63 @@ def centralizer_probe_capped(
         )
     if cap < 2:
         raise PreconditionViolated("cap too small to enumerate anything")
-    law, elements, complete = _capped_prefix(r, e, m, cap)
+    law, elements, edges, complete = _capped_prefix(r, e, m, cap)
     ctx = law.ctx
     prev = ctx.group
-    right, left = _prefix_power_products(law, elements, i, n)
-
+    base = law.base
     mu = MagnusMatrix.generator(ctx, i)
+
+    # powers of the one-level-down image of x_i, for the decomposition;
+    # there are o of them, o its order
+    hat_powers = {0: 0}
+    g = prev.mul(0, mu.q)
+    while g != 0:
+        hat_powers[g] = len(hat_powers)
+        g = prev.mul(g, mu.q)
+    n_top = n % (len(hat_powers) * e)  # not 0: e divides o e but not n
+
+    right, left = _prefix_power_products(law, elements, edges, i, n_top)
     mu_inv = mu.inverse()
     mu_n = MagnusMatrix.identity(ctx)
-    for _ in range(n):
+    for _ in range(n_top):
         mu_n = mu_n * mu
     xn_hat = mu_n.q
 
     # linear prediction, decided once over Q: for each q that commutes with
-    # x^n one level down, slot k pairs the weights of digits src[k] and k
-    # with entry k of (q - 1) w_n
+    # x^n one level down, entry k of rhs_of[q] is entry k of (q - 1) w_n,
+    # and slot k pairs the weights of digits src[k] and k
     w_n = mu_n.vec
     weight = law.weight
     slots = [(weight[s], weight[k]) for k, s in enumerate(_left_sources(ctx, xn_hat))]
     rhs_of = {
-        q: tuple(zip(slots, [(w_n[s] - c) % e for s, c in zip(_left_sources(ctx, q), w_n)]))
+        q: tuple([(w_n[s] - c) % e for s, c in zip(_left_sources(ctx, q), w_n)])
         for q in range(prev.order)
         if prev.mul(q, xn_hat) == prev.mul(xn_hat, q)
     }
+    # the elements whose q is in rhs_of, filtered by (x^n - 1) v = (q - 1) w_n
+    # one slot at a time: an element is dropped at its first failing slot
+    predicted = [a for a in elements if a % base in rhs_of]
+    for k, (ws, w) in enumerate(slots):
+        if not predicted:
+            break
+        predicted = [a for a in predicted if (a // ws - a // w) % e == rhs_of[a % base][k]]
 
-    # powers of the one-level-down image of x_i, for the decomposition
-    hat_powers = {0: 0}
-    g, t = prev.mul(0, mu.q), 1
-    while g != 0:
-        hat_powers.setdefault(g, t)
-        g = prev.mul(g, mu.q)
-        t += 1
-
-    oracle_ok = True
+    # brute side: the elements whose two products agree
+    cz = list(compress(elements, map(eq, right, left)))
     decomposition_ok = True
-    cz_seen = module_seen = kcap_seen = 0
-    for k, a in enumerate(elements):
-        commutes = right[k] == left[k]
-        q = law.q(a)
-        # linear prediction: q commutes with x^n one level down, and
-        # (x^n - 1) v = (q - 1) w_n holds slot by slot, up to the first miss
-        rhs = rhs_of.get(q)
-        lin = rhs is not None and all((a // ws - a // w) % e == c for (ws, w), c in rhs)
-        if commutes != lin:
-            oracle_ok = False
-        if q == 0:
-            module_seen += 1
-            if commutes:
-                kcap_seen += 1
-        if commutes:
-            cz_seen += 1
-            t = hat_powers.get(q)
-            if t is None:
+    kcap_seen = 0
+    for a in cz:
+        q = a % base
+        kcap_seen += q == 0
+        t = hat_powers.get(q)
+        if t is None:
+            decomposition_ok = False
+        else:
+            factor = law.decode(a)
+            for _ in range(t):
+                factor = mu_inv * factor
+            if factor.q != 0 or (factor * mu_n) != (mu_n * factor):
                 decomposition_ok = False
-            else:
-                factor = law.decode(a)
-                for _ in range(t):
-                    factor = mu_inv * factor
-                if factor.q != 0 or (factor * mu_n) != (mu_n * factor):
-                    decomposition_ok = False
     return CappedCentralizerReport(
         rank=r,
         exponent=e,
@@ -615,10 +695,10 @@ def centralizer_probe_capped(
         cap=cap,
         enumerated=len(elements),
         complete=complete,
-        centralizer_seen=cz_seen,
-        module_seen=module_seen,
+        centralizer_seen=len(cz),
+        module_seen=[a % base for a in elements].count(0),
         k_cap_seen=kcap_seen,
-        oracle_equal_pointwise=oracle_ok,
+        oracle_equal_pointwise=predicted == cz,
         decomposition_holds_pointwise=decomposition_ok,
     )
 
@@ -710,9 +790,11 @@ class ScanProfile:
     """The part of a group's center-freeness scan that no m changes.
 
     Z(G), the derived series and the normal-subgroup lattice are computed
-    when the profile is made; the verdict of whether G/N acts faithfully
-    on N^ab is decided for the k-th normal N the first time some m asks
-    for it (`faithful`).
+    when the profile is made.  The verdict of whether G/N acts faithfully
+    on N^ab is decided for the k-th normal N, and the quotient by the k-th
+    derived term is taken with its projection and center, the first time
+    some m asks for it (`faithful`, `quotient`): every m past the derived
+    length reads the same term.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -721,11 +803,19 @@ class ScanProfile:
         self.series = derived_series(G)
         self.normals = normal_subgroups(G)
         self._faithful: dict = {}
+        self._quotients: dict = {}
 
     def faithful(self, k: int) -> bool:
         if k not in self._faithful:
             self._faithful[k] = conj_action_faithful(self.group, self.normals[k])[0]
         return self._faithful[k]
+
+    def quotient(self, k: int):
+        """(Q, proj, Z(Q)) for Q = G / series[k]."""
+        if k not in self._quotients:
+            Q, proj = quotient_by(self.group, self.series[k])
+            self._quotients[k] = Q, proj, center(Q)
+        return self._quotients[k]
 
 
 def centerfree_scan(corpus: Sequence, m: int) -> list:
@@ -738,18 +828,19 @@ def centerfree_scan(corpus: Sequence, m: int) -> list:
     that derived subgroup.  A group is flagged when it is center-free but
     its quotient is not.
 
-    Only the quotient G/G^(m), its center and the derived-image test
-    depend on m; the rest is read from the profile, which a FiniteGroup
-    gets for this call alone.  The CLI passes profiles, so a run that
-    scans one corpus at several m builds each lattice once.
+    Everything but the derived-image test is read from the profile, which
+    a FiniteGroup gets for this call alone: the quotient G/G^(m) and its
+    center are taken once per derived term, so every m at or past the
+    derived length reads the same one.  The CLI passes profiles, so a run
+    that scans one corpus at several m builds each lattice and each
+    quotient once.
     """
     out = []
     for label, G in corpus:
         profile = G if isinstance(G, ScanProfile) else ScanProfile(G)
         G, Z, series = profile.group, profile.center, profile.series
         last = len(series) - 1
-        Q, proj = quotient_by(G, series[min(m, last)])
-        ZQ = center(Q)
+        Q, proj, ZQ = profile.quotient(min(m, last))
         upper = series[min(max(m - 1, 0), last)]
         upper_image = {proj(i) for i in upper.indices}
         center_in = all(q in upper_image for q in ZQ.indices)

@@ -228,19 +228,23 @@ def test_run_experiment_packages_verdict_failed_as_failure(monkeypatch):
     assert res["report"]["witness"] == "witness text"
 
 
-OPTIMIZED_MODE_FLAGS = {
-    "centralizer": ["--r", "2", "--e", "2", "--m", "2"],
-    "solv-model": ["--r", "2", "--e", "2", "--m", "2"],
-    "counterexample": [],
-    "magnus": ["--group", "builtin S_3", "--images", "g1,g2", "--word", "x1*x2^-1*x1"],
+OPTIMIZED_MODE_ARGV = {
+    "centralizer": ["centralizer", "--r", "2", "--e", "2", "--m", "2"],
+    "centralizer-capped": ["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "3"]
+    + ["--cap", "1500"],
+    "solv-model": ["solv-model", "--r", "2", "--e", "2", "--m", "2"],
+    "counterexample": ["counterexample"],
+    "magnus": ["magnus", "--group", "builtin S_3", "--images", "g1,g2"]
+    + ["--word", "x1*x2^-1*x1"],
+    "centerfree-scan": ["centerfree-scan"],
 }
 
 
-@pytest.mark.parametrize("experiment", list(OPTIMIZED_MODE_FLAGS))
-def test_verdicts_survive_optimized_mode(experiment):
+@pytest.mark.parametrize("case", list(OPTIMIZED_MODE_ARGV))
+def test_verdicts_survive_optimized_mode(case):
     # python -O strips asserts; the reports must not depend on them
     env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
-    argv = ["-m", "msolv.cli", experiment, *OPTIMIZED_MODE_FLAGS[experiment]]
+    argv = ["-m", "msolv.cli", *OPTIMIZED_MODE_ARGV[case]]
     runs = [
         subprocess.run(
             [sys.executable, *flags, *argv], capture_output=True, env=env, timeout=120
@@ -377,6 +381,30 @@ def test_broken_prediction_fails_the_probe(monkeypatch, capsys):
     assert rc == 1
     assert doc["experiments"][0]["passed"] is False
     assert doc["experiments"][0]["report"]["oracle_equal_pointwise"] is False
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--capped", "--r", "2", "--e", "2", "--m", "3", "--cap", "1500"],
+        ["--r", "2", "--e", "2", "--m", "2"],
+    ],
+    ids=["capped", "full"],
+)
+def test_huge_n_costs_what_its_residue_costs(flags, capsys):
+    # x_1^8 = 1 in W(2, 2, 3) (x_1 has order 4 one level below) and
+    # x_1^4 = 1 in W(2, 2, 2); n = 10^9 + 3 is 3 mod 8, so both runs must
+    # report what n = 3 reports apart from n, without 10^9 steps
+    reports = []
+    for n in (10**9 + 3, 3):
+        start = time.perf_counter()
+        assert main(["centralizer", *flags, "--i", "1", "--n", str(n)]) == 0
+        assert time.perf_counter() - start < 2
+        (e,) = json.loads(capsys.readouterr().out)["experiments"]
+        reports.append(e["report"])
+    huge, small = reports
+    assert huge.pop("n") == 10**9 + 3 and small.pop("n") == 3
+    assert huge == small
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

@@ -356,7 +356,7 @@ def test_w223_probe_prefix_is_frozen():
     # sha256 over repr((q, vec)) of the probe's first 2000 elements of
     # W(2, 2, 3), taken from the MagnusMatrix BFS before the probe enumerated
     # packed ints: index k is unchanged
-    law, elements, complete = models._capped_prefix(2, 2, 3, 2000)
+    law, elements, _, complete = models._capped_prefix(2, 2, 3, 2000)
     assert len(elements) == 2000 and not complete
     h = hashlib.sha256()
     for x in elements:
@@ -371,16 +371,19 @@ def test_w223_probe_prefix_is_frozen():
     "e, m, cap, i, n",
     [(2, 3, 1500, i, n) for i in (1, 2) for n in (1, 3)]
     + [(2, 3, 1501, 2, 3), (3, 2, 2000, 1, 2), (3, 2, 2001, 2, 1)]
-    + [(2, 2, 128, 1, 3), (2, 2, 500, 2, 1), (2, 3, 1500, 1, 7)],
+    + [(2, 2, 128, 1, 3), (2, 2, 500, 2, 1), (2, 3, 1500, 1, 7)]
+    + [(3, 2, 2001, 1, 4), (2, 3, 1501, 2, 9)],
 )
 def test_probe_products_match_honest_products(e, m, cap, i, n):
     # the probe's packed el x^n and x^n el against MagnusMatrix products,
     # element by element, and its counts against commutation decided by
     # those products; at caps 1501 and 2001 the last element is a child of
     # the BFS row that the cap cut short, and at caps 128 and 500 the
-    # prefix is all of W(2, 2, 2)
-    law, elements, _ = models._capped_prefix(2, e, m, cap)
-    right, left = models._prefix_power_products(law, elements, i, n)
+    # prefix is all of W(2, 2, 2).  x_1 has order 3 one level below
+    # W(2, 3, 2), so n = 4 bumps one slot twice; x_2 has order 4 below
+    # W(2, 2, 3), so n = 9 passes o e = 8
+    law, elements, edges, _ = models._capped_prefix(2, e, m, cap)
+    right, left = models._prefix_power_products(law, elements, edges, i, n)
     mu_n = magnus_power(law, i, n)
     d = law.ctx.ring.dimension
     cz = module = kcap = 0
@@ -404,6 +407,40 @@ def test_probe_products_match_honest_products(e, m, cap, i, n):
         kcap,
     )
     assert rep.oracle_equal_pointwise and rep.decomposition_holds_pointwise
+
+
+@pytest.mark.parametrize("e, m, cap", [(2, 2, 128), (2, 3, 1500), (2, 3, 1501), (3, 2, 2001)])
+def test_prefix_tree_walk_reproduces_the_prefix(e, m, cap):
+    # from the identity, one MagnusMatrix generator product along each tree
+    # edge gives element k; the edges are the first ones into each element,
+    # so their table positions rise, and each starts at an earlier element
+    law, elements, edges, _ = models._capped_prefix(2, e, m, cap)
+    ng = len(law.generators)
+    assert len(edges) == len(elements) - 1
+    assert all(a < b for a, b in zip(edges, edges[1:]))
+    walked = [0]
+    for k, pos in enumerate(edges, 1):
+        row, g = divmod(pos, ng)
+        assert row < k
+        step = law.decode(walked[row]) * MagnusMatrix.generator(law.ctx, g + 1)
+        walked.append(law.encode(step))
+    assert walked == list(elements)
+
+
+def test_probe_products_read_no_linear_side(monkeypatch):
+    # the brute side is generator steps alone: with every piece of the
+    # linear prediction and of the K_cap oracle made to raise, the products
+    # still come out, equal to those taken without the patches
+    law, elements, edges, _ = models._capped_prefix(2, 2, 3, 1501)
+    expected = models._prefix_power_products(law, elements, edges, 2, 9)
+
+    def linear_side(*args, **kwargs):
+        raise AssertionError("the products read the linear side")
+
+    for name in ("_left_sources", "kernel_basis", "howell_form", "_k_cap"):
+        monkeypatch.setattr(models, name, linear_side)
+    monkeypatch.setattr(QuotientContext, "left_mult_perm", linear_side)
+    assert models._prefix_power_products(law, elements, edges, 2, 9) == expected
 
 
 def test_capped_probe_complete_on_small_model():

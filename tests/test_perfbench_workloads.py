@@ -72,9 +72,32 @@ def test_corpus_scan_builds_each_lattice_once(tmp_path, capsys, monkeypatch):
     assert counts == {"normal_subgroups": 10, "normal_closure": 96}
 
 
+def test_corpus_scan_takes_each_quotient_once(tmp_path, capsys, monkeypatch):
+    # 30 group scans at m = 1, 2, 3 read 20 distinct derived terms, one
+    # quotient with a projection each; the faithfulness verdicts take their
+    # quotients without one, so the only other Homomorphism.build is the
+    # one `semidirect_product` makes from its action's generator images
+    counts = {"quotient_by": 0, "build": 0}
+    true_quotient, true_build = fingroup.quotient_by, fingroup.Homomorphism.build
+
+    def quotient_by(G, N):
+        counts["quotient_by"] += 1
+        return true_quotient(G, N)
+
+    def build(source, target, images):
+        counts["build"] += 1
+        return true_build(source, target, images)
+
+    for mod in (fingroup, models):
+        monkeypatch.setattr(mod, "quotient_by", quotient_by)
+    monkeypatch.setattr(fingroup.Homomorphism, "build", staticmethod(build))
+    _run_seed0("corpus-scan", tmp_path, capsys)
+    assert counts == {"quotient_by": 20, "build": 21}
+
+
 def test_probe_sweep_enumerates_its_prefix_once(tmp_path, capsys, monkeypatch):
-    # four probes of W(2, 2, 3) at cap 20000: one prefix BFS, then one BFS
-    # from x^n per instance
+    # four probes of W(2, 2, 3) at cap 20000: one prefix BFS, and no BFS
+    # from x^n, whose products are taken along the prefix's tree
     starts = []
     true_bfs = models._bfs
 
@@ -84,5 +107,4 @@ def test_probe_sweep_enumerates_its_prefix_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(models, "_bfs", bfs)
     _run_seed0("probe-sweep", tmp_path, capsys)
-    assert len(starts) == 5
-    assert starts[0] == 0 and all(s != 0 for s in starts[1:])
+    assert starts == [0]
