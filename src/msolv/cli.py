@@ -86,6 +86,7 @@ from .models import (
     centerfree_scan,
     centralizer_experiment,
     centralizer_probe_capped,
+    check_centralizer_question,
     clear_run_memos,
     euler_char,
     kcap_tower,
@@ -630,6 +631,7 @@ def _exp_centralizer(p: dict, rng) -> Tuple[dict, bool]:
         rep = centralizer_probe_capped(r, e, m, p["cap"], i, n)
         report = {"mode": "capped", **asdict(rep)}
         return report, rep.oracle_equal_pointwise and rep.decomposition_holds_pointwise
+    check_centralizer_question(r, e, m, i, n)
     model = build_solv_model(r, e, m, cap=p["cap"])
     rep = centralizer_experiment(model, i, n)
     report = {"mode": "full", **asdict(rep)}

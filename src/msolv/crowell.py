@@ -16,6 +16,7 @@ relator rows when a presentation is supplied.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -118,10 +119,11 @@ class _PackedMagnusLaw:
     [[q, v]] is stored as q + |Q| * code with code = sum_k v[k] * e^k, so
     the vector part sits in base-e digits above the quotient index.  A right
     product by a generator [[q_i, e_i]] maps q to q * q_i and adds 1 to the
-    single digit (i-1)*d + q: one table lookup and one digit bump.  General
-    products and inverses work on the packed ints too, visiting only the
-    nonzero digits of the right operand.  `encode` / `decode` convert to and
-    from MagnusMatrix, which stays the single-element type for callers.
+    single digit (i-1)*d + q: one table lookup and one digit bump, which
+    `step_rows` tabulates for the callers that run it inline.  `mul` and
+    `inv` are the general product and inverse on packed ints, visiting only
+    the nonzero digits of the right operand.  `encode` / `decode` convert to
+    and from MagnusMatrix, which stays the single-element type for callers.
     """
 
     @staticmethod
@@ -143,19 +145,9 @@ class _PackedMagnusLaw:
         # weight[k]: the packed value of a 1 in digit k of the vector part
         self.weight = tuple(d * e**k for k in range(ctx.rank * d))
         self._weights_cache: dict = {}
-        # decode splits off k digits at a time, k as large as keeps the
-        # table of every k-digit chunk (low digit first) at 1024 entries
-        k = 1
-        while e ** (k + 1) <= 1024:
-            k += 1
-        self._chunk = e**k
-        self._chunk_digits = tuple(
-            tuple(c // e**j % e for j in range(k)) for c in range(e**k)
-        )
         self.generators = [
             self.encode(MagnusMatrix.generator(ctx, i)) for i in range(1, ctx.rank + 1)
         ]
-        self._gen_pos = {g: i for i, g in enumerate(self.generators)}
         # step_rows[q][i] = (delta, e*w, (e-1)*w): the right product of an
         # element with quotient index q by generator i+1.  w is the weight of
         # digit i*d + q, and delta = q*q_(i+1) - q + w bumps that digit; it
@@ -183,10 +175,20 @@ class _PackedMagnusLaw:
         """The quotient index q of a packed [[q, v]], without decoding v."""
         return x % self.base
 
+    @functools.cached_property
+    def _chunks(self) -> tuple:
+        # (e^k, the digits of every k-digit chunk, low digit first): decode
+        # splits off k digits at a time, k as large as keeps 1024 chunks
+        e = self.e
+        k = 1
+        while e ** (k + 1) <= 1024:
+            k += 1
+        return e**k, tuple(tuple(c // e**j % e for j in range(k)) for c in range(e**k))
+
     def decode(self, x: int) -> MagnusMatrix:
         code, q = divmod(x, self.base)
         size = len(self.weight)
-        chunk, digits = self._chunk, self._chunk_digits
+        chunk, digits = self._chunks
         vec = []
         while len(vec) < size:
             code, c = divmod(code, chunk)
@@ -204,12 +206,6 @@ class _PackedMagnusLaw:
         return t
 
     def mul(self, a: int, b: int) -> int:
-        i = self._gen_pos.get(b)
-        if i is not None:
-            delta, ew, top = self.step_rows[a % self.base][i]
-            if a % ew >= top:
-                return a + delta - ew
-            return a + delta
         e = self.e
         cb, qb = divmod(b, self.base)
         qa = a % self.base

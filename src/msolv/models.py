@@ -27,11 +27,11 @@ crowell), and `_context_above` is the one place a level's context is made.
 A right product by a generator is then a table lookup and one digit bump,
 which is what the BFS closure does per edge.  The brute side of the
 centralizer experiment reads the closure's Cayley table, the flat
-`gen_table` array: el_k x^n by n steps along generator column i-1 (the
-slice gen_table[i-1::ngens]), and x^n el_k along the BFS tree, since
-(x^n p) g = x^n (p g), in one pass over the table's flat positions.  It is
-group arithmetic from the Cayley graph alone and never touches the kernel
-of f it is checked against.
+`gen_table` array: el_k x^n along the cycles of generator column i-1 (the
+slice gen_table[i-1::ngens]), with n reduced mod the order of x, and x^n el_k
+along the BFS tree, since (x^n p) g = x^n (p g), in one pass over the
+table's flat positions.  It is group arithmetic from the Cayley graph alone
+and never touches the kernel of f it is checked against.
 
 The capped probe enumerates its BFS prefix of W_m as packed ints in the
 same way, and keeps the BFS tree edge into each element.  Products with
@@ -46,7 +46,9 @@ packed int digit by digit, stopping at the first slot that fails.
 `_left_sources` is the one encoding of q's left action on R^r, which
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
 entries v[src[k]] - v[k].  Level orders are predicted before any closure
-(`_predicted_orders`), so an oversized packed law is refused up front.
+(`_predicted_orders`), so an oversized packed law is refused up front, and
+`check_centralizer_question` is the one place that decides, before anything
+is built, whether a centralizer question is valid.
 
 Work that several instances of one CLI run share is done once per run:
 the probe's BFS prefix is a run memo (`run_memo`), and the corpus scan
@@ -287,6 +289,25 @@ class CentralizerReport:
     note: str = MODEL_NOTE
 
 
+def check_centralizer_question(r: int, e: int, m: int, i: int, n: int) -> None:
+    """PreconditionViolated unless the centralizer of mu(x_i)^n in W(r, e, m)
+    is a valid question: e a prime power, m >= 2 and r >= 2 (at rank 1 the
+    model is C_e at every m), 1 <= i <= r, and n >= 1 with e not dividing n
+    (else x_i^n dies in the abelianization).  Reads only its arguments."""
+    if not _is_prime_power(e):
+        raise PreconditionViolated(f"coefficient exponent {e} is not a prime power")
+    if m < 2:
+        raise PreconditionViolated(f"a centralizer question needs level >= 2, not m = {m}")
+    if r < 2:
+        raise PreconditionViolated(
+            "a centralizer question needs rank >= 2: at rank 1 the model is C_e at every m"
+        )
+    if not 1 <= i <= r:
+        raise PreconditionViolated(f"generator index {i} outside 1..{r}")
+    if n < 1 or n % e == 0:
+        raise PreconditionViolated(f"need n >= 1 with x_{i}^{n} nontrivial mod e = {e}")
+
+
 def _power_products(W: FiniteGroup, i: int, n: int):
     """(R, L) with R[k], L[k] the indices of el_k * x_i^n and x_i^n * el_k.
 
@@ -332,16 +353,7 @@ def _power_products(W: FiniteGroup, i: int, n: int):
 
 def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerReport:
     """Brute centralizer of mu(x_i)^n versus the linear-algebra oracle."""
-    if not 1 <= i <= model.rank:
-        raise PreconditionViolated(f"generator index {i} outside 1..{model.rank}")
-    if n < 1:
-        raise PreconditionViolated("n must be positive")
-    if n % model.exponent == 0:
-        raise PreconditionViolated(
-            f"x_{i}^{n} dies in the abelianization (e = {model.exponent} divides n)"
-        )
-    if model.m < 2 or model.degenerate:
-        raise PreconditionViolated("centralizer experiment needs a level >= 2 model")
+    check_centralizer_question(model.rank, model.exponent, model.m, i, n)
     W = model.group
     law = W.law
     ctx = law.ctx
@@ -406,22 +418,13 @@ def kcap_tower(
     linear algebra alone even when the group itself is far beyond
     materialization (its order is |Q| * |ker f|).  Rows small enough to fit
     under `cap` are additionally verified against the brute-force
-    centralizer experiment.
+    centralizer experiment.  Every exponent's question is checked before
+    the first row is computed.
     """
-    if not 1 <= i <= r:
-        raise PreconditionViolated(f"generator index {i} outside 1..{r}")
-    if m < 2:
-        raise PreconditionViolated("K_cap tower needs level >= 2")
-    if r == 1:
-        raise PreconditionViolated(
-            "K_cap tower needs rank >= 2: at rank 1 the model is C_e at every m"
-        )
+    for e in exponents:
+        check_centralizer_question(r, e, m, i, n)
     entries = []
     for e in exponents:
-        if n < 1 or n % e == 0:
-            raise PreconditionViolated(
-                f"need positive n with x_{i}^{n} nontrivial mod e = {e}"
-            )
         prev = build_solv_model(r, e, m - 1, cap=cap).group
         ctx = _context_above(r, e, prev)
         K, kf_span = _ker_f(ctx)
@@ -471,7 +474,8 @@ class CappedCentralizerReport:
     note: str = MODEL_NOTE
 
 
-def _capped_prefix(r: int, e: int, m: int, cap: int):
+@run_memo
+def _bfs_prefix(r: int, e: int, m: int, cap: int):
     """The packed law of W(r, e, m), its first `cap` BFS elements, the BFS
     tree that reached them, and whether they are all of W.
 
@@ -479,19 +483,11 @@ def _capped_prefix(r: int, e: int, m: int, cap: int):
     runs from the identity 0 over `law.generators`, so element k is the one
     `closure` would list at k.  edges[k - 1] is the Cayley-table position
     row * ngens + g of the edge that first reached element k >= 1: element
-    k is element `row` times generator g + 1.  The size refusal runs on
-    every call, before the prefix is looked up: the prefix is a run memo
-    (`_bfs_prefix`), built once for the probe instances of a run that share
-    (r, e, m, cap).
+    k is element `row` times generator g + 1.  A run memo, built once for
+    the probe instances of a run that share (r, e, m, cap), so it holds
+    only what the probe reads: not the BFS's index dict or its Cayley rows,
+    only one tree edge per element.
     """
-    _predicted_orders(r, e, m)  # refuses an oversized law before any closure
-    return _bfs_prefix(r, e, m, cap)
-
-
-@run_memo
-def _bfs_prefix(r: int, e: int, m: int, cap: int):
-    # kept between instances, so it holds only what the probe reads: not
-    # the BFS's index dict or its Cayley rows, only one tree edge per element
     law = _PackedMagnusLaw(_context_above(r, e, build_solv_model(r, e, m - 1).group))
     elements, _, table, complete = _bfs(law.generators, 0, law, cap)
     return law, tuple(elements), _tree_edges(law, elements, table), complete
@@ -598,7 +594,9 @@ def centralizer_probe_capped(
     cofactor need not itself lie in the prefix).  `complete` is True when
     the prefix is the whole group.
 
-    The prefix is packed ints with its BFS tree (`_capped_prefix`), and
+    An invalid question or an oversized law (`_predicted_orders`) is
+    refused before the prefix is looked up, so before any closure.
+    The prefix is packed ints with its BFS tree (`_bfs_prefix`), and
     whether an element commutes is decided by generator steps alone
     (`_prefix_power_products`): el x^n by one folded step per quotient
     index, x^n el along the tree.  x^o = [[1, v]] for o the order of x
@@ -617,19 +615,11 @@ def centralizer_probe_capped(
     dropped at its first failing slot.  The prediction reads neither the
     products with x^n nor `law.mul`.
     """
-    if not 1 <= i <= r:
-        raise PreconditionViolated(f"generator index {i} outside 1..{r}")
-    if n < 1 or n % e == 0:
-        raise PreconditionViolated("need positive n with x_i^n nontrivial mod e")
-    if m < 2:
-        raise PreconditionViolated("probe needs level >= 2")
-    if r == 1:
-        raise PreconditionViolated(
-            "probe needs rank >= 2: at rank 1 the model is C_e at every m"
-        )
+    check_centralizer_question(r, e, m, i, n)
     if cap < 2:
         raise PreconditionViolated("cap too small to enumerate anything")
-    law, elements, edges, complete = _capped_prefix(r, e, m, cap)
+    _predicted_orders(r, e, m)
+    law, elements, edges, complete = _bfs_prefix(r, e, m, cap)
     ctx = law.ctx
     prev = ctx.group
     base = law.base

@@ -257,6 +257,25 @@ def test_verdicts_survive_optimized_mode(case):
     assert json.loads(runs[1].stdout)["experiments"][0]["passed"] is True
 
 
+def test_refusals_survive_optimized_mode():
+    # python -O strips asserts; the refusal of a centralizer question must
+    # not depend on them
+    env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
+    argv = ["-m", "msolv.cli", *UNANSWERABLE_CENTRALIZER_ARGV[0]]
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, *argv], capture_output=True, env=env, timeout=120
+        )
+        for flags in ([], ["-O"])
+    ]
+    for proc in runs:
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert proc.stdout == b""
+        (line,) = proc.stderr.decode().splitlines()
+        assert line.startswith("msolv: error: ")
+    assert runs[0].stderr == runs[1].stderr
+
+
 # the asserts left under src/msolv guard internal invariants, not verdicts;
 # a verdict resting on a new one would vanish under python -O
 KNOWN_ASSERT_SITES = sorted(
@@ -420,6 +439,16 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert err.rstrip().endswith("msolv: internal error")
 
 
+# centralizer questions with no answer: e = 3 divides n, generator index 3
+# of rank 2, rank 1, and a tower whose last exponent, 4, divides n
+UNANSWERABLE_CENTRALIZER_ARGV = [
+    ["centralizer", "--r", "2", "--e", "3", "--m", "2", "--n", "3"],
+    ["centralizer", "--r", "2", "--e", "3", "--m", "2", "--i", "3"],
+    ["centralizer", "--r", "1", "--e", "3", "--m", "2"],
+    ["solv-model", "--r", "2", "--m", "2", "--tower", "11,13,4", "--i", "1", "--n", "4"],
+]
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -435,6 +464,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
         # a groups value that names no group is not the default corpus
         (["centerfree-scan", "--m", "1", "--groups", ";"], None),
         (["centerfree-scan"], {"instances": [{"m": 2}, {"groups": " ; "}]}),
+        *((argv, None) for argv in UNANSWERABLE_CENTRALIZER_ARGV),
     ],
 )
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
@@ -447,6 +477,22 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     assert rc == 2
     assert captured.err.startswith("msolv: error: ")
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", UNANSWERABLE_CENTRALIZER_ARGV)
+def test_unanswerable_centralizer_questions_build_nothing(argv, monkeypatch, capsys):
+    # the question is checked before any model or kernel is built: with
+    # both made to raise, a late refusal would exit 3, not 2
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built before the question was checked")
+
+    monkeypatch.setattr(cli, "build_solv_model", no_build)
+    monkeypatch.setattr(models, "build_solv_model", no_build)
+    monkeypatch.setattr(models, "_ker_f", no_build)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("msolv: error: ")
     assert captured.out == ""
 
 

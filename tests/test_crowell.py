@@ -10,7 +10,6 @@ BFS that runs its generator step inline against the generic loop of one
 `mul` call per edge.
 """
 
-import copy
 import functools
 import random
 
@@ -197,7 +196,7 @@ def test_packed_law_matches_magnus_matrix(label, raw_a, raw_b):
     assert law.decode(pa) == a
     assert law.mul(pa, pb) == law.encode(a * b)  # general path
     assert law.inv(pa) == law.encode(a.inverse())
-    for i, g in enumerate(law.generators, start=1):  # generator fast path
+    for i, g in enumerate(law.generators, start=1):  # products by a generator
         assert law.mul(pa, g) == law.encode(a * MagnusMatrix.generator(ctx, i))
     # folding the word over packed ints, as the closure does
     acc = 0
@@ -223,23 +222,23 @@ def test_packed_generator_step_wraps_digit(label):
 
 
 @pytest.mark.parametrize("label", ["W222", "W232", "d128"])
-def test_packed_generator_branch_matches_general_product(label):
-    # the generator branch of mul reads step_rows; with no generator known,
-    # the same law takes the general packed product for every b
+def test_packed_step_rows_match_general_product(label):
+    # each step_rows triple, applied by the inline formula that _bfs and
+    # the probe run, is the general packed product by its generator
     law = packed_law(label)
-    general = copy.copy(law)
-    general._gen_pos = {}
     d, e = law.base, law.e
     rng = random.Random(5)
     for _ in range(200):
         a = rng.randrange(d) + d * rng.randrange(e ** len(law.weight))
-        for g in law.generators:
-            assert law.mul(a, g) == general.mul(a, g)
+        for (delta, ew, top), g in zip(law.step_rows[a % d], law.generators):
+            step = a + delta - ew if a % ew >= top else a + delta
+            assert step == law.mul(a, g)
 
 
 class _MulInvOnly:
     """The packed law seen through mul and inv alone: _bfs runs its generic
-    loop over it, one mul call per edge."""
+    loop over it, one general packed product per edge, which reads no
+    step_rows."""
 
     def __init__(self, law):
         self.mul, self.inv = law.mul, law.inv

@@ -356,7 +356,7 @@ def test_w223_probe_prefix_is_frozen():
     # sha256 over repr((q, vec)) of the probe's first 2000 elements of
     # W(2, 2, 3), taken from the MagnusMatrix BFS before the probe enumerated
     # packed ints: index k is unchanged
-    law, elements, _, complete = models._capped_prefix(2, 2, 3, 2000)
+    law, elements, _, complete = models._bfs_prefix(2, 2, 3, 2000)
     assert len(elements) == 2000 and not complete
     h = hashlib.sha256()
     for x in elements:
@@ -382,7 +382,7 @@ def test_probe_products_match_honest_products(e, m, cap, i, n):
     # prefix is all of W(2, 2, 2).  x_1 has order 3 one level below
     # W(2, 3, 2), so n = 4 bumps one slot twice; x_2 has order 4 below
     # W(2, 2, 3), so n = 9 passes o e = 8
-    law, elements, edges, _ = models._capped_prefix(2, e, m, cap)
+    law, elements, edges, _ = models._bfs_prefix(2, e, m, cap)
     right, left = models._prefix_power_products(law, elements, edges, i, n)
     mu_n = magnus_power(law, i, n)
     d = law.ctx.ring.dimension
@@ -414,7 +414,7 @@ def test_prefix_tree_walk_reproduces_the_prefix(e, m, cap):
     # from the identity, one MagnusMatrix generator product along each tree
     # edge gives element k; the edges are the first ones into each element,
     # so their table positions rise, and each starts at an earlier element
-    law, elements, edges, _ = models._capped_prefix(2, e, m, cap)
+    law, elements, edges, _ = models._bfs_prefix(2, e, m, cap)
     ng = len(law.generators)
     assert len(edges) == len(elements) - 1
     assert all(a < b for a, b in zip(edges, edges[1:]))
@@ -431,7 +431,7 @@ def test_probe_products_read_no_linear_side(monkeypatch):
     # the brute side is generator steps alone: with every piece of the
     # linear prediction and of the K_cap oracle made to raise, the products
     # still come out, equal to those taken without the patches
-    law, elements, edges, _ = models._capped_prefix(2, 2, 3, 1501)
+    law, elements, edges, _ = models._bfs_prefix(2, 2, 3, 1501)
     expected = models._prefix_power_products(law, elements, edges, 2, 9)
 
     def linear_side(*args, **kwargs):
@@ -486,18 +486,40 @@ def test_kcap_tower_needs_level_2():
             kcap_tower(2, m, [1427], 1, 1)
 
 
-def test_rank_1_probe_and_tower_refused_before_any_build(monkeypatch):
-    # a rank-1 model is C_e at every m: neither the probe nor the tower has
-    # a level >= 2 to work on, and both say so before anything is built
-    def no_build(*args, **kwargs):
-        raise AssertionError("a model was built before the rank check")
+# (r, e, m, i, n, message) of centralizer questions with no answer: a
+# rank-1 model is C_e at every m, below level 2 there is no module part,
+# and x_i^n must survive the abelianization
+BAD_CENTRALIZER_QUESTIONS = [
+    (1, 3, 2, 1, 1, "rank >= 2"),
+    (1, 2003, 2, 1, 1, "rank >= 2"),
+    (2, 3, 1, 1, 1, "needs level >= 2"),
+    (2, 3, 0, 1, 1, "needs level >= 2"),
+    (2, 3, 2, 0, 1, "generator index 0 outside 1..2"),
+    (2, 3, 2, 3, 1, "generator index 3 outside 1..2"),
+    (2, 3, 2, 1, 0, "need n >= 1"),
+    (2, 3, 2, 1, 3, "nontrivial mod e = 3"),
+    (2, 4, 2, 2, 4, "nontrivial mod e = 4"),
+    (2, 6, 2, 1, 1, "not a prime power"),
+]
 
-    for name in ("build_solv_model", "_bfs", "closure"):
+
+def test_rank_1_probe_and_tower_refused_before_any_build(monkeypatch):
+    # every entry point refuses every bad question before anything is
+    # built: the full experiment on a model that holds no group, the probe,
+    # and a tower whose first exponent, 5, is a valid row
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built before the question was checked")
+
+    for name in ("build_solv_model", "_bfs", "closure", "_ker_f"):
         monkeypatch.setattr(models, name, no_build)
-    with pytest.raises(PreconditionViolated, match="rank >= 2"):
-        centralizer_probe_capped(1, 3, 2, 100, 1, 1)
-    with pytest.raises(PreconditionViolated, match="rank >= 2"):
-        kcap_tower(1, 2, [2003], 1, 1)
+    for r, e, m, i, n, message in BAD_CENTRALIZER_QUESTIONS:
+        hollow = models.SolvModel(r, e, m, None, [], [], m <= 1 or r == 1)
+        with pytest.raises(PreconditionViolated, match=message):
+            centralizer_experiment(hollow, i, n)
+        with pytest.raises(PreconditionViolated, match=message):
+            centralizer_probe_capped(r, e, m, 100, i, n)
+        with pytest.raises(PreconditionViolated, match=message):
+            kcap_tower(r, m, [5, e], i, n)
 
 
 def test_kcap_tower_exponent_3():
