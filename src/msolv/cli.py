@@ -42,6 +42,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -50,8 +51,9 @@ import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import MsolvError, ParseError, PreconditionViolated, VerdictFailed
+from .errors import CapExceeded, MsolvError, ParseError, PreconditionViolated, TooLarge, VerdictFailed
 from .fingroup import (
+    DEFAULT_CAP,
     FiniteGroup,
     MatElem,
     PermElem,
@@ -237,6 +239,8 @@ class _Parser:
         degree = self.expect_int()
         if degree < 1:
             raise ParseError("degree must be >= 1", deg_tok.line, deg_tok.col)
+        if degree > DEFAULT_CAP:
+            raise ParseError(f"degree must be <= {DEFAULT_CAP}", deg_tok.line, deg_tok.col)
         self.expect(":")
         gens = [self._perm_gen(degree)]
         while self.peek().text == "," and self.peek(1).text == "(":
@@ -359,6 +363,14 @@ def _builtin_group(name: str) -> FiniteGroup:
     m = re.fullmatch(r"(S|C|D)_(\d+)", name)
     if m:
         kind, k = m.group(1), int(m.group(2))
+        # a known order past the closure cap is refused before any cycle is
+        # built: k for C_k and D_k (named by its order), k! for S_k, which
+        # passes the cap from k = 10 on and is not multiplied out past k = 20
+        if kind == "S" and k > 20:
+            raise TooLarge(f"S_{k} has order {k}!, past the cap {DEFAULT_CAP}")
+        order = math.factorial(k) if kind == "S" else k
+        if order > DEFAULT_CAP:
+            raise CapExceeded(DEFAULT_CAP, order, predicted=True)
         if kind == "S":
             if k < 1:
                 raise MsolvError("S_k needs k >= 1")

@@ -1,6 +1,5 @@
 """Explicit constructions: the order-72 counterexample, the matrix
-reduction lemma, the left regular representation, and the block-triangular
-centralizer experiment.
+reduction lemma, and the block-triangular centralizer experiment.
 
 The counterexample is the affine group (C3 x C3) x| D8 acting on the nine
 points of F_3^2, where the D8 generators act linearly by
@@ -27,14 +26,13 @@ from .errors import PreconditionViolated, RingMismatch, VerdictFailed
 from .fingroup import (
     FiniteGroup,
     Homomorphism,
-    MatElem,
     PermElem,
     center,
     closure,
     find_isomorphism,
     m_step_quotient,
 )
-from .zmodlin import RMatrix, ResidueRing, _howell_rows, _reduce, valuation
+from .zmodlin import RMatrix, _howell_rows, _reduce, valuation
 
 
 # ----------------------------------------------------------- counterexample
@@ -133,33 +131,6 @@ def reduction_lemma_check(E: RMatrix, ntilde: int, ell: int, sigma: int) -> Redu
         E[i, j] % ell == 0 for i in range(E.rows) for j in range(E.cols)
     )
     return ReductionReport(passed=reduced_zero, vacuous=False)
-
-
-# -------------------------------------------------- regular representation
-
-
-def regular_representation(G: FiniteGroup, ring: ResidueRing) -> Homomorphism:
-    """Left regular representation by permutation matrices over the ring.
-
-    The image matrix of g has entry 1 at (i, j) iff q_i = g * q_j.  The
-    returned Homomorphism is injective; since the entries are 0/1, so is
-    its composition with any mod-l reduction.
-    """
-    u = G.order
-    gen_mats = []
-    for g in G.gen_indices:
-        ent = [0] * (u * u)
-        for j in range(u):
-            ent[G.mul(g, j) * u + j] = 1
-        gen_mats.append(MatElem(ring.modulus, ent))
-    target = closure(gen_mats, cap=u + 1) if gen_mats else closure(
-        [MatElem.identity(ring.modulus, 1)], cap=2
-    )
-    hom = Homomorphism.from_gen_images(
-        G, target, [target.index[m] for m in gen_mats] if gen_mats else []
-    )
-    assert hom.is_injective(), "regular representation must be faithful"
-    return hom
 
 
 # -------------------------------------------------------- block experiment

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CapExceeded,
@@ -295,12 +295,10 @@ class FiniteGroup:
         # by_gen[g][a] = index of a * generators[g]; tuples hand back their
         # ints where an array would box a new one per subscript
         by_gen = [tuple(table[g::ng]) for g in range(ng)]
-        cols: list = [None] * n
-        cols[0] = tuple(range(n))
-        for pos, k in enumerate(table):
-            if cols[k] is None:
-                p, g = divmod(pos, ng)
-                cols[k] = tuple(map(by_gen[g].__getitem__, cols[p]))
+        cols = [tuple(range(n))]
+        for pos in _tree_edges(table):
+            p, g = divmod(pos, ng)
+            cols.append(tuple(map(by_gen[g].__getitem__, cols[p])))
         self._invs = [col.index(0) for col in cols]
         self._cols = cols
         return cols
@@ -332,10 +330,6 @@ class FiniteGroup:
         self._order_cache[i] = k
         return k
 
-    def is_abelian(self) -> bool:
-        gi = self.gen_indices
-        return all(self.mul(a, b) == self.mul(b, a) for a in gi for b in gi)
-
     def full_subgroup(self) -> "Subgroup":
         # a range, not a tuple: on W(2,3,2) a tuple would box 531,441 ints
         return Subgroup(self, range(self.order), tuple(self.gen_indices))
@@ -366,9 +360,8 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     Returns (elements, index, gen_table, complete), gen_table flat and
     row-major as in FiniteGroup, one int appended per edge.  The
     enumeration stops as soon as an element past the first `cap` turns up,
-    with complete False and exactly `cap` elements; the row the cap cut
-    short is trimmed, so gen_table holds len(gen_table) // len(gens)
-    finished rows.
+    with complete False and exactly `cap` elements; gen_table then holds
+    every edge taken before that one, so its last row may be partial.
 
     A law with `step_rows` (the packed Magnus law), enumerated over its own
     `generators`, has its generator step run inline here rather than by a
@@ -392,7 +385,6 @@ def _bfs(gens: Sequence, identity, law, cap: int):
                 k = index.get(p)
                 if k is None:
                     if len(elements) >= cap:
-                        del gen_table[i * len(gens):]
                         return elements, index, gen_table, False
                     k = len(elements)
                     elements.append(p)
@@ -409,7 +401,6 @@ def _bfs(gens: Sequence, identity, law, cap: int):
             k = index.get(p)
             if k is None:
                 if len(elements) >= cap:
-                    del gen_table[i * len(gens):]
                     return elements, index, gen_table, False
                 k = len(elements)
                 elements.append(p)
@@ -417,6 +408,23 @@ def _bfs(gens: Sequence, identity, law, cap: int):
             edge(k)
         i += 1
     return elements, index, gen_table, True
+
+
+def _tree_edges(table) -> Iterator[int]:
+    """For k = 1, 2, ...: the position in `table` of the BFS-tree edge into
+    element k, the first position that holds k.
+
+    `_bfs` appends element k at the first edge that reaches it, so k's
+    first position comes after k - 1's; one pass in order finds them all.
+    This is the Schreier vector of the enumeration (Butler, *Fundamental
+    Algorithms for Permutation Groups*, LNCS 559, 1991): position
+    row * ngens + g says element k is element row times generator g.
+    """
+    k = 1
+    for pos, child in enumerate(table):
+        if child == k:
+            yield pos
+            k += 1
 
 
 def closure(gens: Sequence, cap: int = DEFAULT_CAP, identity=None, law=None) -> FiniteGroup:

@@ -217,11 +217,6 @@ class CyclicTower:
             self._rings[N] = GroupRing(self.modulus, self._level_group(N))
         return self._rings[N]
 
-    def cycle_generator(self, N: int) -> RingElem:
-        """The embedded generator x̄ of C_N at level N."""
-        R = self.level_ring(N)
-        return R.embed(self._cycle_gen[N])
-
     def projection_hom(self, kM: int, M: int) -> Homomorphism:
         """Group morphism H x C_{kM} -> H x C_M behind the ring projection."""
         if kM not in self.levels or M not in self.levels:

@@ -29,16 +29,17 @@ which is what the BFS closure does per edge.  The brute side of the
 centralizer experiment reads the closure's Cayley table, the flat
 `gen_table` array: el_k x^n along the cycles of generator column i-1 (the
 slice gen_table[i-1::ngens]), with n reduced mod the order of x, and x^n el_k
-along the BFS tree, since (x^n p) g = x^n (p g), in one pass over the
-table's flat positions.  It is group arithmetic from the Cayley graph alone
-and never touches the kernel of f it is checked against.
+along the BFS tree (`fingroup._tree_edges`), since (x^n p) g = x^n (p g).
+It is group arithmetic from the Cayley graph alone and never touches the
+kernel of f it is checked against.
 
 The capped probe enumerates its BFS prefix of W_m as packed ints in the
-same way, and keeps the BFS tree edge into each element.  Products with
-x^n may leave the prefix, so they stay packed values: el_k x^n by the n
-generator steps folded into one step per quotient index, and x^n el_k by
-one generator step along the tree from x^n; an element commutes iff the
-two ints are equal.
+same way, and keeps the BFS tree edge into each element, read from the
+capped table by the same `fingroup._tree_edges` as the full experiment's
+L.  Products with x^n may leave the prefix, so they stay packed values:
+el_k x^n by the n generator steps folded into one step per quotient
+index, and x^n el_k by one generator step along the tree from x^n; an
+element commutes iff the two ints are equal.
 The linear prediction decides its q-part once over Q, as the set of q
 commuting with x^n one level down, and reads the vector condition off the
 packed int digit by digit, stopping at the first slot that fails.
@@ -69,6 +70,7 @@ from .fingroup import (
     FiniteGroup,
     Subgroup,
     _bfs,
+    _tree_edges,
     center,
     closure,
     conj_action_faithful,
@@ -309,28 +311,29 @@ def check_centralizer_question(r: int, e: int, m: int, i: int, n: int) -> None:
 
 
 def _power_products(W: FiniteGroup, i: int, n: int):
-    """(R, L) with R[k], L[k] the indices of el_k * x_i^n and x_i^n * el_k.
+    """(R, L, powers) with R[k], L[k] the indices of el_k * x_i^n and
+    x_i^n * el_k, and powers[t] the index of x_i^t for t < ord(x_i).
 
-    Both come from W's Cayley table alone: R by n steps along generator
-    column i-1, and L along the BFS tree, since (x^n p) g = x^n (p g) gives
-    L[child] = gen_table[L[parent] * ngens + g].  Walking the flat table in
-    order, the first position holding a child is its BFS-tree edge.
+    All three come from W's Cayley table alone: powers is the cycle of
+    generator column i-1 through 0, R takes n steps along that column, and
+    L follows the BFS tree (`_tree_edges`), since (x^n p) g = x^n (p g)
+    gives L[child] = gen_table[L[parent] * ngens + g].
 
     Column i-1 is a permutation, so R walks each of its cycles once with
     a and b = a x^n in lockstep: two array reads per element whatever n
     is.  Composing a list copy of the column n - 1 times is faster for
     small n, but its boxed entries add 20-24 MB to the peak RSS of a
     W(2,3,2) run (BENCH_11.json).  n is first reduced mod the order of x,
-    the length of the column's cycle through 0, so each cycle's first b
-    costs fewer than ord(x) steps however large n is.
+    the length of powers, so each cycle's first b costs fewer than ord(x)
+    steps however large n is.
     """
     table = W.gen_table
     ng = len(W.generators)
     col = table[i - 1 :: ng]
-    order, b = 1, col[0]
-    while b != 0:
-        order, b = order + 1, col[b]
-    n %= order
+    powers = [0]
+    while col[powers[-1]] != 0:
+        powers.append(col[powers[-1]])
+    n %= len(powers)
     R = col
     if n != 1:
         R = array("i", [-1]) * W.order
@@ -342,13 +345,11 @@ def _power_products(W: FiniteGroup, i: int, n: int):
                 while R[a] < 0:
                     R[a] = b
                     a, b = col[a], col[b]
-    L = array("i", [-1]) * W.order
-    L[0] = R[0]
-    for pos, child in enumerate(table):
-        if L[child] < 0:
-            p, g = divmod(pos, ng)
-            L[child] = table[L[p] * ng + g]
-    return R, L
+    L = array("i", [R[0]]) * W.order
+    for k, pos in enumerate(_tree_edges(table), 1):
+        p, g = divmod(pos, ng)
+        L[k] = table[L[p] * ng + g]
+    return R, L, powers
 
 
 def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerReport:
@@ -359,7 +360,7 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     ctx = law.ctx
 
     # brute force: every element against mu(x_i)^n, over the Cayley table
-    R, L = _power_products(W, i, n)
+    R, L, powers = _power_products(W, i, n)
     cz_elements = [W.elements[k] for k in range(W.order) if R[k] == L[k]]
     brute_module = {law.decode(x).vec for x in cz_elements if law.q(x) == 0}
     mu_n_q = law.q(W.elements[R[0]])
@@ -374,10 +375,6 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     oracle_equal = len(brute_module) == k_cap_linear and span_equal(k_basis, stacked)
 
     # decomposition: C must equal <mu(x_i)> * K_cap as a set
-    table, ng = W.gen_table, len(W.generators)
-    powers = [0]
-    while table[powers[-1] * ng + i - 1] != 0:
-        powers.append(table[powers[-1] * ng + i - 1])
     module = [law.encode(MagnusMatrix(ctx, 0, v)) for v in brute_module]
     product_set = {law.mul(W.elements[p], v) for p in powers for v in module}
     decomposition = product_set == set(cz_elements)
@@ -482,41 +479,17 @@ def _bfs_prefix(r: int, e: int, m: int, cap: int):
     Returns (law, elements, edges, complete), elements a tuple; the BFS
     runs from the identity 0 over `law.generators`, so element k is the one
     `closure` would list at k.  edges[k - 1] is the Cayley-table position
-    row * ngens + g of the edge that first reached element k >= 1: element
-    k is element `row` times generator g + 1.  A run memo, built once for
+    row * ngens + g of the edge that first reached element k >= 1
+    (`_tree_edges`): element k is element `row` times generator g + 1.  A
+    capped table keeps the row its cap cut short, so it holds the edge
+    into every element of the prefix.  A run memo, built once for
     the probe instances of a run that share (r, e, m, cap), so it holds
     only what the probe reads: not the BFS's index dict or its Cayley rows,
     only one tree edge per element.
     """
     law = _PackedMagnusLaw(_context_above(r, e, build_solv_model(r, e, m - 1).group))
     elements, _, table, complete = _bfs(law.generators, 0, law, cap)
-    return law, tuple(elements), _tree_edges(law, elements, table), complete
-
-
-def _tree_edges(law, elements, table) -> array:
-    """The table position of the BFS-tree edge into each element k >= 1.
-
-    `_bfs` appends each child at its first edge, so walking `table` in
-    order, the first position holding k is k's tree edge.  The row the cap
-    cut short is trimmed from `table`; its children are recovered by
-    stepping that one row again.
-    """
-    ng = len(law.generators)
-    edges = array("i")
-    k = 1
-    for pos, child in enumerate(table):
-        if child == k:
-            edges.append(pos)
-            k += 1
-    row = len(table) // ng
-    if k < len(elements):
-        a = elements[row]
-        for g, (delta, ew, top) in enumerate(law.step_rows[a % law.base]):
-            p = a + delta - ew if a % ew >= top else a + delta
-            if k < len(elements) and elements[k] == p:
-                edges.append(row * ng + g)
-                k += 1
-    return edges
+    return law, tuple(elements), array("i", _tree_edges(table)), complete
 
 
 def _folded_steps(law, i: int, n: int) -> list:

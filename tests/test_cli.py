@@ -258,29 +258,29 @@ def test_verdicts_survive_optimized_mode(case):
 
 
 def test_refusals_survive_optimized_mode():
-    # python -O strips asserts; the refusal of a centralizer question must
-    # not depend on them
+    # python -O strips asserts; the refusal of a centralizer question or of
+    # a builtin past the closure cap must not depend on them
     env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
-    argv = ["-m", "msolv.cli", *UNANSWERABLE_CENTRALIZER_ARGV[0]]
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, *argv], capture_output=True, env=env, timeout=120
-        )
-        for flags in ([], ["-O"])
-    ]
-    for proc in runs:
-        assert proc.returncode == 2, proc.stderr.decode()
-        assert proc.stdout == b""
-        (line,) = proc.stderr.decode().splitlines()
-        assert line.startswith("msolv: error: ")
-    assert runs[0].stderr == runs[1].stderr
+    for refused in (UNANSWERABLE_CENTRALIZER_ARGV[0], HUGE_GROUP_ARGV[0]):
+        argv = ["-m", "msolv.cli", *refused]
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, *argv], capture_output=True, env=env, timeout=120
+            )
+            for flags in ([], ["-O"])
+        ]
+        for proc in runs:
+            assert proc.returncode == 2, proc.stderr.decode()
+            assert proc.stdout == b""
+            (line,) = proc.stderr.decode().splitlines()
+            assert line.startswith("msolv: error: ")
+        assert runs[0].stderr == runs[1].stderr
 
 
 # the asserts left under src/msolv guard internal invariants, not verdicts;
 # a verdict resting on a new one would vanish under python -O
 KNOWN_ASSERT_SITES = sorted(
     [
-        ("constructions.py", "regular_representation"),
         ("fingroup.py", "kernel"),
         ("grpring.py", "_level_group"),
         ("models.py", "surface_presentation"),
@@ -405,6 +405,32 @@ def test_broken_prediction_fails_the_probe(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "flags",
     [
+        ["--r", "2", "--e", "2", "--m", "2"],
+        ["--capped", "--r", "2", "--e", "2", "--m", "3", "--cap", "1501"],
+    ],
+    ids=["full", "capped"],
+)
+def test_broken_tree_fails_the_centralizer(flags, monkeypatch, capsys):
+    # swap the tree edges into elements 1 and 2, the generators x_1 and x_2:
+    # x^n el is then wrong for x_1 and below, and x_1 commutes with
+    # mu(x_1)^n, so the brute centralizer loses it and the verdict fails
+    real = models._tree_edges
+
+    def swapped(table):
+        edges = list(real(table))
+        edges[0], edges[1] = edges[1], edges[0]
+        return iter(edges)
+
+    monkeypatch.setattr(models, "_tree_edges", swapped)
+    rc = main(["centralizer", *flags])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["experiments"][0]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
         ["--capped", "--r", "2", "--e", "2", "--m", "3", "--cap", "1500"],
         ["--r", "2", "--e", "2", "--m", "2"],
     ],
@@ -448,6 +474,14 @@ UNANSWERABLE_CENTRALIZER_ARGV = [
     ["solv-model", "--r", "2", "--m", "2", "--tower", "11,13,4", "--i", "1", "--n", "4"],
 ]
 
+# groups refused up front: a builtin whose known order passes the closure
+# cap, and a permutation degree past it, both refused before any cycle of
+# that many points is built
+HUGE_GROUP_ARGV = [
+    ["derived-series", "--group", "builtin C_99999999999"],
+    ["derived-series", "--group", "perm 99999999999 : (0 1)"],
+]
+
 
 @pytest.mark.parametrize(
     "argv, config",
@@ -465,6 +499,7 @@ UNANSWERABLE_CENTRALIZER_ARGV = [
         (["centerfree-scan", "--m", "1", "--groups", ";"], None),
         (["centerfree-scan"], {"instances": [{"m": 2}, {"groups": " ; "}]}),
         *((argv, None) for argv in UNANSWERABLE_CENTRALIZER_ARGV),
+        *((argv, None) for argv in HUGE_GROUP_ARGV),
     ],
 )
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
@@ -477,6 +512,22 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     assert rc == 2
     assert captured.err.startswith("msolv: error: ")
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["C_99999999999", "D_99999999998", "S_10", "S_99999999999"])
+def test_builtins_past_the_cap_build_nothing(name, monkeypatch, capsys):
+    # C_k and D_k have order k and S_k has k!; past the closure cap the
+    # builtin is refused before a cycle or a closure is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a group was built before its order was checked")
+
+    monkeypatch.setattr(fingroup.PermElem, "from_cycles", staticmethod(no_build))
+    monkeypatch.setattr(cli, "closure", no_build)
+    assert main(["derived-series", "--group", f"builtin {name}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("msolv: error: ")
+    assert "cap 2000000" in captured.err
     assert captured.out == ""
 
 

@@ -23,7 +23,6 @@ from msolv.constructions import (
     dihedral_group_8,
     gtilde_experiment,
     reduction_lemma_check,
-    regular_representation,
 )
 from msolv.errors import PreconditionViolated, RingMismatch
 from msolv.fingroup import (
@@ -37,7 +36,7 @@ from msolv.fingroup import (
     m_step_quotient,
     normal_subgroups,
 )
-from msolv.zmodlin import RMatrix, ResidueRing, scalar_kernel, valuation
+from msolv.zmodlin import RMatrix, scalar_kernel, valuation
 
 
 def cyclic_group(k):
@@ -177,15 +176,6 @@ def test_scalar_kernel_generator_values():
     assert scalar_kernel(6, 3, 2) == 3  # only the 3-part matters
     assert scalar_kernel(4, 2, 3) == 2
     assert scalar_kernel(12, 2, 3) == 2
-
-
-# ------------------------------------------- regular representation
-
-
-def test_regular_representation_is_injective_hom():
-    G = s3()
-    h = regular_representation(G, ResidueRing(9))
-    assert h.is_injective()
 
 
 # ------------------------------------ block-triangular commutation

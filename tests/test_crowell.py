@@ -29,7 +29,7 @@ from msolv.crowell import (
     relator_kernel_check,
 )
 from msolv.errors import MixedVariant, RelatorNotInKernel, TooLarge
-from msolv.fingroup import PermElem, _bfs, closure, derived_series, subgroup_closure
+from msolv.fingroup import MatElem, PermElem, _bfs, _tree_edges, closure, derived_series, subgroup_closure
 from msolv.foxcalc import (
     QuotientContext,
     commutator,
@@ -270,34 +270,52 @@ def test_inline_bfs_matches_generic_loop_on_whole_models(label, order, monkeypat
     assert len(inline[0]) == order and inline[3]
 
 
+def _first_positions(table):
+    """first[k]: the first flat table position that holds element k."""
+    first = {}
+    for pos, k in enumerate(table):
+        first.setdefault(k, pos)
+    return first
+
+
 def _first_edges(law):
     """(first, mid_row) for the BFS of W(2,2,3): first[k] is the flat table
     position of the edge that first reaches element k, and mid_row a cap
     whose cut ends inside a row.
 
     A cap c cuts the BFS at the edge that first reaches element c, and
-    keeps only the rows before it; the cut ends mid-row when that edge is
+    keeps every edge before it; the cut ends mid-row when that edge is
     not the first of its row.
     """
     ng = len(law.generators)
     _, _, table, _ = _bfs(law.generators, 0, law, 21000)
-    first = {}
-    for pos, k in enumerate(table):
-        first.setdefault(k, pos)
+    first = _first_positions(table)
     mid_row = next(c for c in range(4, 20000) if first[c] % ng and first[c] >= ng)
     return first, mid_row
 
 
 def test_inline_bfs_matches_generic_loop_on_capped_prefixes(monkeypatch):
     law = packed_law("d128")  # the law of W(2,2,3)
-    ng = len(law.generators)
     first, mid_row = _first_edges(law)
     for cap in (2, 3, mid_row, 1500, 1501, 20000):
         inline, generic = _inline_and_generic_bfs(law, cap, monkeypatch)
         _assert_same_bfs(inline, generic)
         elements, _, table, complete = inline
         assert len(elements) == cap and not complete
-        assert len(table) == first[cap] // ng * ng
+        assert len(table) == first[cap]
+
+
+def test_tree_edges_are_the_first_positions():
+    # on capped prefixes, whose last row may be partial, and on whole groups
+    law = packed_law("d128")
+    first, mid_row = _first_edges(law)
+    for cap in (2, 3, mid_row, 1500, 1501, 20000):
+        _, _, table, _ = _bfs(law.generators, 0, law, cap)
+        assert list(_tree_edges(table)) == [first[k] for k in range(1, cap)]
+    q8 = closure([MatElem.from_rows(3, [[0, -1], [1, 0]]), MatElem.from_rows(3, [[1, 1], [1, -1]])])
+    for G in (s4(), q8, build_solv_model(2, 2, 2).group):
+        first = _first_positions(G.gen_table)
+        assert list(_tree_edges(G.gen_table)) == [first[k] for k in range(1, G.order)]
 
 
 @pytest.mark.parametrize("i, n", [(1, 1), (2, 3)])

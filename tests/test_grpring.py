@@ -236,19 +236,6 @@ def test_tower_project_multiplicative():
         assert t.tower_project(8, 4, a * b) == t.tower_project(8, 4, a) * t.tower_project(8, 4, b)
 
 
-def test_cycle_generator_has_full_order():
-    t = CyclicTower(9, [1, 3, 9])
-    g = t.cycle_generator(9)
-    acc = t.level_ring(9).one()
-    seen = 0
-    while True:
-        acc = acc * g
-        seen += 1
-        if acc == t.level_ring(9).one():
-            break
-    assert seen == 9
-
-
 # --------------------------------------- kernel projection sweep (primary)
 
 

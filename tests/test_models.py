@@ -246,7 +246,9 @@ def test_table_scan_matches_honest_products(i, n):
     W = build_solv_model(2, 2, 2).group
     law = W.law
     mu_n = magnus_power(law, i, n)
-    R, L = _power_products(W, i, n)
+    R, L, powers = _power_products(W, i, n)
+    x = W.gen_indices[i - 1]
+    assert powers == [W.power(x, t) for t in range(W.element_order(x))]
     table = {k for k in range(W.order) if R[k] == L[k]}
     honest = set()
     for k, x in enumerate(W.elements):
@@ -261,7 +263,7 @@ def test_table_products_sampled_on_w232(w232):
     law = W.law
     i, n = 2, 5
     mu_n = magnus_power(law, i, n)
-    R, L = _power_products(W, i, n)
+    R, L, _ = _power_products(W, i, n)
     for k in random.Random(232).sample(range(W.order), 2000):
         el = law.decode(W.elements[k])
         assert R[k] == W.index[law.encode(el * mu_n)]
