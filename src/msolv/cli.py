@@ -137,6 +137,26 @@ class BuiltinSpec:
 
 BUILTIN_PATTERN = re.compile(r"^(S|C|D)_(\d+)$|^Q8$|^paper_counterexample$")
 
+# most digits an integer of the group DSL or of a word may have: int()
+# refuses past sys.get_int_max_str_digits() (4300 by default) with a
+# ValueError, so a longer token is refused first, with its position
+MAX_INT_DIGITS = 1000
+
+# most points (elements x degree) a builtin's closure may write: S_9 has
+# 9! x 9 = 3,265,920, while C_100000 has 10^10
+BUILTIN_WORK_BOUND = 4_000_000
+
+
+def _read_int(text: str, line: int, col: int) -> int:
+    """The integer `text` spells (optional '-', then digits), or ParseError
+    at (line, col) when it has more than MAX_INT_DIGITS digits."""
+    digits = len(text) - text.startswith("-")
+    if digits > MAX_INT_DIGITS:
+        raise ParseError(
+            f"integer of {digits} digits; at most {MAX_INT_DIGITS} are read", line, col
+        )
+    return int(text)
+
 
 # ------------------------------------------------------------- tokenizer
 
@@ -207,7 +227,7 @@ class _Parser:
         if not re.fullmatch(r"-?\d+", t.text):
             self.fail("an integer")
         self.next()
-        return int(t.text)
+        return _read_int(t.text, t.line, t.col)
 
     # ---- grammar
 
@@ -228,8 +248,11 @@ class _Parser:
 
     def _builtin(self) -> BuiltinSpec:
         t = self.peek()
-        if not BUILTIN_PATTERN.match(t.text):
+        m = BUILTIN_PATTERN.match(t.text)
+        if not m:
             self.fail("a builtin name (S_k, D_2k, C_k, Q8, paper_counterexample)")
+        if m.group(2):
+            _read_int(m.group(2), t.line, t.col + 2)
         self.next()
         return BuiltinSpec(t.text)
 
@@ -371,6 +394,12 @@ def _builtin_group(name: str) -> FiniteGroup:
         order = math.factorial(k) if kind == "S" else k
         if order > DEFAULT_CAP:
             raise CapExceeded(DEFAULT_CAP, order, predicted=True)
+        degree = k // 2 if kind == "D" else k  # D_2k acts on k points
+        if order * degree > BUILTIN_WORK_BOUND:
+            raise TooLarge(
+                f"{name} has {order} elements of degree {degree}, {order * degree} "
+                f"points in all; the bound is {BUILTIN_WORK_BOUND}"
+            )
         if kind == "S":
             if k < 1:
                 raise MsolvError("S_k needs k >= 1")
@@ -475,10 +504,10 @@ def parse_word(text: str, rank: int, letter: str = "x") -> FreeWord:
         m = _WORD_TOKEN.match(raw)
         if not m or m.group(1) != letter:
             raise ParseError(f"expected a {letter}<i>[^e] letter, got {raw!r}", 1, col)
-        i = int(m.group(2))
+        i = _read_int(m.group(2), 1, col + len(m.group(1)))
         if not 1 <= i <= rank:
             raise ParseError(f"generator index {i} outside 1..{rank}", 1, col)
-        e = int(m.group(3)) if m.group(3) else 1
+        e = _read_int(m.group(3), 1, col + m.start(3)) if m.group(3) else 1
         w = w * generator_word(rank, i).power(e)
         col += len(raw) + 1
     return w

@@ -17,6 +17,7 @@ relator rows when a presentation is supplied.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -124,6 +125,26 @@ class _PackedMagnusLaw:
     `inv` are the general product and inverse on packed ints, visiting only
     the nonzero digits of the right operand.  `encode` / `decode` convert to
     and from MagnusMatrix, which stays the single-element type for callers.
+
+    Co-tree coordinates number a whole level 0..|W|-1.  Digit slot
+    (i-1)*d + j is the edge j -> j q_i of Q's Cayley graph, so the vector
+    part of a product of generators counts, mod e, the edges its path
+    crosses: v is a flow mod e from 1 to q, and Fox's formula f(v) = q - 1
+    says the same.  Take a spanning tree of that graph by a BFS over q
+    (`coord_weight`); its d - 1 edges are tree slots and the other
+    r*d - (d - 1) are co-tree slots.  A flow is fixed by its boundary and
+    its co-tree digits (push the boundary in from the leaves), so
+    coord(x) = q + sum_j digit(co-tree slot j) * d * e^j is one-to-one on
+    W, and its range, range(d * e^((r-1)*d + 1)) = range(|W|), has exactly
+    |W| points.  `coord_rows` extends each `step_rows` entry by what that
+    generator step adds to the coordinate, so `fingroup._bfs` carries an
+    element's coordinate along with it and looks products up in one flat
+    array.  It does not trust the flow argument: every hit is checked
+    against the element already in that slot, and two different elements
+    on one coordinate fail the enumeration as a VerdictFailed, so what is
+    enumerated is exact either way.  The array is `array('i')`, so the
+    coordinate path needs |W| < 2^31 (`fingroup.COORD_LIMIT`).  The map
+    reads the packed digits and Q's generator steps only, no kernel basis.
     """
 
     @staticmethod
@@ -162,6 +183,63 @@ class _PackedMagnusLaw:
             rows.append(tuple(row))
         self.step_rows = tuple(rows)
 
+    @functools.cached_property
+    def coord_weight(self) -> tuple:
+        """coord_weight[k]: what digit k adds to the co-tree coordinate.
+
+        0 on the d - 1 tree slots, d * e^j on co-tree slot j (slots in
+        increasing order).  The tree is the BFS over q from 1 by the
+        generator steps q -> q * q_i: the slot that first reaches a new q
+        is a tree slot."""
+        ctx, d, e = self.ctx, self.base, self.e
+        tree = set()
+        seen = {0}
+        queue = [0]
+        for q in queue:
+            for i, img in enumerate(ctx.images):
+                t = ctx.group.mul(q, img)
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+                    tree.add(i * d + q)
+        cotree = [k for k in range(len(self.weight)) if k not in tree]
+        weight = [0] * len(self.weight)
+        for j, k in enumerate(cotree):
+            weight[k] = d * e**j
+        return tuple(weight)
+
+    @property
+    def coord_size(self) -> int:
+        """The number of co-tree coordinates, d * e^(r*d - (d - 1)) = |W|."""
+        d = self.base
+        return d * self.e ** (len(self.weight) - d + 1)
+
+    @functools.cached_property
+    def coord_rows(self) -> tuple:
+        """coord_rows[q][i] = (delta, e*w, (e-1)*w, cdelta, e*cw): the entry
+        step_rows[q][i], the same three ints, followed by the coordinate's
+        move under that step, so `fingroup._bfs` reads one tuple per edge.
+        cw is the coordinate weight of the digit the step bumps (0 for a
+        tree slot) and cdelta = q*q_(i+1) - q + cw; the coordinate wraps
+        (subtract e*cw) exactly when the packed step does.  Built only for
+        a level enumerated by coordinate."""
+        e, d, cw = self.e, self.base, self.coord_weight
+        return tuple(
+            tuple(
+                (delta, ew, top, delta - ew // e + cw[i * d + q], e * cw[i * d + q])
+                for i, (delta, ew, top) in enumerate(row)
+            )
+            for q, row in enumerate(self.step_rows)
+        )
+
+    def coord(self, x) -> Optional[int]:
+        """The co-tree coordinate of a packed value x, or None when x is not
+        a packed value of this law (not an int, or out of range)."""
+        if not isinstance(x, int) or not 0 <= x < self.weight[-1] * self.e:
+            return None
+        code, q = divmod(x, self.base)
+        return q + sum(map(operator.mul, self._digits(code), self.coord_weight))
+
     def encode(self, m: MagnusMatrix) -> int:
         code = 0
         e = self.e
@@ -175,25 +253,21 @@ class _PackedMagnusLaw:
         """The quotient index q of a packed [[q, v]], without decoding v."""
         return x % self.base
 
-    @functools.cached_property
-    def _chunks(self) -> tuple:
-        # (e^k, the digits of every k-digit chunk, low digit first): decode
-        # splits off k digits at a time, k as large as keeps 1024 chunks
-        e = self.e
-        k = 1
-        while e ** (k + 1) <= 1024:
-            k += 1
-        return e**k, tuple(tuple(c // e**j % e for j in range(k)) for c in range(e**k))
-
-    def decode(self, x: int) -> MagnusMatrix:
-        code, q = divmod(x, self.base)
+    def _digits(self, code: int) -> list:
+        """The base-e digits of a vector code, low digit first, as many as
+        there are slots."""
         size = len(self.weight)
-        chunk, digits = self._chunks
+        chunk, digits = _chunks(self.e)
         vec = []
         while len(vec) < size:
             code, c = divmod(code, chunk)
             vec.extend(digits[c])
-        return MagnusMatrix(self.ctx, q, tuple(vec[:size]))
+        del vec[size:]
+        return vec
+
+    def decode(self, x: int) -> MagnusMatrix:
+        code, q = divmod(x, self.base)
+        return MagnusMatrix(self.ctx, q, tuple(self._digits(code)))
 
     def _weights(self, q: int) -> tuple:
         """Digit weights after left multiplication by q (slot b*d+j -> b*d+q*j)."""
@@ -237,6 +311,17 @@ class _PackedMagnusLaw:
                 out += (e - c) * weights[k]
             k += 1
         return out
+
+
+@functools.lru_cache(maxsize=1)
+def _chunks(e: int) -> tuple:
+    """(e^k, the digits of every k-digit chunk, low digit first): a packed
+    law splits a vector code k digits at a time, k as large as keeps 1024
+    chunks.  One table per e, shared by every level of a model."""
+    k = 1
+    while e ** (k + 1) <= 1024:
+        k += 1
+    return e**k, tuple(tuple(c // e**j % e for j in range(k)) for c in range(e**k))
 
 
 def magnus_image(ctx: QuotientContext, w: FreeWord) -> MagnusMatrix:

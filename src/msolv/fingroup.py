@@ -41,10 +41,14 @@ from .errors import (
     NotNormal,
     NotSurjective,
     TooLarge,
+    VerdictFailed,
 )
 from .zmodlin import RMatrix, _flat_mul, _howell_split, _xgcd
 
 DEFAULT_CAP = 2_000_000
+# largest coordinate space a packed level may be indexed by: its flat index
+# and its coordinates are array('i') values
+COORD_LIMIT = 2**31 - 1
 # largest order that gets a Cayley table; see the module docstring
 CAYLEY_LIMIT = 512
 
@@ -235,8 +239,10 @@ class _CosetLaw:
 class FiniteGroup:
     """A fully enumerated finite group.
 
-    Fields: `elements` (index 0 is the identity), `index` (element -> index),
-    `generators` / `gen_indices`, and `gen_table`, one flat row-major
+    Fields: `elements` (index 0 is the identity), `index` (element -> index:
+    a dict, or for a whole packed Magnus level the `_CoordinateIndex` that
+    finds an element by its co-tree coordinate; both support [], `get` and
+    `in`), `generators` / `gen_indices`, and `gen_table`, one flat row-major
     `array('i')` of order x ngens ints with
     gen_table[i * ngens + g] = index of elements[i] * generators[g], 4 bytes
     per edge and no object per row.
@@ -261,9 +267,6 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
@@ -368,14 +371,21 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     `law.mul` call per edge: row q of the table holds one (delta, e*w,
     (e-1)*w) per generator for the elements a with a % base == q, and the
     product is a + delta, less e*w when a % (e*w) >= (e-1)*w.  Same
-    products in the same order, so the same enumeration.
+    products in the same order, so the same enumeration.  When the law's
+    co-tree coordinate space fits under the cap (and `COORD_LIMIT`), as it
+    does for every complete model level, `_coordinate_bfs` runs that step
+    and looks products up by coordinate; otherwise, as for the capped
+    probe's prefix, by an index dict.
     """
+    rows = getattr(law, "step_rows", None)
+    packed = rows is not None and list(gens) == law.generators
+    if packed and law.coord_size <= min(cap, COORD_LIMIT):
+        return _coordinate_bfs(identity, law)
     elements = [identity]
     index = {identity: 0}
     gen_table = array("i")
     edge = gen_table.append
-    rows = getattr(law, "step_rows", None)
-    if rows is not None and list(gens) == law.generators:
+    if packed:
         base = law.base
         i = 0
         while i < len(elements):
@@ -408,6 +418,87 @@ def _bfs(gens: Sequence, identity, law, cap: int):
             edge(k)
         i += 1
     return elements, index, gen_table, True
+
+
+def _coordinate_bfs(identity, law):
+    """`_bfs` of a whole packed level, each product looked up by its co-tree
+    coordinate (`_PackedMagnusLaw.coord_weight`) in one flat array.
+
+    Element i's coordinate rides along as coords[i], and a step moves it
+    by the coordinate half of its `coord_rows` entry, wrapping when the
+    packed step wraps, so a product's coordinate is law.coord of it.
+    slots[c] is the index of the element with coordinate c, or -1.  A
+    product whose slot is taken must be the element there: two different
+    elements on one coordinate raise VerdictFailed naming both, so the
+    enumeration is exact whether or not the coordinate map is one-to-one.
+    The caller has checked that the space fits under its cap, and
+    distinct elements sit in distinct slots, so no cap is tested here.
+    """
+    elements = [identity]
+    gen_table = array("i")
+    edge = gen_table.append
+    append = elements.append
+    rows, base = law.coord_rows, law.base
+    c0 = law.coord(identity)
+    slots = array("i", [-1]) * law.coord_size
+    slots[c0] = 0
+    coords = array("i", [c0])
+    cappend = coords.append
+    n = 1
+    # zip reads elements and coords as they grow, so it visits every element
+    for a, c in zip(elements, coords):
+        for delta, ew, top, cdelta, cew in rows[a % base]:
+            if a % ew >= top:
+                p = a + delta - ew
+                pc = c + cdelta - cew
+            else:
+                p = a + delta
+                pc = c + cdelta
+            k = slots[pc]
+            if k < 0:
+                k = n
+                n += 1
+                append(p)
+                cappend(pc)
+                slots[pc] = k
+            elif elements[k] != p:
+                raise VerdictFailed(
+                    f"packed elements {elements[k]} and {p} share co-tree coordinate {pc}"
+                )
+            edge(k)
+    return elements, _CoordinateIndex(elements, slots, law.coord), gen_table, True
+
+
+class _CoordinateIndex:
+    """The element -> index mapping of a whole packed level, read through
+    co-tree coordinates: x has index slots[coord(x)] if the element there
+    is x.  Supports [], `get` and `in`; anything that is not an element of
+    the level (another int, a non-int) is simply absent.
+    """
+
+    __slots__ = ("elements", "slots", "coord")
+
+    def __init__(self, elements: list, slots: array, coord: Callable):
+        self.elements = elements
+        self.slots = slots
+        self.coord = coord
+
+    def get(self, x, default=None):
+        c = self.coord(x)
+        if c is not None:
+            k = self.slots[c]
+            if k >= 0 and self.elements[k] == x:
+                return k
+        return default
+
+    def __getitem__(self, x) -> int:
+        k = self.get(x)
+        if k is None:
+            raise KeyError(x)
+        return k
+
+    def __contains__(self, x) -> bool:
+        return self.get(x) is not None
 
 
 def _tree_edges(table) -> Iterator[int]:

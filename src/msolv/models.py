@@ -65,7 +65,7 @@ from itertools import compress
 from operator import eq
 from typing import List, Sequence
 
-from .errors import CapExceeded, PreconditionViolated, VerdictFailed
+from .errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed
 from .fingroup import (
     FiniteGroup,
     Subgroup,
@@ -422,17 +422,20 @@ def kcap_tower(
         check_centralizer_question(r, e, m, i, n)
     entries = []
     for e in exponents:
-        prev = build_solv_model(r, e, m - 1, cap=cap).group
+        # a verified row builds level m, and reads level m - 1 off it
+        try:
+            verified = _predicted_orders(r, e, m)[-1] <= cap
+        except TooLarge:  # level m has no packed law: a linear-only row
+            verified = False
+        model = build_solv_model(r, e, m if verified else m - 1, cap=cap)
+        prev = model.levels[-2] if verified else model.group
         ctx = _context_above(r, e, prev)
         K, kf_span = _ker_f(ctx)
         _, k_cap = _k_cap(ctx, K, prev.power(ctx.images[i - 1], n))
         order = prev.order * kf_span
-        verified = False
         matches = True
-        if order <= cap:
-            model = build_solv_model(r, e, m, cap=cap)
+        if verified:
             rep = centralizer_experiment(model, i, n)
-            verified = True
             matches = (
                 rep.oracle_equal
                 and rep.decomposition_holds

@@ -237,6 +237,25 @@ OPTIMIZED_MODE_ARGV = {
     "magnus": ["magnus", "--group", "builtin S_3", "--images", "g1,g2"]
     + ["--word", "x1*x2^-1*x1"],
     "centerfree-scan": ["centerfree-scan"],
+    "aliased-coordinate": ["solv-model", "--r", "2", "--e", "2", "--m", "2"],
+}
+
+# runs with a fault put in before the CLI starts, and the witness their
+# failed verdict must carry: with the largest co-tree weight of every packed
+# law zeroed, x_2 = 2 lands on the identity's coordinate at level 1
+OPTIMIZED_MODE_FAULTS = {
+    "aliased-coordinate": (
+        "import sys\n"
+        "from msolv import cli, crowell\n"
+        "weight = crowell._PackedMagnusLaw.coord_weight.func\n"
+        "def zeroed(self):\n"
+        "    w = list(weight(self))\n"
+        "    w[w.index(max(w))] = 0\n"
+        "    return tuple(w)\n"
+        "crowell._PackedMagnusLaw.coord_weight = property(zeroed)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n",
+        "packed elements 0 and 2 share co-tree coordinate 0",
+    ),
 }
 
 
@@ -244,7 +263,9 @@ OPTIMIZED_MODE_ARGV = {
 def test_verdicts_survive_optimized_mode(case):
     # python -O strips asserts; the reports must not depend on them
     env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
-    argv = ["-m", "msolv.cli", *OPTIMIZED_MODE_ARGV[case]]
+    fault, witness = OPTIMIZED_MODE_FAULTS.get(case, (None, None))
+    entry = ["-c", fault] if fault else ["-m", "msolv.cli"]
+    argv = [*entry, *OPTIMIZED_MODE_ARGV[case]]
     runs = [
         subprocess.run(
             [sys.executable, *flags, *argv], capture_output=True, env=env, timeout=120
@@ -252,9 +273,12 @@ def test_verdicts_survive_optimized_mode(case):
         for flags in ([], ["-O"])
     ]
     for proc in runs:
-        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.returncode == (1 if fault else 0), proc.stderr.decode()
     assert runs[0].stdout == runs[1].stdout
-    assert json.loads(runs[1].stdout)["experiments"][0]["passed"] is True
+    result = json.loads(runs[1].stdout)["experiments"][0]
+    assert result["passed"] is not fault
+    if fault:
+        assert result["report"]["witness"] == witness
 
 
 def test_refusals_survive_optimized_mode():
@@ -482,6 +506,12 @@ HUGE_GROUP_ARGV = [
     ["derived-series", "--group", "perm 99999999999 : (0 1)"],
 ]
 
+# integers longer than int() reads from a string (4300 digits by default)
+LONG_INTEGER_ARGV = [
+    ["derived-series", "--group", "perm 3 : (0 " + "9" * 5000 + ")"],
+    ["derived-series", "--group", "builtin C_" + "9" * 5000],
+]
+
 
 @pytest.mark.parametrize(
     "argv, config",
@@ -500,6 +530,7 @@ HUGE_GROUP_ARGV = [
         (["centerfree-scan"], {"instances": [{"m": 2}, {"groups": " ; "}]}),
         *((argv, None) for argv in UNANSWERABLE_CENTRALIZER_ARGV),
         *((argv, None) for argv in HUGE_GROUP_ARGV),
+        *((argv, None) for argv in LONG_INTEGER_ARGV),
     ],
 )
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
@@ -513,6 +544,62 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     assert captured.err.startswith("msolv: error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (LONG_INTEGER_ARGV[0], "(line 1, column 13)"),
+        (LONG_INTEGER_ARGV[1], "(line 1, column 11)"),
+        (["derived-series", "--group", "mat 5 :\n[[1, " + "7" * 1001 + "], [0, 1]]"], "(line 2, column 6)"),
+        (["fox", "--group", "builtin S_3", "--images", "g1,g2", "--word", "x1^" + "1" * 5000], "(line 1, column 4)"),
+        (["fox", "--group", "builtin S_3", "--images", "g1,g2", "--word", "x1 x" + "1" * 5000], "(line 1, column 5)"),
+    ],
+)
+def test_long_integers_exit_2_at_their_position(argv, position, capsys):
+    # the integer reader counts digits before int() sees the token
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    (line,) = err.splitlines()[:1]
+    assert line.startswith("msolv: error: integer of ")
+    assert line.endswith(position)
+    assert "Traceback" not in err
+
+
+def test_integers_up_to_the_digit_limit_are_read(capsys):
+    # 1000 digits is the limit; the entry reduces mod 5 like any other
+    one = "1" + "0" * 999  # 10^999 = 0 mod 5
+    rc = main(["derived-series", "--group", f"mat 5 : [[{one}0, 1], [1, {one}]]"])
+    assert rc == 2 and "integer of 1001 digits" in capsys.readouterr().err
+    assert main(["derived-series", "--group", f"mat 5 : [[{one}, 1], [1, {one}]]"]) == 0
+
+
+@pytest.mark.parametrize("name", ["C_100000", "C_2000000", "D_1000000"])
+def test_builtins_past_the_work_bound_build_nothing(name, monkeypatch, capsys):
+    # order x degree is known for a builtin, so one past the bound is
+    # refused before any cycle or closure is built, even under the cap
+    def no_build(*args, **kwargs):
+        raise AssertionError("a group was built before its work was bounded")
+
+    monkeypatch.setattr(fingroup.PermElem, "from_cycles", staticmethod(no_build))
+    monkeypatch.setattr(cli, "closure", no_build)
+    assert main(["derived-series", "--group", f"builtin {name}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"msolv: error: {name} has ")
+    assert f"the bound is {cli.BUILTIN_WORK_BOUND}" in err
+
+
+def test_s9_is_within_the_work_bound(monkeypatch):
+    # S_9 has 9! x 9 = 3,265,920 points: its closure is reached
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "closure", reached)
+    with pytest.raises(Reached):
+        cli._builtin_group("S_9")
 
 
 @pytest.mark.parametrize("name", ["C_99999999999", "D_99999999998", "S_10", "S_99999999999"])

@@ -28,8 +28,17 @@ from msolv.crowell import (
     relation_module_report,
     relator_kernel_check,
 )
-from msolv.errors import MixedVariant, RelatorNotInKernel, TooLarge
-from msolv.fingroup import MatElem, PermElem, _bfs, _tree_edges, closure, derived_series, subgroup_closure
+from msolv.errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed
+from msolv.fingroup import (
+    MatElem,
+    PermElem,
+    _bfs,
+    _CoordinateIndex,
+    _tree_edges,
+    closure,
+    derived_series,
+    subgroup_closure,
+)
 from msolv.foxcalc import (
     QuotientContext,
     commutator,
@@ -258,7 +267,8 @@ def _inline_and_generic_bfs(law, cap, monkeypatch, start=0):
 def _assert_same_bfs(inline, generic):
     (el_a, idx_a, tab_a, done_a), (el_b, idx_b, tab_b, done_b) = inline, generic
     assert el_a == el_b
-    assert idx_a == idx_b
+    # a whole packed level's index is a coordinate lookup, not a dict
+    assert all(idx_a[x] == idx_b[x] == k for k, x in enumerate(el_a))
     assert tab_a.tobytes() == tab_b.tobytes()
     assert done_a == done_b
 
@@ -336,6 +346,86 @@ def test_inline_bfs_from_a_power_matches_generic_loop_at_mid_row_cap(i, n, monke
         elements, _, _, complete = _bfs(law.generators, 0, law, cap)
         assert len(elements) == cap and not complete
         assert inline[0] == [law.mul(xn, a) for a in elements]
+
+
+# ------------------------------------------------ co-tree coordinates
+
+
+# (r, e, m): W(2,2,2), W(2,3,2), level-1 models at e = 4 and 9 and at rank
+# 3, and a rank-1 model, which is C_5 at every m
+COORDINATE_MODELS = [(2, 2, 2), (2, 3, 2), (2, 4, 1), (2, 9, 1), (3, 3, 1), (1, 5, 2)]
+
+
+@pytest.mark.parametrize("r, e, m", COORDINATE_MODELS)
+def test_coordinates_number_each_level(r, e, m):
+    # the elements' coordinates are exactly range(|W|), and the index
+    # finds every element at its BFS position
+    for level in build_solv_model(r, e, m).levels:
+        law = level.law
+        assert law.coord_size == level.order
+        assert sorted(map(law.coord, level.elements)) == list(range(level.order))
+        index = level.index
+        assert isinstance(index, _CoordinateIndex)
+        assert all(index[x] == k for k, x in enumerate(level.elements))
+        assert all(index.get(x) == k and x in index for k, x in enumerate(level.elements[:200]))
+
+
+def _bump_tree_digit(law, x):
+    """x with the digit of its lowest tree slot raised by 1 mod e: same q
+    and same co-tree digits, so the same coordinate."""
+    k = law.coord_weight.index(0)
+    w, e = law.weight[k], law.e
+    digit = x // w % e
+    return x + ((digit + 1) % e - digit) * w
+
+
+@pytest.mark.parametrize("r, e, m", [(2, 2, 2), (2, 3, 2), (1, 5, 2)])
+def test_non_members_are_absent_from_the_coordinate_index(r, e, m):
+    W = build_solv_model(r, e, m).group
+    law = W.law
+    past = law.base * law.e ** len(law.weight)  # the first int past every packed value
+    strangers = [past, -1, None, MagnusMatrix.identity(law.ctx), "0"]
+    if 0 in law.coord_weight:  # a rank-1 level has no tree slot
+        x = W.elements[-1]
+        bumped = _bump_tree_digit(law, x)
+        assert law.coord(bumped) == law.coord(x) and bumped != x
+        strangers.append(bumped)
+    for x in strangers:
+        assert W.index.get(x) is None
+        assert W.index.get(x, -7) == -7
+        assert x not in W.index
+        with pytest.raises(KeyError):
+            W.index[x]
+
+
+def _zero_one_cotree_weight(monkeypatch):
+    """Zero the largest co-tree weight of every packed law, so that two
+    elements share each coordinate it no longer tells apart."""
+    weight = _PackedMagnusLaw.coord_weight.func
+
+    def zeroed(self):
+        w = list(weight(self))
+        w[w.index(max(w))] = 0
+        return tuple(w)
+
+    monkeypatch.setattr(_PackedMagnusLaw, "coord_weight", property(zeroed))
+
+
+def test_aliased_coordinates_fail_the_build(monkeypatch):
+    # at level 1 of W(2,2,2) the zeroed weight is x_2's digit: x_2 = 2
+    # lands on the identity's coordinate
+    _zero_one_cotree_weight(monkeypatch)
+    with pytest.raises(VerdictFailed, match="^packed elements 0 and 2 share co-tree coordinate 0$"):
+        build_solv_model(2, 2, 2)
+
+
+def test_capped_prefix_keeps_the_dict_index():
+    # W(2,2,3) has about 2^136 coordinates, far past any cap
+    law = packed_law("d128")
+    assert law.coord_size > 2**100
+    elements, index, _, complete = _bfs(law.generators, 0, law, 1500)
+    assert type(index) is dict and not complete
+    assert all(index[x] == k for k, x in enumerate(elements))
 
 
 def test_packed_encode_rejects_unreduced_entries():
