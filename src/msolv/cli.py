@@ -51,7 +51,7 @@ import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, MsolvError, ParseError, PreconditionViolated, TooLarge, VerdictFailed
+from .errors import CapExceeded, MsolvError, ParseError, PreconditionViolated, TooLarge, VerdictFailed, brief
 from .fingroup import (
     DEFAULT_CAP,
     FiniteGroup,
@@ -1086,7 +1086,7 @@ _GROUP = Param("group", str, required=True)
 _M = Param("m", int, 2, min=0)
 _I = Param("i", int, 1, min=1)
 _N = Param("n", int, 1, min=1)
-_CAP = Param("cap", int, 2_000_000, min=1)
+_CAP = Param("cap", int, DEFAULT_CAP, min=1)
 _IMAGES = Param("images", str, required=True)
 _WORD = Param("word", str, required=True)
 _MODULUS_N = Param("n", int, 2, min=2)  # coefficient modulus of (Z/n)[Q]
@@ -1187,9 +1187,23 @@ def _check_param(kind: str, p: Param, value) -> None:
     """Raise MsolvError unless `value` has p's type and lower bound."""
     ints = _ints_of(p, value)
     if ints is None:
-        raise MsolvError(f"{kind} {p.flag} must be {_TYPE_NAMES[p.type]}, got {value!r}")
+        raise MsolvError(f"{kind} {p.flag} must be {_TYPE_NAMES[p.type]}, got {brief(value)}")
     if p.min is not None and any(v < p.min for v in ints):
-        raise MsolvError(f"{kind} {p.flag} must be >= {p.min}, got {value!r}")
+        raise MsolvError(f"{kind} {p.flag} must be >= {p.min}, got {brief(value)}")
+
+
+def _int_arg(text: str) -> int:
+    """argparse type of an int flag: like `_read_int`, it refuses more than
+    MAX_INT_DIGITS digits before int() reads them, and it echoes a rejected
+    value only in brief."""
+    if sum(c.isdigit() for c in text) <= MAX_INT_DIGITS:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(
+        f"not an integer of at most {MAX_INT_DIGITS} digits: {brief(text)}"
+    )
 
 
 @functools.cache
@@ -1198,10 +1212,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (defaults + instances)")
     common.add_argument("--out", help="also write the report bytes to this file")
-    common.add_argument("--seed", type=int, help="random seed (default 0)")
+    common.add_argument("--seed", type=_int_arg, help="random seed (default 0)")
     common.add_argument(
         "--jobs",
-        type=int,
+        type=_int_arg,
         help="accepted and checked (>= 1) but ignored: instances run one after another",
     )
 
@@ -1216,7 +1230,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
             if p.type is bool:
                 sp.add_argument(p.flag, action="store_true", default=None)
             else:
-                sp.add_argument(p.flag, type=int if p.type is int else str, default=None)
+                sp.add_argument(p.flag, type=_int_arg if p.type is int else str, default=None)
     return top
 
 
@@ -1227,7 +1241,7 @@ def _merge_params(kind: str, cli: dict, config: dict, instance: dict) -> dict:
     for layer in (config, instance, cli):
         for k, v in layer.items():
             if k not in spec:
-                raise MsolvError(f"{kind} has no parameter {k!r}")
+                raise MsolvError(f"{kind} has no parameter {brief(k)}")
             if v is not None:
                 _check_param(kind, spec[k], v)
                 params[k] = v

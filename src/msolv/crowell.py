@@ -21,7 +21,8 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed
+from .errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed, brief
+from .fingroup import _bfs, _tree_edges
 from .foxcalc import FreeWord, QuotientContext, fox_row
 from .grpring import RingElem, augmentation, right_mult_matrix
 from .zmodlin import RMatrix, howell_form, kernel_basis, span_equal
@@ -117,34 +118,36 @@ PACKED_DIGIT_LIMIT = 2048
 class _PackedMagnusLaw:
     """Group law of MagnusMatrix values packed into single ints.
 
-    [[q, v]] is stored as q + |Q| * code with code = sum_k v[k] * e^k, so
-    the vector part sits in base-e digits above the quotient index.  A right
-    product by a generator [[q_i, e_i]] maps q to q * q_i and adds 1 to the
-    single digit (i-1)*d + q: one table lookup and one digit bump, which
-    `step_rows` tabulates for the callers that run it inline.  `mul` and
-    `inv` are the general product and inverse on packed ints, visiting only
-    the nonzero digits of the right operand.  `encode` / `decode` convert to
-    and from MagnusMatrix, which stays the single-element type for callers.
+    [[q, v]] is stored as q + |Q| * code with code the base-e number whose
+    digit at position pos(k) is v[k], so the vector part sits in base-e
+    digits above the quotient index: weight[k] = |Q| * e^pos(k) is the
+    packed value of a 1 in slot k.  A right product by a generator
+    [[q_i, e_i]] maps q to q * q_i and adds 1 to the single slot
+    (i-1)*d + q: one table lookup and one digit bump, which `step_rows`
+    tabulates for the callers that run it inline.  `mul` and `inv` are the
+    general product and inverse on packed ints, visiting only the nonzero
+    digits of the right operand.  `encode` / `decode` convert to and from
+    MagnusMatrix, which stays the single-element type for callers.
 
-    Co-tree coordinates number a whole level 0..|W|-1.  Digit slot
-    (i-1)*d + j is the edge j -> j q_i of Q's Cayley graph, so the vector
-    part of a product of generators counts, mod e, the edges its path
-    crosses: v is a flow mod e from 1 to q, and Fox's formula f(v) = q - 1
-    says the same.  Take a spanning tree of that graph by a BFS over q
-    (`coord_weight`); its d - 1 edges are tree slots and the other
-    r*d - (d - 1) are co-tree slots.  A flow is fixed by its boundary and
-    its co-tree digits (push the boundary in from the leaves), so
-    coord(x) = q + sum_j digit(co-tree slot j) * d * e^j is one-to-one on
-    W, and its range, range(d * e^((r-1)*d + 1)) = range(|W|), has exactly
-    |W| points.  `coord_rows` extends each `step_rows` entry by what that
-    generator step adds to the coordinate, so `fingroup._bfs` carries an
-    element's coordinate along with it and looks products up in one flat
-    array.  It does not trust the flow argument: every hit is checked
-    against the element already in that slot, and two different elements
-    on one coordinate fail the enumeration as a VerdictFailed, so what is
+    The digit order makes a co-tree coordinate a remainder.  Slot (i-1)*d + j
+    is the edge j -> j q_i of Q's Cayley graph, so the vector part of a
+    product of generators counts, mod e, the edges its path crosses: v is a
+    flow mod e from 1 to q, and Fox's formula f(v) = q - 1 says the
+    same.  The BFS tree of Q's enumeration by the images (`fingroup._bfs`,
+    read by `_tree_edges`) is a spanning tree of that graph, with the law's
+    own steps q -> q * q_i; its d - 1 edges are tree slots and the other
+    C = r*d - (d - 1) are co-tree slots.  Co-tree slots take digit positions
+    0..C-1 in increasing slot order, and the tree slots the top positions.
+    A flow is fixed by its boundary and its co-tree digits (push the boundary
+    in from the leaves), so coord(x) = x % coord_size, q plus the co-tree
+    digits, is one-to-one on W, and its range, range(d * e^C) = range(|W|),
+    has exactly |W| points.  `fingroup._bfs` looks products up by it in one
+    flat array.  It does not trust the flow argument: every hit is checked
+    against the element already in that slot, and two different elements on
+    one coordinate fail the enumeration as a VerdictFailed, so what is
     enumerated is exact either way.  The array is `array('i')`, so the
-    coordinate path needs |W| < 2^31 (`fingroup.COORD_LIMIT`).  The map
-    reads the packed digits and Q's generator steps only, no kernel basis.
+    coordinate path needs |W| < 2^31 (`fingroup.COORD_LIMIT`).  The map reads
+    the packed int and Q's generator steps only, no kernel basis.
     """
 
     @staticmethod
@@ -152,8 +155,8 @@ class _PackedMagnusLaw:
         """TooLarge unless a law over |Q| = q_order at this rank fits the limit."""
         if rank * q_order > PACKED_DIGIT_LIMIT:
             raise TooLarge(
-                f"packed Magnus law over |Q| = {q_order} at rank {rank} needs "
-                f"{rank * q_order} digits; the limit is {PACKED_DIGIT_LIMIT}"
+                f"packed Magnus law over |Q| = {brief(q_order)} at rank {brief(rank)} "
+                f"needs {brief(rank * q_order)} digits; the limit is {PACKED_DIGIT_LIMIT}"
             )
 
     def __init__(self, ctx: QuotientContext):
@@ -163,15 +166,27 @@ class _PackedMagnusLaw:
         self.check_size(ctx.rank, d)
         self.base = d  # |Q|
         self.e = e
-        # weight[k]: the packed value of a 1 in digit k of the vector part
-        self.weight = tuple(d * e**k for k in range(ctx.rank * d))
+        # the tree slots: slot i*d + q for each BFS-tree edge q -> q * q_(i+1)
+        # of Q's enumeration by the images
+        qs, _, table, _ = _bfs(ctx.images, 0, ctx.group, d)
+        r = ctx.rank
+        tree = {pos % r * d + qs[pos // r] for pos in _tree_edges(table)}
+        slots = range(r * d)
+        # _slots[pos]: the slot whose digit sits at position pos, and
+        # _positions[k]: the position of slot k's digit
+        self._slots = [k for k in slots if k not in tree] + sorted(tree)
+        self._positions = sorted(slots, key=self._slots.__getitem__)
+        self.coord_size = d * e ** (len(slots) - len(tree))  # d * e^C = |W|
+        self._end = d * e ** len(slots)  # the first int past every packed value
+        # weight[k]: the packed value of a 1 in slot k of the vector part
+        self.weight = tuple(d * e**p for p in self._positions)
         self._weights_cache: dict = {}
         self.generators = [
             self.encode(MagnusMatrix.generator(ctx, i)) for i in range(1, ctx.rank + 1)
         ]
         # step_rows[q][i] = (delta, e*w, (e-1)*w): the right product of an
         # element with quotient index q by generator i+1.  w is the weight of
-        # digit i*d + q, and delta = q*q_(i+1) - q + w bumps that digit; it
+        # slot i*d + q, and delta = q*q_(i+1) - q + w bumps that digit; it
         # wraps (subtract e*w) when the digit already is e-1, i.e. when
         # a % (e*w) >= (e-1)*w.  fingroup._bfs runs this step inline.
         rows = []
@@ -183,79 +198,27 @@ class _PackedMagnusLaw:
             rows.append(tuple(row))
         self.step_rows = tuple(rows)
 
-    @functools.cached_property
-    def coord_weight(self) -> tuple:
-        """coord_weight[k]: what digit k adds to the co-tree coordinate.
-
-        0 on the d - 1 tree slots, d * e^j on co-tree slot j (slots in
-        increasing order).  The tree is the BFS over q from 1 by the
-        generator steps q -> q * q_i: the slot that first reaches a new q
-        is a tree slot."""
-        ctx, d, e = self.ctx, self.base, self.e
-        tree = set()
-        seen = {0}
-        queue = [0]
-        for q in queue:
-            for i, img in enumerate(ctx.images):
-                t = ctx.group.mul(q, img)
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-                    tree.add(i * d + q)
-        cotree = [k for k in range(len(self.weight)) if k not in tree]
-        weight = [0] * len(self.weight)
-        for j, k in enumerate(cotree):
-            weight[k] = d * e**j
-        return tuple(weight)
-
-    @property
-    def coord_size(self) -> int:
-        """The number of co-tree coordinates, d * e^(r*d - (d - 1)) = |W|."""
-        d = self.base
-        return d * self.e ** (len(self.weight) - d + 1)
-
-    @functools.cached_property
-    def coord_rows(self) -> tuple:
-        """coord_rows[q][i] = (delta, e*w, (e-1)*w, cdelta, e*cw): the entry
-        step_rows[q][i], the same three ints, followed by the coordinate's
-        move under that step, so `fingroup._bfs` reads one tuple per edge.
-        cw is the coordinate weight of the digit the step bumps (0 for a
-        tree slot) and cdelta = q*q_(i+1) - q + cw; the coordinate wraps
-        (subtract e*cw) exactly when the packed step does.  Built only for
-        a level enumerated by coordinate."""
-        e, d, cw = self.e, self.base, self.coord_weight
-        return tuple(
-            tuple(
-                (delta, ew, top, delta - ew // e + cw[i * d + q], e * cw[i * d + q])
-                for i, (delta, ew, top) in enumerate(row)
-            )
-            for q, row in enumerate(self.step_rows)
-        )
-
     def coord(self, x) -> Optional[int]:
         """The co-tree coordinate of a packed value x, or None when x is not
         a packed value of this law (not an int, or out of range)."""
-        if not isinstance(x, int) or not 0 <= x < self.weight[-1] * self.e:
+        if not isinstance(x, int) or not 0 <= x < self._end:
             return None
-        code, q = divmod(x, self.base)
-        return q + sum(map(operator.mul, self._digits(code), self.coord_weight))
+        return x % self.coord_size
 
     def encode(self, m: MagnusMatrix) -> int:
-        code = 0
         e = self.e
-        for c in reversed(m.vec):
+        for c in m.vec:
             if not 0 <= c < e:
                 raise ValueError(f"vector entry {c} not reduced mod {e}")
-            code = code * e + c
-        return m.q + self.base * code
+        return m.q + sum(map(operator.mul, m.vec, self.weight))
 
     def q(self, x: int) -> int:
         """The quotient index q of a packed [[q, v]], without decoding v."""
         return x % self.base
 
     def _digits(self, code: int) -> list:
-        """The base-e digits of a vector code, low digit first, as many as
-        there are slots."""
+        """The base-e digits of a vector code, low position first, as many
+        as there are slots."""
         size = len(self.weight)
         chunk, digits = _chunks(self.e)
         vec = []
@@ -267,15 +230,17 @@ class _PackedMagnusLaw:
 
     def decode(self, x: int) -> MagnusMatrix:
         code, q = divmod(x, self.base)
-        return MagnusMatrix(self.ctx, q, tuple(self._digits(code)))
+        digits = self._digits(code)
+        return MagnusMatrix(self.ctx, q, tuple(map(digits.__getitem__, self._positions)))
 
     def _weights(self, q: int) -> tuple:
-        """Digit weights after left multiplication by q (slot b*d+j -> b*d+q*j)."""
+        """The weight of each digit position after left multiplication by q
+        (slot b*d+j -> b*d+q*j)."""
         t = self._weights_cache.get(q)
         if t is None:
             perm = self.ctx.left_mult_perm(q)
             d, w = self.base, self.weight
-            t = tuple(w[k - k % d + perm[k % d]] for k in range(len(w)))
+            t = tuple(w[k - k % d + perm[k % d]] for k in self._slots)
             self._weights_cache[q] = t
         return t
 

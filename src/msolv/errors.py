@@ -1,4 +1,23 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and `brief`, which keeps the
+values their messages echo short."""
+
+import math
+
+
+def brief(value) -> str:
+    """repr(value) for an error message, or, for a value past 60 characters
+    (a str by its own length, anything else by its repr's), a short
+    stand-in: an int by its digit count, anything else by the first 40
+    characters of its repr and that repr's length.  Never thousands of
+    digits."""
+    if isinstance(value, int) and value.bit_length() > 180:
+        digits = int(value.bit_length() * math.log10(2)) + 1  # or one fewer
+        digits -= abs(value) < 10 ** (digits - 1)
+        return f"an integer of {digits} digits"
+    text = repr(value)
+    if len(value if isinstance(value, str) else text) <= 60:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"
 
 
 class MsolvError(Exception):
@@ -27,7 +46,7 @@ class CapExceeded(MsolvError):
 
     def __init__(self, cap: int, reached: int, predicted: bool = False):
         if predicted:
-            msg = f"predicted order {reached} exceeds cap {cap}; nothing was enumerated"
+            msg = f"predicted order {brief(reached)} exceeds cap {cap}; nothing was enumerated"
         else:
             msg = f"closure exceeded cap {cap} (at least {reached} elements)"
         super().__init__(msg)

@@ -241,9 +241,9 @@ class FiniteGroup:
 
     Fields: `elements` (index 0 is the identity), `index` (element -> index:
     a dict, or for a whole packed Magnus level the `_CoordinateIndex` that
-    finds an element by its co-tree coordinate; both support [], `get` and
-    `in`), `generators` / `gen_indices`, and `gen_table`, one flat row-major
-    `array('i')` of order x ngens ints with
+    finds an element by its co-tree coordinate, a remainder of the packed
+    int; both support [], `get` and `in`), `generators` / `gen_indices`, and
+    `gen_table`, one flat row-major `array('i')` of order x ngens ints with
     gen_table[i * ngens + g] = index of elements[i] * generators[g], 4 bytes
     per edge and no object per row.
 
@@ -422,48 +422,40 @@ def _bfs(gens: Sequence, identity, law, cap: int):
 
 def _coordinate_bfs(identity, law):
     """`_bfs` of a whole packed level, each product looked up by its co-tree
-    coordinate (`_PackedMagnusLaw.coord_weight`) in one flat array.
+    coordinate in one flat array.
 
-    Element i's coordinate rides along as coords[i], and a step moves it
-    by the coordinate half of its `coord_rows` entry, wrapping when the
-    packed step wraps, so a product's coordinate is law.coord of it.
-    slots[c] is the index of the element with coordinate c, or -1.  A
-    product whose slot is taken must be the element there: two different
-    elements on one coordinate raise VerdictFailed naming both, so the
-    enumeration is exact whether or not the coordinate map is one-to-one.
-    The caller has checked that the space fits under its cap, and
-    distinct elements sit in distinct slots, so no cap is tested here.
+    The step is the packed dict loop's, read from `step_rows`, and the
+    product's coordinate is its remainder mod `law.coord_size` (the law
+    keeps the co-tree digits lowest).  slots[c] is the index of the
+    element with coordinate c, or -1.  A product whose slot is taken must
+    be the element there: two different elements on one coordinate raise
+    VerdictFailed naming both, so the enumeration is exact whether or not
+    the coordinate map is one-to-one.  The caller has checked that the
+    space fits under its cap, and distinct elements sit in distinct slots,
+    so no cap is tested here.
     """
     elements = [identity]
     gen_table = array("i")
     edge = gen_table.append
     append = elements.append
-    rows, base = law.coord_rows, law.base
-    c0 = law.coord(identity)
-    slots = array("i", [-1]) * law.coord_size
-    slots[c0] = 0
-    coords = array("i", [c0])
-    cappend = coords.append
+    rows, base, size = law.step_rows, law.base, law.coord_size
+    slots = array("i", [-1]) * size
+    slots[law.coord(identity)] = 0
     n = 1
-    # zip reads elements and coords as they grow, so it visits every element
-    for a, c in zip(elements, coords):
-        for delta, ew, top, cdelta, cew in rows[a % base]:
-            if a % ew >= top:
-                p = a + delta - ew
-                pc = c + cdelta - cew
-            else:
-                p = a + delta
-                pc = c + cdelta
-            k = slots[pc]
+    # the loop reads elements as it grows, so it visits every element
+    for a in elements:
+        for delta, ew, top in rows[a % base]:
+            p = a + delta - ew if a % ew >= top else a + delta
+            c = p % size
+            k = slots[c]
             if k < 0:
                 k = n
                 n += 1
                 append(p)
-                cappend(pc)
-                slots[pc] = k
+                slots[c] = k
             elif elements[k] != p:
                 raise VerdictFailed(
-                    f"packed elements {elements[k]} and {p} share co-tree coordinate {pc}"
+                    f"packed elements {elements[k]} and {p} share co-tree coordinate {c}"
                 )
             edge(k)
     return elements, _CoordinateIndex(elements, slots, law.coord), gen_table, True
@@ -472,8 +464,10 @@ def _coordinate_bfs(identity, law):
 class _CoordinateIndex:
     """The element -> index mapping of a whole packed level, read through
     co-tree coordinates: x has index slots[coord(x)] if the element there
-    is x.  Supports [], `get` and `in`; anything that is not an element of
-    the level (another int, a non-int) is simply absent.
+    is x, where coord(x) is x mod the level's coordinate count
+    (`_PackedMagnusLaw.coord`), so a lookup decodes no digit.  Supports [],
+    `get` and `in`; anything that is not an element of the level (another
+    int, a non-int) is simply absent.
     """
 
     __slots__ = ("elements", "slots", "coord")

@@ -22,8 +22,9 @@ C = <mu(x_i)> * K_cap is asserted.  |K_cap| is the finite-level defect
 that disappears in the limit the models approximate.
 
 Elements of every level are packed ints q + |Q| * code, with the vector
-part v held as base-e digits code = sum_k v[k] e^k (`_PackedMagnusLaw` in
-crowell), and `_context_above` is the one place a level's context is made.
+part v held as base-e digits, code = sum_k v[k] e^pos(k), the co-tree
+slots' digits lowest (`_PackedMagnusLaw` in crowell), and `_context_above`
+is the one place a level's context is made.
 A right product by a generator is then a table lookup and one digit bump,
 which is what the BFS closure does per edge.  The brute side of the
 centralizer experiment reads the closure's Cayley table, the flat
@@ -65,8 +66,9 @@ from itertools import compress
 from operator import eq
 from typing import List, Sequence
 
-from .errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed
+from .errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed, brief
 from .fingroup import (
+    DEFAULT_CAP,
     FiniteGroup,
     Subgroup,
     _bfs,
@@ -141,6 +143,23 @@ def _is_prime_power(e: int) -> bool:
     return True  # n is prime
 
 
+def _check_exponent(e: int) -> None:
+    """TooLarge if e passes DEFAULT_CAP, else PreconditionViolated unless e
+    is a prime power.
+
+    Level 1 is (Z/e)^r, with at least e elements, so past DEFAULT_CAP no
+    level above the trivial one fits under the default closure cap.
+    Refusing such an e first keeps `_is_prime_power` under 1,415 trial
+    divisions, where e = 2^61 - 1 would take about 1.5e9."""
+    if e > DEFAULT_CAP:
+        raise TooLarge(
+            f"coefficient exponent {brief(e)} is past {DEFAULT_CAP}, the default "
+            "closure cap: level 1, (Z/e)^r, would have at least e elements"
+        )
+    if not _is_prime_power(e):
+        raise PreconditionViolated(f"coefficient exponent {e} is not a prime power")
+
+
 @dataclass
 class SolvModel:
     rank: int
@@ -153,7 +172,7 @@ class SolvModel:
     note: str = MODEL_NOTE
 
 
-def build_solv_model(r: int, e: int, m: int, cap: int = 2_000_000) -> SolvModel:
+def build_solv_model(r: int, e: int, m: int, cap: int = DEFAULT_CAP) -> SolvModel:
     """Materialize the level-m model; CapExceeded, before any closure, if
     its predicted order passes cap.
 
@@ -202,8 +221,7 @@ def _predicted_orders(r: int, e: int, m: int) -> list:
     which is e^r at k = 1.  TooLarge at the first level whose packed law
     would pass the digit limit.
     """
-    if not _is_prime_power(e):
-        raise PreconditionViolated(f"coefficient exponent {e} is not a prime power")
+    _check_exponent(e)
     if r < 1 or m < 0:
         raise PreconditionViolated("need rank >= 1 and level m >= 0")
     if m == 0:
@@ -292,12 +310,13 @@ class CentralizerReport:
 
 
 def check_centralizer_question(r: int, e: int, m: int, i: int, n: int) -> None:
-    """PreconditionViolated unless the centralizer of mu(x_i)^n in W(r, e, m)
-    is a valid question: e a prime power, m >= 2 and r >= 2 (at rank 1 the
-    model is C_e at every m), 1 <= i <= r, and n >= 1 with e not dividing n
-    (else x_i^n dies in the abelianization).  Reads only its arguments."""
-    if not _is_prime_power(e):
-        raise PreconditionViolated(f"coefficient exponent {e} is not a prime power")
+    """PreconditionViolated (TooLarge for a huge e) unless the centralizer
+    of mu(x_i)^n in W(r, e, m) is a valid question: e a prime power within
+    the default closure cap (`_check_exponent`), m >= 2 and r >= 2 (at rank
+    1 the model is C_e at every m), 1 <= i <= r, and n >= 1 with e not
+    dividing n (else x_i^n dies in the abelianization).  Reads only its
+    arguments."""
+    _check_exponent(e)
     if m < 2:
         raise PreconditionViolated(f"a centralizer question needs level >= 2, not m = {m}")
     if r < 2:
@@ -305,9 +324,11 @@ def check_centralizer_question(r: int, e: int, m: int, i: int, n: int) -> None:
             "a centralizer question needs rank >= 2: at rank 1 the model is C_e at every m"
         )
     if not 1 <= i <= r:
-        raise PreconditionViolated(f"generator index {i} outside 1..{r}")
+        raise PreconditionViolated(f"generator index {brief(i)} outside 1..{brief(r)}")
     if n < 1 or n % e == 0:
-        raise PreconditionViolated(f"need n >= 1 with x_{i}^{n} nontrivial mod e = {e}")
+        raise PreconditionViolated(
+            f"need n >= 1 with x_{i}^n nontrivial mod e = {e}, got n = {brief(n)}"
+        )
 
 
 def _power_products(W: FiniteGroup, i: int, n: int):
@@ -407,7 +428,7 @@ class TowerEntry:
 
 
 def kcap_tower(
-    r: int, m: int, exponents: Sequence[int], i: int, n: int, cap: int = 2_000_000
+    r: int, m: int, exponents: Sequence[int], i: int, n: int, cap: int = DEFAULT_CAP
 ) -> list:
     """|K_cap| along a tower of increasing coefficient exponents.
 
@@ -429,7 +450,8 @@ def kcap_tower(
             verified = False
         model = build_solv_model(r, e, m if verified else m - 1, cap=cap)
         prev = model.levels[-2] if verified else model.group
-        ctx = _context_above(r, e, prev)
+        # level m's law already holds the context above level m - 1
+        ctx = model.group.law.ctx if verified else _context_above(r, e, prev)
         K, kf_span = _ker_f(ctx)
         _, k_cap = _k_cap(ctx, K, prev.power(ctx.images[i - 1], n))
         order = prev.order * kf_span

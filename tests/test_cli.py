@@ -241,18 +241,18 @@ OPTIMIZED_MODE_ARGV = {
 }
 
 # runs with a fault put in before the CLI starts, and the witness their
-# failed verdict must carry: with the largest co-tree weight of every packed
-# law zeroed, x_2 = 2 lands on the identity's coordinate at level 1
+# failed verdict must carry: with the top co-tree digit dropped from every
+# packed law's coordinate, x_2 = 2 lands on the identity's coordinate at
+# level 1
 OPTIMIZED_MODE_FAULTS = {
     "aliased-coordinate": (
         "import sys\n"
         "from msolv import cli, crowell\n"
-        "weight = crowell._PackedMagnusLaw.coord_weight.func\n"
-        "def zeroed(self):\n"
-        "    w = list(weight(self))\n"
-        "    w[w.index(max(w))] = 0\n"
-        "    return tuple(w)\n"
-        "crowell._PackedMagnusLaw.coord_weight = property(zeroed)\n"
+        "init = crowell._PackedMagnusLaw.__init__\n"
+        "def dropped(self, ctx):\n"
+        "    init(self, ctx)\n"
+        "    self.coord_size //= self.e\n"
+        "crowell._PackedMagnusLaw.__init__ = dropped\n"
         "sys.exit(cli.main(sys.argv[1:]))\n",
         "packed elements 0 and 2 share co-tree coordinate 0",
     ),
@@ -285,7 +285,7 @@ def test_refusals_survive_optimized_mode():
     # python -O strips asserts; the refusal of a centralizer question or of
     # a builtin past the closure cap must not depend on them
     env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
-    for refused in (UNANSWERABLE_CENTRALIZER_ARGV[0], HUGE_GROUP_ARGV[0]):
+    for refused in (UNANSWERABLE_CENTRALIZER_ARGV[0], HUGE_GROUP_ARGV[0], HUGE_EXPONENT_ARGV[2]):
         argv = ["-m", "msolv.cli", *refused]
         runs = [
             subprocess.run(
@@ -506,6 +506,17 @@ HUGE_GROUP_ARGV = [
     ["derived-series", "--group", "perm 99999999999 : (0 1)"],
 ]
 
+# a coefficient exponent past the closure cap, the prime 2^61 - 1: refused
+# before any trial division up to its square root, at every m and in a tower
+E61 = str(2**61 - 1)
+HUGE_EXPONENT_ARGV = [
+    ["solv-model", "--r", "2", "--e", E61, "--m", "0"],
+    ["solv-model", "--r", "2", "--e", E61, "--m", "1"],
+    ["centralizer", "--r", "2", "--e", E61, "--m", "2"],
+    ["centralizer", "--capped", "--r", "2", "--e", E61, "--m", "3"],
+    ["solv-model", "--r", "2", "--m", "2", "--tower", E61],
+]
+
 # integers longer than int() reads from a string (4300 digits by default)
 LONG_INTEGER_ARGV = [
     ["derived-series", "--group", "perm 3 : (0 " + "9" * 5000 + ")"],
@@ -531,9 +542,16 @@ LONG_INTEGER_ARGV = [
         *((argv, None) for argv in UNANSWERABLE_CENTRALIZER_ARGV),
         *((argv, None) for argv in HUGE_GROUP_ARGV),
         *((argv, None) for argv in LONG_INTEGER_ARGV),
+        *((argv, None) for argv in HUGE_EXPONENT_ARGV),
     ],
 )
-def test_bad_input_exits_2(argv, config, tmp_path, capsys):
+def test_bad_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
+    if argv in HUGE_EXPONENT_ARGV:
+
+        def no_trial_division(e):
+            raise AssertionError("a huge exponent reached the prime-power check")
+
+        monkeypatch.setattr(models, "_is_prime_power", no_trial_division)
     if config is not None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -564,6 +582,33 @@ def test_long_integers_exit_2_at_their_position(argv, position, capsys):
     assert line.startswith("msolv: error: integer of ")
     assert line.endswith(position)
     assert "Traceback" not in err
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["solv-model", "--r", "2", "--m", "2", "--e", NINES], None),
+        (["solv-model", "--r", "2", "--m", "2", "--tower", NINES], None),
+        (["centralizer", "--r", "2", "--e", "3", "--m", "2", "--n", NINES], None),
+        # 2000 nines is 0 mod 3, so x_1^n dies mod e; and a negative level
+        (["centralizer", "--r", "2", "--e", "3", "--m", "2"], {"n": int(NINES[:2000])}),
+        (["solv-model", "--r", "2", "--e", "3"], {"m": -int(NINES[:2000])}),
+    ],
+    ids=["e", "tower", "n", "config-n", "config-m"],
+)
+def test_long_values_are_echoed_in_brief(argv, config, tmp_path, capsys):
+    # a rejected value of thousands of digits exits 2 without being echoed
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 1024
+    assert max(map(len, err.splitlines())) <= 200
 
 
 def test_integers_up_to_the_digit_limit_are_read(capsys):

@@ -172,10 +172,17 @@ def test_magnus_fox_consistency_random_pairs():
 
 @functools.lru_cache(maxsize=None)
 def packed_law(label):
-    """The law of W(2,2,2), of W(2,3,2), or of the d = 128 level-3 context."""
-    e, level = {"W222": (2, 1), "W232": (3, 1), "d128": (2, 2)}[label]
+    """The law of W(2,2,2), of W(2,3,2), or of the d = 128 level-3 context.
+
+    "W232-r3" is a rank-3 context over W(2,3,2)'s level 1 with images
+    (1, q_2, q_1), not Q's generators in order, so its spanning tree, and
+    with it the order of its digit positions, differs from W(2,3,2)'s."""
+    e, level = {"W222": (2, 1), "W232": (3, 1), "d128": (2, 2), "W232-r3": (3, 1)}[label]
     G = build_solv_model(2, e, level).group
-    return _PackedMagnusLaw(QuotientContext(2, G, list(G.gen_indices), e))
+    images = list(G.gen_indices)
+    if label == "W232-r3":
+        return _PackedMagnusLaw(QuotientContext(3, G, [0, *reversed(images)], e))
+    return _PackedMagnusLaw(QuotientContext(2, G, images, e))
 
 
 def magnus_fold(ctx, letters):
@@ -193,7 +200,7 @@ letter_lists = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    label=st.sampled_from(("W222", "W232", "d128")),
+    label=st.sampled_from(("W222", "W232", "d128", "W232-r3")),
     raw_a=letter_lists,
     raw_b=letter_lists,
 )
@@ -230,7 +237,7 @@ def test_packed_generator_step_wraps_digit(label):
             assert law.mul(law.encode(m), g) == law.encode(prod)
 
 
-@pytest.mark.parametrize("label", ["W222", "W232", "d128"])
+@pytest.mark.parametrize("label", ["W222", "W232", "d128", "W232-r3"])
 def test_packed_step_rows_match_general_product(label):
     # each step_rows triple, applied by the inline formula that _bfs and
     # the probe run, is the general packed product by its generator
@@ -358,12 +365,20 @@ COORDINATE_MODELS = [(2, 2, 2), (2, 3, 2), (2, 4, 1), (2, 9, 1), (3, 3, 1), (1, 
 
 @pytest.mark.parametrize("r, e, m", COORDINATE_MODELS)
 def test_coordinates_number_each_level(r, e, m):
-    # the elements' coordinates are exactly range(|W|), and the index
-    # finds every element at its BFS position
+    # the elements' coordinates are exactly range(|W|), each the packed
+    # int's remainder mod |W|, and the index finds every element at its BFS
+    # position
     for level in build_solv_model(r, e, m).levels:
         law = level.law
-        assert law.coord_size == level.order
+        size = law.coord_size
+        assert size == level.order
         assert sorted(map(law.coord, level.elements)) == list(range(level.order))
+        assert all(law.coord(x) == x % size for x in level.elements)
+        # the d - 1 tree slots weigh at least |W|; the co-tree slots are
+        # the low digits, d * e^j for j = 0, 1, ...
+        low = sorted(w for w in law.weight if w < size)
+        assert len(law.weight) - len(low) == law.base - 1
+        assert low == [law.base * law.e**j for j in range(len(low))]
         index = level.index
         assert isinstance(index, _CoordinateIndex)
         assert all(index[x] == k for k, x in enumerate(level.elements))
@@ -373,7 +388,7 @@ def test_coordinates_number_each_level(r, e, m):
 def _bump_tree_digit(law, x):
     """x with the digit of its lowest tree slot raised by 1 mod e: same q
     and same co-tree digits, so the same coordinate."""
-    k = law.coord_weight.index(0)
+    k = min(k for k, w in enumerate(law.weight) if w >= law.coord_size)
     w, e = law.weight[k], law.e
     digit = x // w % e
     return x + ((digit + 1) % e - digit) * w
@@ -385,7 +400,7 @@ def test_non_members_are_absent_from_the_coordinate_index(r, e, m):
     law = W.law
     past = law.base * law.e ** len(law.weight)  # the first int past every packed value
     strangers = [past, -1, None, MagnusMatrix.identity(law.ctx), "0"]
-    if 0 in law.coord_weight:  # a rank-1 level has no tree slot
+    if max(law.weight) >= law.coord_size:  # a rank-1 level has no tree slot
         x = W.elements[-1]
         bumped = _bump_tree_digit(law, x)
         assert law.coord(bumped) == law.coord(x) and bumped != x
@@ -398,25 +413,38 @@ def test_non_members_are_absent_from_the_coordinate_index(r, e, m):
             W.index[x]
 
 
-def _zero_one_cotree_weight(monkeypatch):
-    """Zero the largest co-tree weight of every packed law, so that two
-    elements share each coordinate it no longer tells apart."""
-    weight = _PackedMagnusLaw.coord_weight.func
+def _drop_top_cotree_digit(monkeypatch):
+    """Drop the top co-tree digit from every packed law's coordinate, so
+    that two elements share each coordinate it no longer tells apart."""
+    init = _PackedMagnusLaw.__init__
 
-    def zeroed(self):
-        w = list(weight(self))
-        w[w.index(max(w))] = 0
-        return tuple(w)
+    def dropped(self, ctx):
+        init(self, ctx)
+        self.coord_size //= self.e
 
-    monkeypatch.setattr(_PackedMagnusLaw, "coord_weight", property(zeroed))
+    monkeypatch.setattr(_PackedMagnusLaw, "__init__", dropped)
 
 
 def test_aliased_coordinates_fail_the_build(monkeypatch):
-    # at level 1 of W(2,2,2) the zeroed weight is x_2's digit: x_2 = 2
-    # lands on the identity's coordinate
-    _zero_one_cotree_weight(monkeypatch)
+    # at level 1 of W(2,2,2) the dropped digit is x_2's: x_2 = 2 lands on
+    # the identity's coordinate
+    _drop_top_cotree_digit(monkeypatch)
     with pytest.raises(VerdictFailed, match="^packed elements 0 and 2 share co-tree coordinate 0$"):
         build_solv_model(2, 2, 2)
+
+
+def test_coordinate_lookups_decode_no_digit(monkeypatch):
+    # a coordinate is a remainder of the packed int: neither the BFS nor an
+    # index lookup reads the digits one by one
+    def no_digits(self, code):
+        raise AssertionError("a coordinate lookup decoded the digits")
+
+    monkeypatch.setattr(_PackedMagnusLaw, "_digits", no_digits)
+    W = build_solv_model(2, 3, 2).group
+    assert all(W.index[x] == k for k, x in enumerate(W.elements[:2000]))
+    assert W.index.get(W.elements[-1]) == W.order - 1
+    k = W.mul(5, W.order - 1)  # by element product and index lookup
+    assert W.mul(k, W.inv(k)) == 0
 
 
 def test_capped_prefix_keeps_the_dict_index():
