@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed, brief
 from .fingroup import _bfs, _tree_edges
@@ -139,15 +139,21 @@ class _PackedMagnusLaw:
     C = r*d - (d - 1) are co-tree slots.  Co-tree slots take digit positions
     0..C-1 in increasing slot order, and the tree slots the top positions.
     A flow is fixed by its boundary and its co-tree digits (push the boundary
-    in from the leaves), so coord(x) = x % coord_size, q plus the co-tree
-    digits, is one-to-one on W, and its range, range(d * e^C) = range(|W|),
-    has exactly |W| points.  `fingroup._bfs` looks products up by it in one
-    flat array.  It does not trust the flow argument: every hit is checked
-    against the element already in that slot, and two different elements on
-    one coordinate fail the enumeration as a VerdictFailed, so what is
-    enumerated is exact either way.  The array is `array('i')`, so the
-    coordinate path needs |W| < 2^31 (`fingroup.COORD_LIMIT`).  The map reads
-    the packed int and Q's generator steps only, no kernel basis.
+    in from the leaves), so the co-tree coordinate x % coord_size, q plus
+    the co-tree digits, is one-to-one on W, and its range,
+    range(d * e^C) = range(|W|), has exactly |W| points.  The map reads the
+    packed int and Q's generator steps only, no kernel basis.
+
+    `fingroup._bfs` runs one packed loop over `step_rows` with one kind of
+    index, slots keyed by a remainder of the packed int.  A whole level,
+    whose coordinate space fits under the cap and `fingroup.COORD_LIMIT`
+    (|W| < 2^31, for an `array('i')`), takes the remainder mod coord_size
+    into one flat array; a capped prefix of a larger level takes it mod
+    `end`, past every packed value, which is the element itself, into a
+    dict.  The loop does not trust the flow argument: every hit is checked
+    against the element already in that slot, and two different elements
+    on one coordinate fail the enumeration as a VerdictFailed, so what is
+    enumerated is exact either way.
     """
 
     @staticmethod
@@ -177,7 +183,7 @@ class _PackedMagnusLaw:
         self._slots = [k for k in slots if k not in tree] + sorted(tree)
         self._positions = sorted(slots, key=self._slots.__getitem__)
         self.coord_size = d * e ** (len(slots) - len(tree))  # d * e^C = |W|
-        self._end = d * e ** len(slots)  # the first int past every packed value
+        self.end = d * e ** len(slots)  # the first int past every packed value
         # weight[k]: the packed value of a 1 in slot k of the vector part
         self.weight = tuple(d * e**p for p in self._positions)
         self._weights_cache: dict = {}
@@ -197,13 +203,6 @@ class _PackedMagnusLaw:
                 row.append((ctx.group.mul(q, ctx.images[i]) - q + w, e * w, (e - 1) * w))
             rows.append(tuple(row))
         self.step_rows = tuple(rows)
-
-    def coord(self, x) -> Optional[int]:
-        """The co-tree coordinate of a packed value x, or None when x is not
-        a packed value of this law (not an int, or out of range)."""
-        if not isinstance(x, int) or not 0 <= x < self._end:
-            return None
-        return x % self.coord_size
 
     def encode(self, m: MagnusMatrix) -> int:
         e = self.e

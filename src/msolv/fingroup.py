@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CapExceeded,
@@ -46,8 +46,9 @@ from .errors import (
 from .zmodlin import RMatrix, _flat_mul, _howell_split, _xgcd
 
 DEFAULT_CAP = 2_000_000
-# largest coordinate space a packed level may be indexed by: its flat index
-# and its coordinates are array('i') values
+# largest coordinate space a packed enumeration may index by one flat
+# array: its slots and coordinates are array('i') values.  A whole model
+# level past it is refused (`models.build_solv_model`).
 COORD_LIMIT = 2**31 - 1
 # largest order that gets a Cayley table; see the module docstring
 CAYLEY_LIMIT = 512
@@ -240,9 +241,9 @@ class FiniteGroup:
     """A fully enumerated finite group.
 
     Fields: `elements` (index 0 is the identity), `index` (element -> index:
-    a dict, or for a whole packed Magnus level the `_CoordinateIndex` that
-    finds an element by its co-tree coordinate, a remainder of the packed
-    int; both support [], `get` and `in`), `generators` / `gen_indices`, and
+    a dict, or for a packed Magnus level the `_CoordinateIndex` that finds
+    an element by its co-tree coordinate, a remainder of the packed int;
+    both support [], `get` and `in`), `generators` / `gen_indices`, and
     `gen_table`, one flat row-major `array('i')` of order x ngens ints with
     gen_table[i * ngens + g] = index of elements[i] * generators[g], 4 bytes
     per edge and no object per row.
@@ -371,37 +372,53 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     `law.mul` call per edge: row q of the table holds one (delta, e*w,
     (e-1)*w) per generator for the elements a with a % base == q, and the
     product is a + delta, less e*w when a % (e*w) >= (e-1)*w.  Same
-    products in the same order, so the same enumeration.  When the law's
-    co-tree coordinate space fits under the cap (and `COORD_LIMIT`), as it
-    does for every complete model level, `_coordinate_bfs` runs that step
-    and looks products up by coordinate; otherwise, as for the capped
-    probe's prefix, by an index dict.
+    products in the same order, so the same enumeration.  Its index is a
+    `_CoordinateIndex`: the element with remainder c mod `size` sits at
+    slots[c].  When the law's co-tree coordinate space fits under the cap
+    and `COORD_LIMIT`, as it does for every complete model level, `size`
+    is `law.coord_size` and the slots are one flat array('i'), -1 where
+    empty.  Otherwise, as for the capped probe's prefix, `size` is
+    `law.end`, past every packed value, so the remainder is the element
+    itself, and the slots are a dict that reads -1 for a missing key.  A
+    product whose slot is taken must be the element there: two different
+    elements on one coordinate raise VerdictFailed naming both, so the
+    enumeration is exact whether or not the coordinate map is one-to-one.
     """
-    rows = getattr(law, "step_rows", None)
-    packed = rows is not None and list(gens) == law.generators
-    if packed and law.coord_size <= min(cap, COORD_LIMIT):
-        return _coordinate_bfs(identity, law)
     elements = [identity]
-    index = {identity: 0}
     gen_table = array("i")
     edge = gen_table.append
-    if packed:
-        base = law.base
-        i = 0
-        while i < len(elements):
-            a = elements[i]
+    rows = getattr(law, "step_rows", None)
+    if rows is not None and list(gens) == law.generators:
+        base, size = law.base, law.coord_size
+        if size <= min(cap, COORD_LIMIT):
+            slots = array("i", [-1]) * size
+        else:
+            size = law.end
+            slots = _FreeSlots()
+        slots[identity % size] = 0
+        index = _CoordinateIndex(elements, slots, size)
+        append = elements.append
+        n = 1
+        # the loop reads elements as it grows, so it visits every element
+        for a in elements:
             for delta, ew, top in rows[a % base]:
                 p = a + delta - ew if a % ew >= top else a + delta
-                k = index.get(p)
-                if k is None:
-                    if len(elements) >= cap:
+                c = p % size
+                k = slots[c]
+                if k < 0:
+                    if n >= cap:
                         return elements, index, gen_table, False
-                    k = len(elements)
-                    elements.append(p)
-                    index[p] = k
+                    k = n
+                    n += 1
+                    append(p)
+                    slots[c] = k
+                elif elements[k] != p:
+                    raise VerdictFailed(
+                        f"packed elements {elements[k]} and {p} share co-tree coordinate {c}"
+                    )
                 edge(k)
-            i += 1
         return elements, index, gen_table, True
+    index = {identity: 0}
     mul = law.mul
     i = 0
     while i < len(elements):
@@ -420,67 +437,35 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     return elements, index, gen_table, True
 
 
-def _coordinate_bfs(identity, law):
-    """`_bfs` of a whole packed level, each product looked up by its co-tree
-    coordinate in one flat array.
+class _FreeSlots(dict):
+    """The slots of a packed `_bfs` too large for an array: a missing key
+    reads -1, as an empty array slot does, and is not stored."""
 
-    The step is the packed dict loop's, read from `step_rows`, and the
-    product's coordinate is its remainder mod `law.coord_size` (the law
-    keeps the co-tree digits lowest).  slots[c] is the index of the
-    element with coordinate c, or -1.  A product whose slot is taken must
-    be the element there: two different elements on one coordinate raise
-    VerdictFailed naming both, so the enumeration is exact whether or not
-    the coordinate map is one-to-one.  The caller has checked that the
-    space fits under its cap, and distinct elements sit in distinct slots,
-    so no cap is tested here.
-    """
-    elements = [identity]
-    gen_table = array("i")
-    edge = gen_table.append
-    append = elements.append
-    rows, base, size = law.step_rows, law.base, law.coord_size
-    slots = array("i", [-1]) * size
-    slots[law.coord(identity)] = 0
-    n = 1
-    # the loop reads elements as it grows, so it visits every element
-    for a in elements:
-        for delta, ew, top in rows[a % base]:
-            p = a + delta - ew if a % ew >= top else a + delta
-            c = p % size
-            k = slots[c]
-            if k < 0:
-                k = n
-                n += 1
-                append(p)
-                slots[c] = k
-            elif elements[k] != p:
-                raise VerdictFailed(
-                    f"packed elements {elements[k]} and {p} share co-tree coordinate {c}"
-                )
-            edge(k)
-    return elements, _CoordinateIndex(elements, slots, law.coord), gen_table, True
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        return -1
 
 
 class _CoordinateIndex:
-    """The element -> index mapping of a whole packed level, read through
-    co-tree coordinates: x has index slots[coord(x)] if the element there
-    is x, where coord(x) is x mod the level's coordinate count
-    (`_PackedMagnusLaw.coord`), so a lookup decodes no digit.  Supports [],
-    `get` and `in`; anything that is not an element of the level (another
-    int, a non-int) is simply absent.
+    """The element -> index mapping of a packed enumeration: an int x has
+    index slots[x % size] if the element there is x, so a lookup decodes
+    no digit.  `slots` and `size` are `_bfs`'s: an array over a whole
+    level's co-tree coordinates, or a `_FreeSlots` keyed by the elements
+    themselves.  Supports [], `get` and `in`; anything that is not an
+    enumerated element (another int, a non-int) is simply absent.
     """
 
-    __slots__ = ("elements", "slots", "coord")
+    __slots__ = ("elements", "slots", "size")
 
-    def __init__(self, elements: list, slots: array, coord: Callable):
+    def __init__(self, elements: list, slots, size: int):
         self.elements = elements
         self.slots = slots
-        self.coord = coord
+        self.size = size
 
     def get(self, x, default=None):
-        c = self.coord(x)
-        if c is not None:
-            k = self.slots[c]
+        if isinstance(x, int):
+            k = self.slots[x % self.size]
             if k >= 0 and self.elements[k] == x:
                 return k
         return default

@@ -34,13 +34,16 @@ along the BFS tree (`fingroup._tree_edges`), since (x^n p) g = x^n (p g).
 It is group arithmetic from the Cayley graph alone and never touches the
 kernel of f it is checked against.
 
-The capped probe enumerates its BFS prefix of W_m as packed ints in the
-same way, and keeps the BFS tree edge into each element, read from the
-capped table by the same `fingroup._tree_edges` as the full experiment's
-L.  Products with x^n may leave the prefix, so they stay packed values:
-el_k x^n by the n generator steps folded into one step per quotient
-index, and x^n el_k by one generator step along the tree from x^n; an
-element commutes iff the two ints are equal.
+The capped probe enumerates its BFS prefix of W_m as packed ints by the
+same loop, `fingroup._bfs`, and keeps the BFS tree edge into each element,
+read from the capped table by the same `fingroup._tree_edges` as the full
+experiment's L.  That loop has one index kind and two stores: a whole
+level, refused past `COORD_LIMIT` elements, is indexed by its co-tree
+coordinates in one flat array, and the prefix by its elements in a dict.
+Products with x^n may leave the prefix, so they stay packed values: el_k
+x^n by the n generator steps folded into one step per quotient index, and
+x^n el_k by one generator step along the tree from x^n; an element
+commutes iff the two ints are equal.
 The linear prediction decides its q-part once over Q, as the set of q
 commuting with x^n one level down, and reads the vector condition off the
 packed int digit by digit, stopping at the first slot that fails.
@@ -68,6 +71,7 @@ from typing import List, Sequence
 
 from .errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed, brief
 from .fingroup import (
+    COORD_LIMIT,
     DEFAULT_CAP,
     FiniteGroup,
     Subgroup,
@@ -174,7 +178,8 @@ class SolvModel:
 
 def build_solv_model(r: int, e: int, m: int, cap: int = DEFAULT_CAP) -> SolvModel:
     """Materialize the level-m model; CapExceeded, before any closure, if
-    its predicted order passes cap.
+    its predicted order passes cap, and TooLarge if it passes `COORD_LIMIT`,
+    the largest level the closure indexes by one flat array.
 
     Every level is a group of packed Magnus ints (see `_PackedMagnusLaw`),
     each one the closure over the level below, starting from the trivial
@@ -184,6 +189,11 @@ def build_solv_model(r: int, e: int, m: int, cap: int = DEFAULT_CAP) -> SolvMode
     orders = _predicted_orders(r, e, m)
     if orders[-1] > cap:
         raise CapExceeded(cap, orders[-1], predicted=True)
+    if orders[-1] > COORD_LIMIT:
+        raise TooLarge(
+            f"model order {brief(orders[-1])} is past {COORD_LIMIT}, the most "
+            "elements a level can be indexed by"
+        )
     W = trivial_group()
     levels = []
     for _ in range(len(orders) if m else 0):
@@ -434,8 +444,9 @@ def kcap_tower(
 
     The top level's module part equals ker f, so |K_cap| is computable by
     linear algebra alone even when the group itself is far beyond
-    materialization (its order is |Q| * |ker f|).  Rows small enough to fit
-    under `cap` are additionally verified against the brute-force
+    materialization (its order is |Q| * |ker f|).  Rows whose level m fits
+    under `cap` and `COORD_LIMIT` (past which `build_solv_model` refuses
+    it) are additionally verified against the brute-force
     centralizer experiment.  Every exponent's question is checked before
     the first row is computed.
     """
@@ -445,7 +456,7 @@ def kcap_tower(
     for e in exponents:
         # a verified row builds level m, and reads level m - 1 off it
         try:
-            verified = _predicted_orders(r, e, m)[-1] <= cap
+            verified = _predicted_orders(r, e, m)[-1] <= min(cap, COORD_LIMIT)
         except TooLarge:  # level m has no packed law: a linear-only row
             verified = False
         model = build_solv_model(r, e, m if verified else m - 1, cap=cap)

@@ -517,6 +517,14 @@ HUGE_EXPONENT_ARGV = [
     ["solv-model", "--r", "2", "--m", "2", "--tower", E61],
 ]
 
+# models of order 16 * 4^17, under a cap that admits them but past the
+# most elements a level can be indexed by (fingroup.COORD_LIMIT): refused
+# before any closure
+HUGE_CAP_ARGV = [
+    ["centralizer", "--r", "2", "--e", "4", "--m", "2", "--cap", "1000000000000"],
+    ["solv-model", "--r", "2", "--e", "4", "--m", "2", "--cap", "1000000000000"],
+]
+
 # integers longer than int() reads from a string (4300 digits by default)
 LONG_INTEGER_ARGV = [
     ["derived-series", "--group", "perm 3 : (0 " + "9" * 5000 + ")"],
@@ -543,6 +551,7 @@ LONG_INTEGER_ARGV = [
         *((argv, None) for argv in HUGE_GROUP_ARGV),
         *((argv, None) for argv in LONG_INTEGER_ARGV),
         *((argv, None) for argv in HUGE_EXPONENT_ARGV),
+        *((argv, None) for argv in HUGE_CAP_ARGV),
     ],
 )
 def test_bad_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
@@ -552,6 +561,12 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
             raise AssertionError("a huge exponent reached the prime-power check")
 
         monkeypatch.setattr(models, "_is_prime_power", no_trial_division)
+    if argv in HUGE_CAP_ARGV:
+
+        def no_closure(*args, **kwargs):
+            raise AssertionError("a model past COORD_LIMIT reached the closure")
+
+        monkeypatch.setattr(models, "closure", no_closure)
     if config is not None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -562,6 +577,31 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("msolv: error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_tower_row_past_the_index_limit_is_linear_only(capsys, monkeypatch):
+    # level 2 of W(2, 4, 2) fits under a cap of 10^12 but not under
+    # COORD_LIMIT, so its row is the linear-only row of the default cap,
+    # and no closure is handed a law that large
+    real = models.closure
+
+    def bounded(gens, cap=fingroup.DEFAULT_CAP, identity=None, law=None):
+        if law is not None and law.coord_size > fingroup.COORD_LIMIT:
+            raise AssertionError("a level past COORD_LIMIT reached the closure")
+        return real(gens, cap=cap, identity=identity, law=law)
+
+    monkeypatch.setattr(models, "closure", bounded)
+    argv = ["solv-model", "--r", "2", "--m", "2", "--tower", "4"]
+    reports = []
+    for cap in ([], ["--cap", "1000000000000"]):
+        start = time.perf_counter()
+        assert main([*argv, *cap]) == 0
+        assert time.perf_counter() - start < 1
+        (e,) = json.loads(capsys.readouterr().out)["experiments"]
+        reports.append(e["report"])
+    default, huge = reports
+    assert huge == default
+    assert [row["verified_brute"] for row in default["tower"]] == [False]
 
 
 @pytest.mark.parametrize(

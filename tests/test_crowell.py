@@ -12,6 +12,7 @@ BFS that runs its generator step inline against the generic loop of one
 
 import functools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -372,8 +373,7 @@ def test_coordinates_number_each_level(r, e, m):
         law = level.law
         size = law.coord_size
         assert size == level.order
-        assert sorted(map(law.coord, level.elements)) == list(range(level.order))
-        assert all(law.coord(x) == x % size for x in level.elements)
+        assert sorted(x % size for x in level.elements) == list(range(level.order))
         # the d - 1 tree slots weigh at least |W|; the co-tree slots are
         # the low digits, d * e^j for j = 0, 1, ...
         low = sorted(w for w in law.weight if w < size)
@@ -403,7 +403,7 @@ def test_non_members_are_absent_from_the_coordinate_index(r, e, m):
     if max(law.weight) >= law.coord_size:  # a rank-1 level has no tree slot
         x = W.elements[-1]
         bumped = _bump_tree_digit(law, x)
-        assert law.coord(bumped) == law.coord(x) and bumped != x
+        assert bumped % law.coord_size == x % law.coord_size and bumped != x
         strangers.append(bumped)
     for x in strangers:
         assert W.index.get(x) is None
@@ -447,13 +447,42 @@ def test_coordinate_lookups_decode_no_digit(monkeypatch):
     assert W.mul(k, W.inv(k)) == 0
 
 
-def test_capped_prefix_keeps_the_dict_index():
-    # W(2,2,3) has about 2^136 coordinates, far past any cap
+def test_capped_prefix_is_indexed_by_its_elements():
+    # W(2,2,3) has about 2^136 coordinates, far past any cap, so its
+    # prefix's slots are a dict keyed by the packed ints themselves
     law = packed_law("d128")
     assert law.coord_size > 2**100
     elements, index, _, complete = _bfs(law.generators, 0, law, 1500)
-    assert type(index) is dict and not complete
+    assert isinstance(index, _CoordinateIndex) and not complete
     assert all(index[x] == k for k, x in enumerate(elements))
+    # the keys are the element objects, not new ints equal to them
+    assert len(index.slots) == len(elements)
+    assert all(x is elements[k] for x, k in index.slots.items())
+    members = set(elements)
+    bumped = _bump_tree_digit(law, elements[-1])
+    assert bumped not in members and 0 <= bumped < law.end
+    for x in (bumped, law.end, law.end + elements[-1], None):
+        assert index.get(x) is None and x not in index
+        with pytest.raises(KeyError):
+            index[x]
+    assert len(index.slots) == len(elements)  # a lookup stores nothing
+
+
+@pytest.mark.parametrize("cap", [2, 3, 64, 127])
+def test_both_slot_stores_enumerate_alike(cap):
+    # W(2,2,2)'s level-2 law has 128 coordinates: a cap below that takes
+    # the dict store, and must cut the array store's whole run
+    law = packed_law("W222")
+    assert law.coord_size == 128
+    whole, whole_index, whole_table, done = _bfs(law.generators, 0, law, 128)
+    assert done and isinstance(whole_index.slots, array)
+    first = _first_positions(whole_table)
+    elements, index, table, complete = _bfs(law.generators, 0, law, cap)
+    assert type(index.slots) is not array and not complete
+    assert elements == whole[:cap]
+    assert table.tobytes() == whole_table[: first[cap]].tobytes()
+    assert all(index[x] == whole_index[x] == k for k, x in enumerate(elements))
+    assert all(x not in index for x in whole[cap:])
 
 
 def test_packed_encode_rejects_unreduced_entries():
