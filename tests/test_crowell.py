@@ -458,9 +458,8 @@ def test_capped_prefix_is_indexed_by_its_elements():
     # the keys are the element objects, not new ints equal to them
     assert len(index.slots) == len(elements)
     assert all(x is elements[k] for x, k in index.slots.items())
-    members = set(elements)
     bumped = _bump_tree_digit(law, elements[-1])
-    assert bumped not in members and 0 <= bumped < law.end
+    assert bumped not in set(elements) and 0 <= bumped < law.end
     for x in (bumped, law.end, law.end + elements[-1], None):
         assert index.get(x) is None and x not in index
         with pytest.raises(KeyError):
