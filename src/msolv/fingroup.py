@@ -1,7 +1,7 @@
 """Finite group engine.
 
-Groups are materialized completely: a FiniteGroup is an indexed list of
-elements (index 0 = identity) enumerated by breadth-first closure from its
+Groups are materialized completely: a FiniteGroup is an indexed sequence
+of elements (index 0 = identity) enumerated by breadth-first closure from its
 generators, plus the (element, generator) product table built during the
 enumeration, held as one flat row-major `array('i')`.  No Schreier-Sims, no
 coset enumeration: every target in this package is desk-scale and exactness
@@ -240,7 +240,9 @@ class _CosetLaw:
 class FiniteGroup:
     """A fully enumerated finite group.
 
-    Fields: `elements` (index 0 is the identity), `index` (element -> index:
+    Fields: `elements` (index 0 is the identity; a list, or for a whole
+    packed Magnus level one flat `array('q')` of its packed ints, so read
+    it only by index, slice or iteration), `index` (element -> index:
     a dict, or for a packed Magnus level the `_CoordinateIndex` that finds
     an element by its co-tree coordinate, a remainder of the packed int;
     both support [], `get` and `in`), `generators` / `gen_indices`, and
@@ -361,7 +363,8 @@ def _check_variant(gens: Sequence) -> None:
 def _bfs(gens: Sequence, identity, law, cap: int):
     """Breadth-first enumeration from `identity` by right products with `gens`.
 
-    Returns (elements, index, gen_table, complete), gen_table flat and
+    Returns (elements, index, gen_table, complete), elements a list or,
+    for a whole packed level, an array('q'), and gen_table flat and
     row-major as in FiniteGroup, one int appended per edge.  The
     enumeration stops as soon as an element past the first `cap` turns up,
     with complete False and exactly `cap` elements; gen_table then holds
@@ -376,23 +379,31 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     `_CoordinateIndex`: the element with remainder c mod `size` sits at
     slots[c].  When the law's co-tree coordinate space fits under the cap
     and `COORD_LIMIT`, as it does for every complete model level, `size`
-    is `law.coord_size` and the slots are one flat array('i'), -1 where
-    empty.  Otherwise, as for the capped probe's prefix, `size` is
-    `law.end`, past every packed value, so the remainder is the element
-    itself, and the slots are a dict that reads -1 for a missing key.  A
-    product whose slot is taken must be the element there: two different
-    elements on one coordinate raise VerdictFailed naming both, so the
-    enumeration is exact whether or not the coordinate map is one-to-one.
+    is `law.coord_size`, the slots are one flat array('i'), -1 where
+    empty, and the elements one flat array('q'), 8 bytes each and no
+    object per element.  Otherwise, as for the capped probe's prefix,
+    `size` is `law.end`, past every packed value, so the remainder is the
+    element itself, the slots are a dict that reads -1 for a missing key,
+    and the elements, ints of any size, a list.  A product whose slot is
+    taken must be the element there: two different elements on one
+    coordinate raise VerdictFailed naming both, so the enumeration is
+    exact whether or not the coordinate map is one-to-one.
     """
-    elements = [identity]
     gen_table = array("i")
     edge = gen_table.append
     rows = getattr(law, "step_rows", None)
     if rows is not None and list(gens) == law.generators:
         base, size = law.base, law.coord_size
         if size <= min(cap, COORD_LIMIT):
+            # 8 bytes hold every packed value: each is below end = d*e^(r*d)
+            # = coord_size * e^(d-1), and at rank r >= 2 the co-tree has
+            # C = (r-1)*d + 1 > d - 1 digits, so e^(d-1) < coord_size and
+            # end < coord_size**2 < 2**62; level 1 has d = 1, end = coord_size
+            elements = array("q", [identity])
             slots = array("i", [-1]) * size
         else:
+            # a prefix's values can run to thousands of bits
+            elements = [identity]
             size = law.end
             slots = _FreeSlots()
         slots[identity % size] = 0
@@ -418,6 +429,7 @@ def _bfs(gens: Sequence, identity, law, cap: int):
                     )
                 edge(k)
         return elements, index, gen_table, True
+    elements = [identity]
     index = {identity: 0}
     mul = law.mul
     i = 0
@@ -450,15 +462,16 @@ class _FreeSlots(dict):
 class _CoordinateIndex:
     """The element -> index mapping of a packed enumeration: an int x has
     index slots[x % size] if the element there is x, so a lookup decodes
-    no digit.  `slots` and `size` are `_bfs`'s: an array over a whole
-    level's co-tree coordinates, or a `_FreeSlots` keyed by the elements
-    themselves.  Supports [], `get` and `in`; anything that is not an
-    enumerated element (another int, a non-int) is simply absent.
+    no digit.  `elements`, `slots` and `size` are `_bfs`'s: an array('q')
+    of elements with an array over a whole level's co-tree coordinates, or
+    a list with a `_FreeSlots` keyed by the elements themselves.  Supports
+    [], `get` and `in`; anything that is not an enumerated element (another
+    int, a non-int) is simply absent.
     """
 
     __slots__ = ("elements", "slots", "size")
 
-    def __init__(self, elements: list, slots, size: int):
+    def __init__(self, elements, slots, size: int):
         self.elements = elements
         self.slots = slots
         self.size = size
@@ -817,11 +830,7 @@ def _coset_quotient(G: FiniteGroup, N: Subgroup):
         raise NotNormal("quotient requires a normal subgroup")
     rep_map = _left_cosets(G, N)
     law = _CosetLaw(G, rep_map)
-    q_gens = []
-    for gi in G.gen_indices:
-        e = G.elements[rep_map[gi]]
-        if e is not G.elements[0]:
-            q_gens.append(e)
+    q_gens = [G.elements[rep_map[gi]] for gi in G.gen_indices if rep_map[gi] != 0]
     Q = closure(q_gens, cap=G.order + 1, identity=G.elements[0], law=law)
     return Q, rep_map
 

@@ -39,7 +39,8 @@ same loop, `fingroup._bfs`, and keeps the BFS tree edge into each element,
 read from the capped table by the same `fingroup._tree_edges` as the full
 experiment's L.  That loop has one index kind and two stores: a whole
 level, refused past `COORD_LIMIT` elements, is indexed by its co-tree
-coordinates in one flat array, and the prefix by its elements in a dict.
+coordinates in one flat array and keeps its elements in an array('q'),
+and the prefix is indexed by its elements in a dict and keeps a list.
 Products with x^n may leave the prefix, so they stay packed values: el_k
 x^n by the n generator steps folded into one step per quotient index, and
 x^n el_k by one generator step along the tree from x^n; an element
@@ -56,8 +57,9 @@ entries v[src[k]] - v[k].  Level orders are predicted before any closure
 is built, whether a centralizer question is valid.
 
 Work that several instances of one CLI run share is done once per run:
-the probe's BFS prefix is a run memo (`run_memo`), and the corpus scan
-reads each group's m-independent part from a `ScanProfile`.
+the probe's BFS prefix and the full experiment's model are run memos
+(`run_memo`; the model's is in `cli`), and the corpus scan reads each
+group's m-independent part from a `ScanProfile`.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq
+from itertools import compress, repeat
+from operator import countOf, eq, mod
 from typing import List, Sequence
 
 from .errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed, brief
@@ -108,9 +110,9 @@ def run_memo(func):
     """Memoize `func` on its most recent arguments only.
 
     The instances of one CLI run may repeat an input: one corpus scanned
-    at several m, one probe prefix read at several (i, n).  A run memo
-    keeps one value, and a call with new arguments drops the old value
-    before computing the new one, so a run never holds more than one
+    at several m, one model or probe prefix read at several (i, n).  A run
+    memo keeps one value, and a call with new arguments drops the old
+    value before computing the new one, so a run never holds more than one
     instance would.  `clear_run_memos` empties every run memo; `cli.main`
     calls it when a run starts and when it ends.
     """
@@ -262,7 +264,7 @@ def module_part_basis(model: SolvModel):
     law = W.law
     ctx = law.ctx
     K, span = _ker_f(ctx)
-    module_count = sum(1 for x in W.elements if law.q(x) == 0)
+    module_count = countOf(map(mod, W.elements, repeat(law.base)), 0)
     if module_count != span:
         raise VerdictFailed(
             f"module part has {module_count} elements but ker f spans {span}"
@@ -392,7 +394,7 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
 
     # brute force: every element against mu(x_i)^n, over the Cayley table
     R, L, powers = _power_products(W, i, n)
-    cz_elements = [W.elements[k] for k in range(W.order) if R[k] == L[k]]
+    cz_elements = list(compress(W.elements, map(eq, R, L)))
     brute_module = {law.decode(x).vec for x in cz_elements if law.q(x) == 0}
     mu_n_q = law.q(W.elements[R[0]])
 
@@ -603,8 +605,10 @@ def centralizer_probe_capped(
     cofactor need not itself lie in the prefix).  `complete` is True when
     the prefix is the whole group.
 
-    An invalid question or an oversized law (`_predicted_orders`) is
-    refused before the prefix is looked up, so before any closure.
+    An invalid question, a cap past `COORD_LIMIT` (the prefix's table and
+    tree edges are array('i') values) or an oversized law
+    (`_predicted_orders`) is refused before the prefix is looked up, so
+    before any closure.
     The prefix is packed ints with its BFS tree (`_bfs_prefix`), and
     whether an element commutes is decided by generator steps alone
     (`_prefix_power_products`): el x^n by one folded step per quotient
@@ -627,6 +631,11 @@ def centralizer_probe_capped(
     check_centralizer_question(r, e, m, i, n)
     if cap < 2:
         raise PreconditionViolated("cap too small to enumerate anything")
+    if cap > COORD_LIMIT:
+        raise TooLarge(
+            f"cap {brief(cap)} is past {COORD_LIMIT}, the most elements a "
+            "prefix's generator table can index"
+        )
     _predicted_orders(r, e, m)
     law, elements, edges, complete = _bfs_prefix(r, e, m, cap)
     ctx = law.ctx

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -281,15 +282,31 @@ def test_verdicts_survive_optimized_mode(case):
         assert result["report"]["witness"] == witness
 
 
+def _limit_address_space():
+    # a refusal that regressed would enumerate until memory runs out; at
+    # 1 GB of address space it fails with MemoryError (exit 3) instead
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
 def test_refusals_survive_optimized_mode():
-    # python -O strips asserts; the refusal of a centralizer question or of
-    # a builtin past the closure cap must not depend on them
+    # python -O strips asserts; the refusal of a centralizer question, of
+    # a builtin past the closure cap or of a probe cap past COORD_LIMIT
+    # must not depend on them
     env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
-    for refused in (UNANSWERABLE_CENTRALIZER_ARGV[0], HUGE_GROUP_ARGV[0], HUGE_EXPONENT_ARGV[2]):
+    for refused in (
+        UNANSWERABLE_CENTRALIZER_ARGV[0],
+        HUGE_GROUP_ARGV[0],
+        HUGE_EXPONENT_ARGV[2],
+        HUGE_CAP_ARGV[2],
+    ):
         argv = ["-m", "msolv.cli", *refused]
         runs = [
             subprocess.run(
-                [sys.executable, *flags, *argv], capture_output=True, env=env, timeout=120
+                [sys.executable, *flags, *argv],
+                capture_output=True,
+                env=env,
+                timeout=120,
+                preexec_fn=_limit_address_space,
             )
             for flags in ([], ["-O"])
         ]
@@ -518,11 +535,13 @@ HUGE_EXPONENT_ARGV = [
 ]
 
 # models of order 16 * 4^17, under a cap that admits them but past the
-# most elements a level can be indexed by (fingroup.COORD_LIMIT): refused
-# before any closure
+# most elements a level can be indexed by (fingroup.COORD_LIMIT), and a
+# capped probe whose cap passes that limit (its table and tree edges are
+# array('i') values): refused before any closure
 HUGE_CAP_ARGV = [
     ["centralizer", "--r", "2", "--e", "4", "--m", "2", "--cap", "1000000000000"],
     ["solv-model", "--r", "2", "--e", "4", "--m", "2", "--cap", "1000000000000"],
+    ["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "3", "--cap", "1000000000000"],
 ]
 
 # integers longer than int() reads from a string (4300 digits by default)
@@ -564,9 +583,10 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
     if argv in HUGE_CAP_ARGV:
 
         def no_closure(*args, **kwargs):
-            raise AssertionError("a model past COORD_LIMIT reached the closure")
+            raise AssertionError("a model or cap past COORD_LIMIT reached the closure")
 
         monkeypatch.setattr(models, "closure", no_closure)
+        monkeypatch.setattr(models, "_bfs", no_closure)
     if config is not None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -1221,6 +1241,31 @@ def test_instances_that_alternate_inputs_match_single_runs(argv, instances, tmp_
         (alone,) = run_ok([*argv, *flags], capsys)
         for key in ("params", "report", "passed"):
             assert got[key] == alone[key], (inst, key)
+
+
+def test_full_centralizer_instances_share_one_model(monkeypatch, tmp_path, capsys):
+    # two questions about W(2,2,2) enumerate its top level once, and each
+    # instance reports what a run of its own does
+    true_closure = models.closure
+    orders = []
+
+    def counted(*args, **kwargs):
+        G = true_closure(*args, **kwargs)
+        orders.append(G.order)
+        return G
+
+    monkeypatch.setattr(models, "closure", counted)
+    argv = ["centralizer", "--r", "2", "--e", "2", "--m", "2"]
+    instances = [{"i": 1, "n": 1}, {"i": 2, "n": 3}]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"instances": instances}))
+    batched = run_ok([*argv, "--config", str(path)], capsys)
+    assert orders.count(128) == 1
+    for got, inst in zip(batched, instances):
+        (alone,) = run_ok([*argv, "--i", str(inst["i"]), "--n", str(inst["n"])], capsys)
+        for key in ("params", "report", "passed"):
+            assert got[key] == alone[key], (inst, key)
+    assert orders.count(128) == 3
 
 
 def test_no_run_memo_outlives_main(monkeypatch, capsys):

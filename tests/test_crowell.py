@@ -11,6 +11,7 @@ BFS that runs its generator step inline against the generic loop of one
 """
 
 import functools
+import hashlib
 import random
 from array import array
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msolv import crowell
+from msolv import crowell, models
 from msolv.crowell import (
     CrowellComplex,
     MagnusMatrix,
@@ -31,6 +32,7 @@ from msolv.crowell import (
 )
 from msolv.errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed
 from msolv.fingroup import (
+    COORD_LIMIT,
     MatElem,
     PermElem,
     _bfs,
@@ -48,7 +50,7 @@ from msolv.foxcalc import (
     generator_word,
     reduce_word,
 )
-from msolv.models import build_solv_model
+from msolv.models import _context_above, build_solv_model
 
 
 def cyclic_group(k):
@@ -274,11 +276,21 @@ def _inline_and_generic_bfs(law, cap, monkeypatch, start=0):
 
 def _assert_same_bfs(inline, generic):
     (el_a, idx_a, tab_a, done_a), (el_b, idx_b, tab_b, done_b) = inline, generic
-    assert el_a == el_b
+    # a whole packed level's elements are an array('q'), the generic loop's a list
+    assert list(el_a) == el_b
     # a whole packed level's index is a coordinate lookup, not a dict
     assert all(idx_a[x] == idx_b[x] == k for k, x in enumerate(el_a))
     assert tab_a.tobytes() == tab_b.tobytes()
     assert done_a == done_b
+
+
+# sha256 of W(2,3,2)'s BFS: its elements as array('q') bytes, and its
+# gen_table bytes, taken while the elements were still a list of ints.  A
+# change that reorders the enumeration, or the packing, must not pass.
+W232_SHA256 = {
+    "elements": "3026a1805c08602f57bfa6e15ca33ca4cb2e01763b1cc2998c7c85c4eae2d71b",
+    "gen_table": "ab6d4d48d60fa9ca755df1c42c334ab476e67ef89ffe75015ae1f76157e07ee1",
+}
 
 
 @pytest.mark.parametrize("label, order", [("W222", 128), ("W232", 531441)])
@@ -286,6 +298,13 @@ def test_inline_bfs_matches_generic_loop_on_whole_models(label, order, monkeypat
     inline, generic = _inline_and_generic_bfs(packed_law(label), 2_000_000, monkeypatch)
     _assert_same_bfs(inline, generic)
     assert len(inline[0]) == order and inline[3]
+    if label == "W232":
+        elements, _, table, _ = inline
+        digest = {
+            "elements": hashlib.sha256(array("q", elements).tobytes()).hexdigest(),
+            "gen_table": hashlib.sha256(table.tobytes()).hexdigest(),
+        }
+        assert digest == W232_SHA256
 
 
 def _first_positions(table):
@@ -381,6 +400,7 @@ def test_coordinates_number_each_level(r, e, m):
         assert low == [law.base * law.e**j for j in range(len(low))]
         index = level.index
         assert isinstance(index, _CoordinateIndex)
+        assert level.elements.typecode == "q"  # a whole level: one flat array
         assert all(index[x] == k for k, x in enumerate(level.elements))
         assert all(index.get(x) == k and x in index for k, x in enumerate(level.elements[:200]))
 
@@ -454,6 +474,7 @@ def test_capped_prefix_is_indexed_by_its_elements():
     assert law.coord_size > 2**100
     elements, index, _, complete = _bfs(law.generators, 0, law, 1500)
     assert isinstance(index, _CoordinateIndex) and not complete
+    assert type(elements) is list  # ints of up to 256 base-2 digits
     assert all(index[x] == k for k, x in enumerate(elements))
     # the keys are the element objects, not new ints equal to them
     assert len(index.slots) == len(elements)
@@ -474,14 +495,47 @@ def test_both_slot_stores_enumerate_alike(cap):
     law = packed_law("W222")
     assert law.coord_size == 128
     whole, whole_index, whole_table, done = _bfs(law.generators, 0, law, 128)
-    assert done and isinstance(whole_index.slots, array)
+    assert done and isinstance(whole_index.slots, array) and whole.typecode == "q"
     first = _first_positions(whole_table)
     elements, index, table, complete = _bfs(law.generators, 0, law, cap)
     assert type(index.slots) is not array and not complete
-    assert elements == whole[:cap]
+    assert type(elements) is list
+    assert elements == list(whole[:cap])
     assert table.tobytes() == whole_table[: first[cap]].tobytes()
     assert all(index[x] == whole_index[x] == k for k, x in enumerate(elements))
     assert all(x not in index for x in whole[cap:])
+
+
+def test_whole_rank_3_level_is_one_flat_array():
+    # W(3,2,2)'s top level, 2^20 elements: 8 bytes each in one array('q'),
+    # its packed ints below law.end = 8 * 2^24
+    law = _PackedMagnusLaw(_context_above(3, 2, build_solv_model(3, 2, 1).group))
+    elements, index, _, complete = _bfs(law.generators, 0, law, 2**20)
+    assert complete and len(elements) == 2**20 == law.coord_size
+    assert elements.typecode == "q" and isinstance(index.slots, array)
+    assert max(elements) < law.end == 8 * 2**24
+
+
+def test_packed_values_of_every_indexable_level_fit_in_8_bytes():
+    # a whole level's elements are an array('q') when its coordinate space
+    # fits under COORD_LIMIT, so every packed value there, below
+    # end = d * e^(r*d) with d the order of the level below, must be < 2^63
+    assert packed_law("W232").end == 9 * 3**18
+    prime_powers = [e for e in range(2, 3000) if models._is_prime_power(e)]
+    ends = []
+    for r in range(1, 8):
+        for e in prime_powers:
+            for m in range(1, 5):
+                try:
+                    orders = models._predicted_orders(r, e, m)
+                except TooLarge:
+                    break
+                if orders[-1] > COORD_LIMIT:
+                    break
+                d = orders[-2] if len(orders) > 1 else 1
+                ends.append(d * e ** (r * d))
+    assert len(ends) == 2689
+    assert max(ends) == 9 * 3**18 < 2**63  # W(2,3,2)'s
 
 
 def test_packed_encode_rejects_unreduced_entries():
