@@ -27,9 +27,8 @@ validates every value from the command line, a config file or an instance
 (type, lower bound, no unknown keys).
 
 The instances of one run share its run memos (`models.run_memo`): a
-corpus scanned at several m is parsed and profiled once, full centralizer
-instances on one (r, e, m, cap) build one model, and capped probes on one
-(r, e, m, cap) enumerate one prefix.  `main` empties the memos when
+corpus scanned at several m is parsed and profiled once, and capped probes
+on one (r, e, m, cap) enumerate one prefix.  `main` empties the memos when
 a run starts and when it ends.
 
 Exit codes: 0 all verdicts pass, 1 at least one verdict failed (the report
@@ -667,13 +666,6 @@ def _exp_msolv_quotient(p: dict, rng) -> Tuple[dict, bool]:
     return report, len(qseries) - 1 <= m
 
 
-@run_memo
-def _centralizer_model(r: int, e: int, m: int, cap: int):
-    """W(r, e, m): the full centralizer instances of a run that share a
-    model build it once."""
-    return build_solv_model(r, e, m, cap=cap)
-
-
 def _exp_centralizer(p: dict, rng) -> Tuple[dict, bool]:
     r, e, m, i, n = p["r"], p["e"], p["m"], p["i"], p["n"]
     if p["capped"]:
@@ -681,7 +673,8 @@ def _exp_centralizer(p: dict, rng) -> Tuple[dict, bool]:
         report = {"mode": "capped", **asdict(rep)}
         return report, rep.oracle_equal_pointwise and rep.decomposition_holds_pointwise
     check_centralizer_question(r, e, m, i, n)
-    rep = centralizer_experiment(_centralizer_model(r, e, m, p["cap"]), i, n)
+    model = build_solv_model(r, e, m, cap=p["cap"])
+    rep = centralizer_experiment(model, i, n)
     report = {"mode": "full", **asdict(rep)}
     report["k_cap"] = report.pop("k_cap_brute")
     return report, rep.oracle_equal and rep.decomposition_holds

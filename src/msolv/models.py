@@ -57,9 +57,8 @@ entries v[src[k]] - v[k].  Level orders are predicted before any closure
 is built, whether a centralizer question is valid.
 
 Work that several instances of one CLI run share is done once per run:
-the probe's BFS prefix and the full experiment's model are run memos
-(`run_memo`; the model's is in `cli`), and the corpus scan reads each
-group's m-independent part from a `ScanProfile`.
+the probe's BFS prefix is a run memo (`run_memo`), and the corpus scan
+reads each group's m-independent part from a `ScanProfile`.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import countOf, eq, mod
+from itertools import compress
+from operator import eq
 from typing import List, Sequence
 
 from .errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed, brief
@@ -110,9 +109,9 @@ def run_memo(func):
     """Memoize `func` on its most recent arguments only.
 
     The instances of one CLI run may repeat an input: one corpus scanned
-    at several m, one model or probe prefix read at several (i, n).  A run
-    memo keeps one value, and a call with new arguments drops the old
-    value before computing the new one, so a run never holds more than one
+    at several m, one probe prefix read at several (i, n).  A run memo
+    keeps one value, and a call with new arguments drops the old value
+    before computing the new one, so a run never holds more than one
     instance would.  `clear_run_memos` empties every run memo; `cli.main`
     calls it when a run starts and when it ends.
     """
@@ -264,7 +263,7 @@ def module_part_basis(model: SolvModel):
     law = W.law
     ctx = law.ctx
     K, span = _ker_f(ctx)
-    module_count = countOf(map(mod, W.elements, repeat(law.base)), 0)
+    module_count = sum(1 for x in W.elements if law.q(x) == 0)
     if module_count != span:
         raise VerdictFailed(
             f"module part has {module_count} elements but ker f spans {span}"
@@ -514,9 +513,10 @@ def _bfs_prefix(r: int, e: int, m: int, cap: int):
     """The packed law of W(r, e, m), its first `cap` BFS elements, the BFS
     tree that reached them, and whether they are all of W.
 
-    Returns (law, elements, edges, complete), elements a tuple; the BFS
-    runs from the identity 0 over `law.generators`, so element k is the one
-    `closure` would list at k.  edges[k - 1] is the Cayley-table position
+    Returns (law, elements, edges, complete), elements as `_bfs` gives
+    them: an array('q') when the cap admits the whole level, else a list.
+    The BFS runs from the identity 0 over `law.generators`, so element k
+    is the one `closure` would list at k.  edges[k - 1] is the Cayley-table position
     row * ngens + g of the edge that first reached element k >= 1
     (`_tree_edges`): element k is element `row` times generator g + 1.  A
     capped table keeps the row its cap cut short, so it holds the edge
@@ -527,7 +527,7 @@ def _bfs_prefix(r: int, e: int, m: int, cap: int):
     """
     law = _PackedMagnusLaw(_context_above(r, e, build_solv_model(r, e, m - 1).group))
     elements, _, table, complete = _bfs(law.generators, 0, law, cap)
-    return law, tuple(elements), array("i", _tree_edges(table)), complete
+    return law, elements, array("i", _tree_edges(table)), complete
 
 
 def _folded_steps(law, i: int, n: int) -> list:
@@ -569,11 +569,14 @@ def _prefix_power_products(law, elements, edges, i: int, n: int):
     steps of `law.step_rows` alone.  right[k] is one folded step from el_k
     (`_folded_steps`).  Left multiplication by x^n commutes with right
     products, so left[k] = left[row] g along the prefix's BFS-tree edge
-    into element k, starting from left[0] = x^n.
+    into element k, starting from left[0] = x^n.  Both come in the
+    container the elements do: a whole level's products are below
+    `law.end` < 2^62, so they fit its array('q'), while a prefix's run to
+    256 digits.
     """
     base = law.base
     folded = _folded_steps(law, i, n)
-    right = []
+    right = array("q") if isinstance(elements, array) else []
     for a in elements:
         shift, wraps = folded[a % base]
         b = a + shift
@@ -583,7 +586,7 @@ def _prefix_power_products(law, elements, edges, i: int, n: int):
         right.append(b)
     rows = law.step_rows
     ng = len(law.generators)
-    left = [right[0]]
+    left = right[:1]
     for pos in edges:
         a = left[pos // ng]
         delta, ew, top = rows[a % base][pos % ng]

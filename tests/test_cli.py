@@ -1243,31 +1243,6 @@ def test_instances_that_alternate_inputs_match_single_runs(argv, instances, tmp_
             assert got[key] == alone[key], (inst, key)
 
 
-def test_full_centralizer_instances_share_one_model(monkeypatch, tmp_path, capsys):
-    # two questions about W(2,2,2) enumerate its top level once, and each
-    # instance reports what a run of its own does
-    true_closure = models.closure
-    orders = []
-
-    def counted(*args, **kwargs):
-        G = true_closure(*args, **kwargs)
-        orders.append(G.order)
-        return G
-
-    monkeypatch.setattr(models, "closure", counted)
-    argv = ["centralizer", "--r", "2", "--e", "2", "--m", "2"]
-    instances = [{"i": 1, "n": 1}, {"i": 2, "n": 3}]
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"instances": instances}))
-    batched = run_ok([*argv, "--config", str(path)], capsys)
-    assert orders.count(128) == 1
-    for got, inst in zip(batched, instances):
-        (alone,) = run_ok([*argv, "--i", str(inst["i"]), "--n", str(inst["n"])], capsys)
-        for key in ("params", "report", "passed"):
-            assert got[key] == alone[key], (inst, key)
-    assert orders.count(128) == 3
-
-
 def test_no_run_memo_outlives_main(monkeypatch, capsys):
     argv = ["centerfree-scan", "--groups", "builtin S_4", "--m", "2"]
     (first,) = run_ok(argv, capsys)

@@ -445,6 +445,20 @@ def test_probe_products_read_no_linear_side(monkeypatch):
     assert models._prefix_power_products(law, elements, edges, 2, 9) == expected
 
 
+@pytest.mark.parametrize("m, cap, whole", [(2, 128, True), (2, 127, False), (3, 1501, False)])
+def test_probe_products_come_in_the_elements_container(m, cap, whole):
+    # a prefix that is all of W(2, 2, 2) is an array('q'), and so are its
+    # products with x^n; a cut prefix and its products are lists of ints
+    law, elements, edges, _ = models._bfs_prefix(2, 2, m, cap)
+    right, left = models._prefix_power_products(law, elements, edges, 1, 3)
+    for values in (elements, right, left):
+        assert len(values) == len(elements)
+        if whole:
+            assert values.typecode == "q"
+        else:
+            assert type(values) is list
+
+
 def test_capped_probe_complete_on_small_model():
     # cap far above 128: the BFS exhausts W(2, 2, 2) and the counts match
     # the full experiment
