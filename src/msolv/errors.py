@@ -1,7 +1,30 @@
-"""Exceptions shared across the package, and `brief`, which keeps the
-values their messages echo short."""
+"""Exceptions shared across the package, the input bounds they enforce
+(`DEFAULT_CAP`, `MAX_INT_DIGITS`), and two readers of input values:
+`brief`, which keeps the values error messages echo short, and
+`_int_list`.
+
+The bounds and readers live here, in a module with no other msolv import,
+because the CLI front door reads them before it knows which experiment
+runs, and the group DSL and the experiments read them too; those, and
+every library module, are imported only by a run that uses them.
+"""
 
 import math
+
+# most elements a closure enumerates unless its caller passes a cap
+DEFAULT_CAP = 2_000_000
+
+# most digits an integer of the group DSL, of a word or of an integer flag
+# may have: int() refuses past sys.get_int_max_str_digits() (4300 by
+# default) with a ValueError, so a longer token is refused first
+MAX_INT_DIGITS = 1000
+
+
+def _int_list(value) -> list:
+    """Accept either a JSON list of ints or a comma-separated string."""
+    if isinstance(value, (list, tuple)):
+        return [int(v) for v in value]
+    return [int(s) for s in str(value).split(",") if s.strip()]
 
 
 def brief(value) -> str:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    DEFAULT_CAP,
     CapExceeded,
     IndexOutOfRange,
     MixedVariant,
@@ -45,7 +46,6 @@ from .errors import (
 )
 from .zmodlin import RMatrix, _flat_mul, _howell_split, _xgcd
 
-DEFAULT_CAP = 2_000_000
 # largest coordinate space a packed enumeration may index by one flat
 # array: its slots and coordinates are array('i') values.  A whole model
 # level past it is refused (`models.build_solv_model`).
@@ -790,7 +790,12 @@ class Homomorphism:
     def kernel(self) -> Subgroup:
         idxs = [i for i, v in enumerate(self.images) if v == 0]
         sub = subgroup_closure(self.source, idxs)
-        assert sub.order == len(idxs)
+        if sub.order != len(idxs):
+            # only an unverified image table (not from `build`) gets here
+            raise NotHomomorphism(
+                f"the {len(idxs)} elements sent to the identity generate a "
+                f"subgroup of order {sub.order}, so they are not a kernel"
+            )
         return Subgroup(self.source, tuple(sorted(idxs)), sub.gen_indices)
 
     def compose(self, inner: "Homomorphism") -> "Homomorphism":

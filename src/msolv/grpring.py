@@ -207,7 +207,8 @@ class CyclicTower:
                 cyc = PermElem.identity(hdeg + N)
             order = H.order * N
             grp = closure([*gens, cyc] if N > 1 else (gens or [cyc]), cap=order + 1)
-            assert grp.order == order
+            if grp.order != order:
+                raise LevelMismatch(f"level {N} has {grp.order} elements, not |H| * {N} = {order}")
             self._groups[N] = grp
             self._cycle_gen[N] = grp.index[cyc] if N > 1 else 0
         return self._groups[N]

@@ -59,6 +59,14 @@ is built, whether a centralizer question is valid.
 Work that several instances of one CLI run share is done once per run:
 the probe's BFS prefix is a run memo (`run_memo`), and the corpus scan
 reads each group's m-independent part from a `ScanProfile`.
+
+The corpus scan and the run memos need only `fingroup`, so the Magnus/Fox
+stack (`foxcalc`, `crowell`, and `grpring` under them) is imported in the
+bodies of the functions that make or read a Magnus level or a free word,
+not at the top of this module.  Without a bytecode cache every imported
+module is compiled on every run, and a run that only scans a corpus then
+compiles none of them.  The names are looked up when those functions run,
+so a patched or traced `crowell.build_complex` is the one they call.
 """
 
 from __future__ import annotations
@@ -86,8 +94,6 @@ from .fingroup import (
     quotient_by,
     trivial_group,
 )
-from .foxcalc import FreeWord, QuotientContext, commutator, empty_word, generator_word
-from .crowell import MagnusMatrix, _PackedMagnusLaw, build_complex
 from .zmodlin import (
     RMatrix,
     howell_form,
@@ -187,6 +193,8 @@ def build_solv_model(r: int, e: int, m: int, cap: int = DEFAULT_CAP) -> SolvMode
     group; the model's derived series is computed once and kept on the
     result.  Each enumerated level must have its predicted order.
     """
+    from .crowell import _PackedMagnusLaw
+
     orders = _predicted_orders(r, e, m)
     if orders[-1] > cap:
         raise CapExceeded(cap, orders[-1], predicted=True)
@@ -221,6 +229,8 @@ def _context_above(r: int, e: int, Q: FiniteGroup) -> QuotientContext:
     The trivial group has no generators, so there every x_i maps to the
     identity and the level above is (Z/e)^r.
     """
+    from .foxcalc import QuotientContext
+
     return QuotientContext(r, Q, list(Q.gen_indices) or [0] * r, e)
 
 
@@ -232,6 +242,8 @@ def _predicted_orders(r: int, e: int, m: int) -> list:
     which is e^r at k = 1.  TooLarge at the first level whose packed law
     would pass the digit limit.
     """
+    from .crowell import _PackedMagnusLaw
+
     _check_exponent(e)
     if r < 1 or m < 0:
         raise PreconditionViolated("need rank >= 1 and level m >= 0")
@@ -257,6 +269,8 @@ def module_part_basis(model: SolvModel):
     equality plus one-sided containment force set equality, so the Howell
     basis of ker f describes the module part exactly.
     """
+    from .crowell import MagnusMatrix
+
     if model.degenerate or model.m < 2:
         raise PreconditionViolated("no module part below level 2")
     W = model.group
@@ -277,6 +291,8 @@ def module_part_basis(model: SolvModel):
 
 def _ker_f(ctx: QuotientContext):
     """(kernel basis of f, |ker f|) for the context's two-step complex."""
+    from .crowell import build_complex
+
     K = kernel_basis(build_complex(ctx).f_matrix)
     return K, howell_form(K).span_size
 
@@ -386,6 +402,8 @@ def _power_products(W: FiniteGroup, i: int, n: int):
 
 def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerReport:
     """Brute centralizer of mu(x_i)^n versus the linear-algebra oracle."""
+    from .crowell import MagnusMatrix
+
     check_centralizer_question(model.rank, model.exponent, model.m, i, n)
     W = model.group
     law = W.law
@@ -525,6 +543,8 @@ def _bfs_prefix(r: int, e: int, m: int, cap: int):
     only what the probe reads: not the BFS's index dict or its Cayley rows,
     only one tree edge per element.
     """
+    from .crowell import _PackedMagnusLaw
+
     law = _PackedMagnusLaw(_context_above(r, e, build_solv_model(r, e, m - 1).group))
     elements, _, table, complete = _bfs(law.generators, 0, law, cap)
     return law, elements, array("i", _tree_edges(table)), complete
@@ -631,6 +651,8 @@ def centralizer_probe_capped(
     dropped at its first failing slot.  The prediction reads neither the
     products with x^n nor `law.mul`.
     """
+    from .crowell import MagnusMatrix
+
     check_centralizer_question(r, e, m, i, n)
     if cap < 2:
         raise PreconditionViolated("cap too small to enumerate anything")
@@ -751,6 +773,8 @@ def presentation(rank: int, relators: Sequence[FreeWord]) -> PresentationData:
 
 def surface_presentation(g: int) -> PresentationData:
     """<a_1, b_1, ..., a_g, b_g | prod [a_i, b_i]>; relator length 4g."""
+    from .foxcalc import commutator, empty_word, generator_word
+
     if g < 1:
         raise PreconditionViolated("genus must be >= 1")
     rank = 2 * g
@@ -759,7 +783,6 @@ def surface_presentation(g: int) -> PresentationData:
         a = generator_word(rank, 2 * i + 1)
         b = generator_word(rank, 2 * i + 2)
         rel = rel * commutator(a, b)
-    assert len(rel) == 4 * g
     return presentation(rank, [rel])
 
 

@@ -33,18 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msolv
-from msolv import cli, fingroup, models
-from msolv.cli import (
-    INT_LIST,
-    PARAMS,
+from msolv import cli, dsl, exp_groups, exp_magnus, fingroup, models
+from msolv.cli import INT_LIST, PARAMS, emit_report, main, run_experiment
+from msolv.dsl import (
     build_group,
-    emit_report,
-    main,
     parse_element,
     parse_group_dsl,
     parse_word,
     print_group_spec,
-    run_experiment,
     word_text,
 )
 from msolv.errors import MsolvError, ParseError, VerdictFailed
@@ -212,7 +208,7 @@ def test_internal_assert_exits_3_not_as_a_failed_verdict(monkeypatch, capsys):
     def boom(params, rng):
         raise AssertionError("invariant text")
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "counterexample", boom)
+    monkeypatch.setattr(exp_groups, "_exp_counterexample", boom)
     assert main(["counterexample"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -223,7 +219,8 @@ def test_run_experiment_packages_verdict_failed_as_failure(monkeypatch):
     def boom(params, rng):
         raise VerdictFailed("witness text")
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "boom", boom)
+    monkeypatch.setattr(exp_groups, "_exp_boom", boom, raising=False)
+    monkeypatch.setitem(cli.EXPERIMENTS, "boom", "exp_groups:_exp_boom")
     res = run_experiment("boom", {}, seed=0, index=0)
     assert res["passed"] is False
     assert res["report"]["witness"] == "witness text"
@@ -318,15 +315,9 @@ def test_refusals_survive_optimized_mode():
         assert runs[0].stderr == runs[1].stderr
 
 
-# the asserts left under src/msolv guard internal invariants, not verdicts;
-# a verdict resting on a new one would vanish under python -O
-KNOWN_ASSERT_SITES = sorted(
-    [
-        ("fingroup.py", "kernel"),
-        ("grpring.py", "_level_group"),
-        ("models.py", "surface_presentation"),
-    ]
-)
+# no assert is left under src/msolv: python -O strips asserts, so a verdict
+# or an internal invariant resting on a new one would vanish under -O
+KNOWN_ASSERT_SITES = []
 
 
 def _assert_sites(tree, module):
@@ -370,6 +361,66 @@ def test_asserts_under_src_are_the_known_invariants():
     assert sorted(sites) == KNOWN_ASSERT_SITES
 
 
+# the invariants the last asserts guarded, each broken on purpose, and what
+# the script prints once the check that replaced the assert trips: a
+# kernel of an image table that is no homomorphism, a tower level of the
+# wrong order, and a surface relator of the wrong length, which the surface
+# verdict itself checks (the report shows the failure, exit code 1)
+INVARIANT_FAULTS = {
+    "kernel": (
+        "from msolv.errors import NotHomomorphism\n"
+        "from msolv.dsl import build_group, parse_group_dsl\n"
+        "from msolv.fingroup import Homomorphism\n"
+        "G, C = (build_group(parse_group_dsl(t)) for t in ('builtin S_3', 'builtin C_2'))\n"
+        "three = next(i for i in range(G.order) if G.element_order(i) == 3)\n"
+        "images = tuple(int(i not in (0, three)) for i in range(G.order))\n"
+        "try:\n"
+        "    Homomorphism(G, C, images).kernel()\n"
+        "    print('no error')\n"
+        "except NotHomomorphism as e:\n"
+        "    print(type(e).__name__)\n",
+        "NotHomomorphism",
+    ),
+    "tower-level": (
+        "from msolv import grpring\n"
+        "from msolv.dsl import build_group, parse_group_dsl\n"
+        "from msolv.errors import LevelMismatch\n"
+        "grpring._pad_perm = lambda p, hdeg, extra: grpring.PermElem.identity(hdeg + extra)\n"
+        "tower = grpring.CyclicTower(3, [1, 2], base=build_group(parse_group_dsl('builtin S_3')))\n"
+        "try:\n"
+        "    tower.level_ring(2)\n"
+        "    print('no error')\n"
+        "except LevelMismatch as e:\n"
+        "    print(type(e).__name__)\n",
+        "LevelMismatch",
+    ),
+    "surface-relator": (
+        "import contextlib, io, json\n"
+        "from msolv import cli, foxcalc\n"
+        "real = foxcalc.commutator\n"
+        "foxcalc.commutator = lambda a, b: real(a, b) * real(a, b)\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    rc = cli.main(['surface', '--genus', '2'])\n"
+        "(e,) = json.loads(out.getvalue())['experiments']\n"
+        "print(rc, e['passed'], e['report']['relator_length'])\n",
+        "1 False 16",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INVARIANT_FAULTS))
+def test_broken_invariants_trip_under_optimized_mode(case):
+    script, expected = INVARIANT_FAULTS[case]
+    env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script], capture_output=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().splitlines()[-1] == expected, flags
+
+
 def test_invalid_permutation_exits_2(capsys):
     # the group DSL still validates permutations, which products no longer do
     rc = main(["derived-series", "--group", "perm 3 : (0 5)"])
@@ -400,7 +451,7 @@ def test_main_exit_codes(monkeypatch, capsys):
     def fail_exp(params, rng):
         return {"detail": "no"}, False
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "surface", fail_exp)
+    monkeypatch.setattr(exp_magnus, "_exp_surface", fail_exp)
     rc = main(["surface", "--genus", "2"])
     capsys.readouterr()
     assert rc == 1
@@ -498,7 +549,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(params, rng):
         raise RuntimeError("not a verdict")
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "surface", broken)
+    monkeypatch.setattr(exp_magnus, "_exp_surface", broken)
     rc = main(["surface", "--genus", "1"])
     err = capsys.readouterr().err
     assert rc == 3
@@ -687,11 +738,11 @@ def test_builtins_past_the_work_bound_build_nothing(name, monkeypatch, capsys):
         raise AssertionError("a group was built before its work was bounded")
 
     monkeypatch.setattr(fingroup.PermElem, "from_cycles", staticmethod(no_build))
-    monkeypatch.setattr(cli, "closure", no_build)
+    monkeypatch.setattr(dsl, "closure", no_build)
     assert main(["derived-series", "--group", f"builtin {name}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"msolv: error: {name} has ")
-    assert f"the bound is {cli.BUILTIN_WORK_BOUND}" in err
+    assert f"the bound is {dsl.BUILTIN_WORK_BOUND}" in err
 
 
 def test_s9_is_within_the_work_bound(monkeypatch):
@@ -702,9 +753,9 @@ def test_s9_is_within_the_work_bound(monkeypatch):
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(cli, "closure", reached)
+    monkeypatch.setattr(dsl, "closure", reached)
     with pytest.raises(Reached):
-        cli._builtin_group("S_9")
+        dsl._builtin_group("S_9")
 
 
 @pytest.mark.parametrize("name", ["C_99999999999", "D_99999999998", "S_10", "S_99999999999"])
@@ -715,7 +766,7 @@ def test_builtins_past_the_cap_build_nothing(name, monkeypatch, capsys):
         raise AssertionError("a group was built before its order was checked")
 
     monkeypatch.setattr(fingroup.PermElem, "from_cycles", staticmethod(no_build))
-    monkeypatch.setattr(cli, "closure", no_build)
+    monkeypatch.setattr(dsl, "closure", no_build)
     assert main(["derived-series", "--group", f"builtin {name}"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("msolv: error: ")
@@ -730,7 +781,7 @@ def test_unanswerable_centralizer_questions_build_nothing(argv, monkeypatch, cap
     def no_build(*args, **kwargs):
         raise AssertionError("a model was built before the question was checked")
 
-    monkeypatch.setattr(cli, "build_solv_model", no_build)
+    monkeypatch.setattr(exp_magnus, "build_solv_model", no_build)
     monkeypatch.setattr(models, "build_solv_model", no_build)
     monkeypatch.setattr(models, "_ker_f", no_build)
     assert main(argv) == 2
@@ -979,7 +1030,7 @@ def test_reduction_lemma_first_failure_is_the_witness(monkeypatch, capsys):
     # every case and keep the first failing one, in the order of the
     # exhaustive sweep, the identity probes and then the random cases
     # (all figures from the three-loop tally this replaced)
-    real = cli.reduction_lemma_check
+    real = exp_groups.reduction_lemma_check
 
     def planted(E, ntilde, ell, sigma):
         rep = real(E, ntilde, ell, sigma)
@@ -987,7 +1038,7 @@ def test_reduction_lemma_first_failure_is_the_witness(monkeypatch, capsys):
             return dataclasses.replace(rep, passed=False)
         return rep
 
-    monkeypatch.setattr(cli, "reduction_lemma_check", planted)
+    monkeypatch.setattr(exp_groups, "reduction_lemma_check", planted)
     rc = main(["reduction-lemma", "--umax", "2", "--random", "40", "--seed", "4"])
     (e,) = json.loads(capsys.readouterr().out)["experiments"]
     assert rc == 1 and e["passed"] is False
@@ -1288,7 +1339,7 @@ def _count_calls(monkeypatch):
         counts["as_group"] += 1
         return true_as_group(self)
 
-    for mod in (fingroup, cli):
+    for mod in (fingroup, exp_groups):
         monkeypatch.setattr(mod, "abelianization", abelianization)
     monkeypatch.setattr(fingroup.Subgroup, "as_group", as_group)
     return counts

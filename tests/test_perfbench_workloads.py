@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from msolv import cli, fingroup, models
+from msolv import cli, exp_groups, fingroup, models
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -64,7 +64,7 @@ def test_corpus_scan_builds_each_lattice_once(tmp_path, capsys, monkeypatch):
         counts["normal_closure"] += bool(inside)
         return true_closure(*args, **kwargs)
 
-    for mod in (fingroup, models, cli):
+    for mod in (fingroup, models, exp_groups):
         monkeypatch.setattr(mod, "normal_subgroups", normal_subgroups)
     monkeypatch.setattr(fingroup, "normal_closure", normal_closure)
     _run_seed0("corpus-scan", tmp_path, capsys)
