@@ -20,8 +20,10 @@ most of its wall time.  So this module imports no msolv module but
 - `EXPERIMENTS` names each experiment's function as "module:function",
   and `run_experiment` imports the module on the first instance that runs
   it: `exp_groups` for the finite-group experiments, `exp_magnus` for
-  those that need the Magnus/Fox stack.  Those modules import the group
-  DSL (`dsl`) and the library modules they call;
+  those that need the Magnus/Fox stack.  Those modules import the library
+  modules they call, and `exp_groups` the group DSL (`dsl`);
+  `exp_magnus` imports it only in the experiments that parse or print a
+  word or a group;
 - the parser is built for the requested experiment alone.  Its subcommand
   metavar lists every experiment, as argparse's default would, so its
   usage and error text are those of the parser of every experiment, which

@@ -7,7 +7,9 @@ Each experiment takes (params, rng) and returns (report_dict, passed);
 `cli.EXPERIMENTS` names them, and `cli.run_experiment` imports this module
 on the first instance of one of them, and with it the Magnus/Fox stack
 (`foxcalc`, `crowell`, `grpring`) that the finite-group experiments of
-`exp_groups` never load.
+`exp_groups` never load.  The group and word DSL (`dsl`) is imported only
+inside the experiments that parse or print a word or a group, so a
+`centralizer` or `solv-model` run never compiles it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .crowell import (
     relator_kernel_check,
 )
 from .grpring import CyclicTower, kernel_projection_check
-from .dsl import _eval_gen_word, _group_from_text, parse_word, word_text
 from .models import (
     MODEL_NOTE,
     build_solv_model,
@@ -54,6 +55,8 @@ def _exp_centralizer(p: dict, rng) -> Tuple[dict, bool]:
 
 
 def _context_from_params(p: dict) -> Tuple[QuotientContext, str, FreeWord]:
+    from .dsl import _eval_gen_word, _group_from_text, parse_word
+
     G, label = _group_from_text(p["group"])
     image_words = [s for s in p["images"].split(",") if s.strip()]
     images = [_eval_gen_word(G, s) for s in image_words]
@@ -66,6 +69,8 @@ def _context_from_params(p: dict) -> Tuple[QuotientContext, str, FreeWord]:
 
 
 def _exp_fox(p: dict, rng) -> Tuple[dict, bool]:
+    from .dsl import word_text
+
     ctx, label, word = _context_from_params(p)
     rep = expansion_check(ctx, word)
     rows = fox_row(ctx, word)
@@ -82,6 +87,8 @@ def _exp_fox(p: dict, rng) -> Tuple[dict, bool]:
 
 
 def _exp_magnus(p: dict, rng) -> Tuple[dict, bool]:
+    from .dsl import word_text
+
     ctx, label, word = _context_from_params(p)
     try:
         mm = magnus_image(ctx, word)
@@ -102,6 +109,8 @@ def _exp_magnus(p: dict, rng) -> Tuple[dict, bool]:
 
 
 def _exp_crowell(p: dict, rng) -> Tuple[dict, bool]:
+    from .dsl import parse_word, word_text
+
     ctx, label, _ = _context_from_params(p)
     comp = build_complex(ctx)
     rep = exactness_check(comp)
@@ -130,6 +139,8 @@ def _exp_crowell(p: dict, rng) -> Tuple[dict, bool]:
 
 
 def _exp_kernel_projection(p: dict, rng) -> Tuple[dict, bool]:
+    from .dsl import _group_from_text
+
     levels = sorted(set(_int_list(p["levels"])))
     sigma = frozenset(_int_list(p["sigma_set"]))
     base = None
@@ -206,6 +217,8 @@ def _exp_solv_model(p: dict, rng) -> Tuple[dict, bool]:
 
 
 def _exp_surface(p: dict, rng) -> Tuple[dict, bool]:
+    from .dsl import word_text
+
     g, r = p["genus"], p["punctures"]
     chi, hyp = euler_char(g, r)
     report = {"genus": g, "punctures": r, "euler_characteristic": chi, "hyperbolic": hyp}

@@ -30,17 +30,19 @@ which is what the BFS closure does per edge.  The brute side of the
 centralizer experiment reads the closure's Cayley table, the flat
 `gen_table` array: el_k x^n along the cycles of generator column i-1 (the
 slice gen_table[i-1::ngens]), with n reduced mod the order of x, and x^n el_k
-along the BFS tree (`fingroup._tree_edges`), since (x^n p) g = x^n (p g).
+along the BFS tree (the first-occurrence rule of `fingroup._tree_edges`, run
+inline), since (x^n p) g = x^n (p g).
 It is group arithmetic from the Cayley graph alone and never touches the
 kernel of f it is checked against.
 
 The capped probe enumerates its BFS prefix of W_m as packed ints by the
 same loop, `fingroup._bfs`, and keeps the BFS tree edge into each element,
-read from the capped table by the same `fingroup._tree_edges` as the full
-experiment's L.  That loop has one index kind and two stores: a whole
-level, refused past `COORD_LIMIT` elements, is indexed by its co-tree
-coordinates in one flat array and keeps its elements in an array('q'),
-and the prefix is indexed by its elements in a dict and keeps a list.
+read from the capped table by `fingroup._tree_edges`; the full
+experiment's L loop runs the same first-occurrence rule inline.  `_bfs`
+has one index kind and two stores: a whole level, refused past
+`COORD_LIMIT` elements, is indexed by its co-tree coordinates in one flat
+array and keeps its elements in an array('q'), and the prefix is indexed
+by its elements in a dict and keeps a list.
 Products with x^n may leave the prefix, so they stay packed values: el_k
 x^n by the n generator steps folded into one step per quotient index, and
 x^n el_k by one generator step along the tree from x^n; an element
@@ -49,6 +51,9 @@ The linear prediction decides its q-part once over Q, as the set of q
 commuting with x^n one level down, and reads the vector condition off the
 packed int digit by digit, stopping at the first slot that fails.
 
+The K_cap oracle (`_ker_f`, `_k_cap`) runs on {slot: residue} dict rows
+from f's rows, read off Q's table, to |K_cap|, through one row-level
+kernel helper, `zmodlin.kernel_rows`; it reads nothing of the brute side.
 `_left_sources` is the one encoding of q's left action on R^r, which
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
 entries v[src[k]] - v[k].  Level orders are predicted before any closure
@@ -66,7 +71,7 @@ bodies of the functions that make or read a Magnus level or a free word,
 not at the top of this module.  Without a bytecode cache every imported
 module is compiled on every run, and a run that only scans a corpus then
 compiles none of them.  The names are looked up when those functions run,
-so a patched or traced `crowell.build_complex` is the one they call.
+so a patched or traced `crowell._PackedMagnusLaw` is the one they call.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ import functools
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from operator import eq
+from operator import countOf, eq
 from typing import List, Sequence
 
 from .errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed, brief
@@ -96,8 +101,12 @@ from .fingroup import (
 )
 from .zmodlin import (
     RMatrix,
-    howell_form,
-    kernel_basis,
+    _axpy,
+    _howell_rows,
+    _lin,
+    _matrix_of,
+    _span_size,
+    kernel_rows,
     smith_normal_form_int,
     span_equal,
 )
@@ -263,11 +272,12 @@ def _predicted_orders(r: int, e: int, m: int) -> list:
 def module_part_basis(model: SolvModel):
     """Identify the module part {elements with top-left 1} with ker f.
 
-    Returns (K basis as an RMatrix, module element count) after verifying
-    that the group-theoretic module part has exactly the kernel's span size
-    and that each kernel basis row is an enumerated group element; size
-    equality plus one-sided containment force set equality, so the Howell
-    basis of ker f describes the module part exactly.
+    Returns (K basis as {slot: residue} rows, module element count) after
+    verifying that the group-theoretic module part has exactly the
+    kernel's span size and that each kernel basis row is an enumerated
+    group element; size equality plus one-sided containment force set
+    equality, so the Howell basis of ker f describes the module part
+    exactly.
     """
     from .crowell import MagnusMatrix
 
@@ -277,37 +287,70 @@ def module_part_basis(model: SolvModel):
     law = W.law
     ctx = law.ctx
     K, span = _ker_f(ctx)
-    module_count = sum(1 for x in W.elements if law.q(x) == 0)
+    module_count = countOf(map(law.q, W.elements), 0)
     if module_count != span:
         raise VerdictFailed(
             f"module part has {module_count} elements but ker f spans {span}"
         )
-    for i in range(K.rows):
-        probe = law.encode(MagnusMatrix(ctx, 0, tuple(K.row(i))))
+    dense = _matrix_of(ctx.ring.modulus, K, ctx.rank * ctx.ring.dimension)
+    for i in range(dense.rows):
+        probe = law.encode(MagnusMatrix(ctx, 0, dense.row(i)))
         if probe not in W.index:
             raise VerdictFailed(f"kernel basis row {i} is not a group element")
     return K, module_count
 
 
+def _f_rows(ctx: QuotientContext) -> list:
+    """The r|Q| rows of f: R^r -> R as {col: residue} dicts, read from Q's
+    table: row j of block i is e_(j q_i) - e_j, the coefficients of
+    g_j (pi(x_i) - 1), and empty when q_i = 1."""
+    G = ctx.group
+    e = ctx.ring.modulus
+    rows = []
+    for qi in ctx.images:
+        for j in range(G.order):
+            k = G.mul(j, qi)
+            rows.append({k: 1, j: e - 1} if k != j else {})
+    return rows
+
+
 def _ker_f(ctx: QuotientContext):
-    """(kernel basis of f, |ker f|) for the context's two-step complex."""
-    from .crowell import build_complex
+    """(kernel basis of f, |ker f|) for the context's two-step complex.
 
-    K = kernel_basis(build_complex(ctx).f_matrix)
-    return K, howell_form(K).span_size
+    The basis is the Howell form of ker f as {slot: residue} rows over
+    R^r, from one Howell form of [f | I] (`kernel_rows`), with f's rows
+    taken from Q's table (`_f_rows`), so no dense matrix is made.  Being a
+    Howell form, its pivots give |ker f| directly.
+    """
+    n = ctx.ring.modulus
+    form = kernel_rows(n, _f_rows(ctx), ctx.ring.dimension)
+    return [row for _, row in form], _span_size(n, form)
 
 
-def _k_cap(ctx: QuotientContext, K: RMatrix, xn_q: int):
+def _k_cap(ctx: QuotientContext, K: Sequence[dict], xn_q: int):
     """The linear K_cap oracle: {v in span K : (x^n - 1) v = 0}.
 
-    `xn_q` is the index of x^n one level down.  Returns (basis, |K_cap|):
-    the kernel's coefficient rows times K, a product that skips their
-    many zero coefficients (`RMatrix.mul` runs in row-axpy order).
+    `xn_q` is the index of x^n one level down, and K holds {slot: residue}
+    rows.  Row t of the coefficient matrix is (x^n - 1) K[t]: x^n moves
+    slot j to slot dst[j], dst the inverse of `_left_sources`, so it is
+    K[t] moved minus K[t].  The Howell form of its kernel (`kernel_rows`)
+    gives the coefficient rows c with sum c[t] (x^n - 1) K[t] = 0.
+    Returns (basis, |K_cap|): each coefficient row summed over the rows of
+    K it names (`_axpy`), and the size from one Howell form of that basis.
     """
+    n = ctx.ring.modulus
     src = _left_sources(ctx, xn_q)
-    rows = [[row[s] - a for s, a in zip(src, row)] for row in map(K.row, range(K.rows))]
-    basis = kernel_basis(RMatrix.from_rows(K.modulus, rows, cols=K.cols)).mul(K)
-    return basis, howell_form(basis).span_size
+    dst = [0] * len(src)
+    for k, s in enumerate(src):
+        dst[s] = k
+    moved = [_lin(n, 1, {dst[j]: a for j, a in v.items()}, -1, v) for v in K]
+    basis = []
+    for _, coeffs in kernel_rows(n, moved, len(src)):
+        b: dict = {}
+        for t, c in coeffs.items():
+            _axpy(n, b, c, K[t])
+        basis.append(b)
+    return basis, _span_size(n, _howell_rows(n, [dict(b) for b in basis]))
 
 
 def _left_sources(ctx: QuotientContext, q: int) -> tuple:
@@ -364,8 +407,10 @@ def _power_products(W: FiniteGroup, i: int, n: int):
 
     All three come from W's Cayley table alone: powers is the cycle of
     generator column i-1 through 0, R takes n steps along that column, and
-    L follows the BFS tree (`_tree_edges`), since (x^n p) g = x^n (p g)
-    gives L[child] = gen_table[L[parent] * ngens + g].
+    L follows the BFS tree, since (x^n p) g = x^n (p g) gives
+    L[child] = gen_table[L[parent] * ngens + g].  The tree edge into
+    element k is the first table position that holds k (`_tree_edges`);
+    that scan runs inline in the L loop, with no generator between them.
 
     Column i-1 is a permutation, so R walks each of its cycles once with
     a and b = a x^n in lockstep: two array reads per element whatever n
@@ -394,9 +439,11 @@ def _power_products(W: FiniteGroup, i: int, n: int):
                     R[a] = b
                     a, b = col[a], col[b]
     L = array("i", [R[0]]) * W.order
-    for k, pos in enumerate(_tree_edges(table), 1):
-        p, g = divmod(pos, ng)
-        L[k] = table[L[p] * ng + g]
+    k = 1
+    for pos, child in enumerate(table):
+        if child == k:  # the tree edge into k, as `_tree_edges` finds it
+            L[k] = table[L[pos // ng] * ng + pos % ng]
+            k += 1
     return R, L, powers
 
 
@@ -417,9 +464,10 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
 
     # linear oracle: K_cap = {v in ker f : (x^n - 1) v = 0}
     K, _ = module_part_basis(model)
-    k_basis, k_cap_linear = _k_cap(ctx, K, mu_n_q)
+    basis_rows, k_cap_linear = _k_cap(ctx, K, mu_n_q)
 
     # exact set equality: sizes agree and the brute vectors lie in the span
+    k_basis = _matrix_of(ctx.ring.modulus, basis_rows, ctx.rank * ctx.ring.dimension)
     brute = RMatrix.from_rows(k_basis.modulus, list(brute_module), cols=k_basis.cols)
     stacked = k_basis.vstack(brute)
     oracle_equal = len(brute_module) == k_cap_linear and span_equal(k_basis, stacked)

@@ -22,16 +22,31 @@ row operations that ends in it ends in the same matrix.  `RMatrix` and
 `HowellForm` stay dense at the boundary.
 
 The loop carries no transform.  Whatever needs one, or a kernel, reduces
-[M | I] once (`_howell_split`), built directly as dict rows: rows with a
-nonzero M-part are the Howell form of M and their I-part is the transform,
-and the I-part of the rows whose M-part vanished generates the kernel.
+[M | I] once (`_augmented_howell`), built directly as dict rows: rows with
+a nonzero M-part are the Howell form of M and their I-part is the
+transform, and the I-part of the rows whose M-part vanished generates the
+kernel.
+
+`kernel_rows` is the row-level entry point: from M's dict rows it returns
+the Howell form of ker M as (pivot col, row) pairs, so |ker M| is the
+product of n/pivot over them and no second Howell pass is needed.  Why
+the rows whose M-part vanished are that form: they are the trailing rows
+of the Howell form H of [M | I], the ones with pivots in the I-part.  The
+rows of [M | I] are [u*M | u], so v*M = 0 iff [0 | v] lies in their span.
+By the span property of H, such a [0 | v] whose v is zero before column j
+lies in the span of H's rows with pivot at column c + j or later, c the
+width of M.  So their I-parts span ker M and keep the span property; their
+pivot columns increase, their pivots divide n and the entries above their
+pivots are reduced, because all of that holds in H.  A Howell form is
+canonical, so they are the Howell form of ker M.  `kernel_basis` is the
+dense wrapper over `kernel_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, RingMismatch, TooLarge
@@ -336,28 +351,57 @@ def _howell_rows(n: int, rows: Iterable[dict]) -> list:
     return form
 
 
+def _augmented_howell(n: int, rows: Sequence[dict], cols: int) -> tuple:
+    """(image, kernel) of the Howell form over Z/n of [M | I], M given by
+    its {col: residue} rows, every col < cols.  The row dicts take their
+    I-part entry and are reduced in place.
+
+    Pivot columns increase, so the rows with a nonzero M-part come first:
+    `image` is their (pivot col, row) pairs, M-part and I-part together.
+    `kernel` is the (pivot col, I-part) pairs of the rest, columns shifted
+    down by `cols`: the Howell form of {v : v * M = 0} (module docstring).
+    """
+    for i, row in enumerate(rows):
+        row[cols + i] = 1
+    form = _howell_rows(n, rows)
+    k = next((t for t, (col, _) in enumerate(form) if col >= cols), len(form))
+    kernel = [(col - cols, {j - cols: a for j, a in row.items()}) for col, row in form[k:]]
+    return form[:k], kernel
+
+
+def kernel_rows(n: int, rows: Sequence[dict], cols: int) -> list:
+    """The Howell form of {v : v * M = 0} over Z/n as (pivot col, row)
+    pairs, for M given by its {col: residue} rows, every col < cols.
+
+    One Howell form of [M | I] (`_augmented_howell`); the row dicts are
+    reduced in place.  |ker M| is `_span_size(n, kernel_rows(...))`.
+    """
+    return _augmented_howell(n, rows, cols)[1]
+
+
+def _span_size(n: int, form: Iterable[tuple]) -> int:
+    """Number of vectors in the span of a Howell form given as (pivot col,
+    row) pairs: the product of n / pivot."""
+    return prod(n // row[col] for col, row in form)
+
+
 def _howell_split(M: RMatrix) -> tuple:
     """(form, transform, kernel) of M from one Howell form of [M | I].
 
-    Pivot columns increase, so rows with a nonzero M-part come first, and
-    their M-parts keep the span property: they are howell_form(M).matrix,
-    with transform * M = form for their I-parts.  The I-parts of the rows
-    whose M-part vanished generate {v : v * M = 0}.  [M | I] is built as
-    dict rows, each I-part one entry.
+    The M-parts of the leading rows (`_augmented_howell`) keep the span
+    property: they are howell_form(M).matrix, with transform * M = form for
+    their I-parts.  The I-parts of the rows whose M-part vanished generate
+    {v : v * M = 0}.
     """
     n, c = M.modulus, M.cols
-    rows = _rows_of(M)
-    for i, row in enumerate(rows):
-        row[c + i] = 1
-    form, transform, kernel = [], [], []
-    for col, row in _howell_rows(n, rows):
-        i_part = {j - c: a for j, a in row.items() if j >= c}
-        if col < c:
-            form.append({j: a for j, a in row.items() if j < c})
-            transform.append(i_part)
-        else:
-            kernel.append(i_part)
-    return _matrix_of(n, form, c), _matrix_of(n, transform, M.rows), _matrix_of(n, kernel, M.rows)
+    image, kernel = _augmented_howell(n, _rows_of(M), c)
+    form = [{j: a for j, a in row.items() if j < c} for _, row in image]
+    transform = [{j - c: a for j, a in row.items() if j >= c} for _, row in image]
+    return (
+        _matrix_of(n, form, c),
+        _matrix_of(n, transform, M.rows),
+        _matrix_of(n, [row for _, row in kernel], M.rows),
+    )
 
 
 def _reduce(n: int, form: Sequence[tuple], b: dict) -> Optional[list]:
@@ -394,11 +438,11 @@ def _xgcd(a: int, b: int):
 def kernel_basis(M: RMatrix) -> RMatrix:
     """Rows generating {v in (Z/n)^rows : v*M = 0}.
 
-    These are the I-parts of the rows of the Howell form of [M | I] whose
-    M-part vanished (`_howell_split`); the Howell span property makes them
-    generate the whole kernel.
+    The dense form of `kernel_rows`: the Howell form of the kernel, read
+    off one Howell form of [M | I].
     """
-    return _howell_split(M)[2]
+    n = M.modulus
+    return _matrix_of(n, [row for _, row in kernel_rows(n, _rows_of(M), M.cols)], M.rows)
 
 
 def solve_linear(M: RMatrix, b: Sequence[int]):

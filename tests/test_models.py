@@ -19,7 +19,7 @@ import random
 import pytest
 
 from msolv import models
-from msolv.crowell import MagnusMatrix
+from msolv.crowell import MagnusMatrix, build_complex
 from msolv.errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed
 from msolv.fingroup import (
     CAYLEY_LIMIT,
@@ -44,7 +44,7 @@ from msolv.models import (
     surface_presentation,
 )
 from msolv.foxcalc import QuotientContext
-from msolv.zmodlin import RMatrix, howell_form, kernel_basis, span_equal
+from msolv.zmodlin import RMatrix, _matrix_of, howell_form, kernel_basis, span_equal
 
 
 def cyclic_group(k):
@@ -145,7 +145,7 @@ def test_module_part_mismatch_is_a_verdict(monkeypatch):
     model = build_solv_model(2, 2, 2)
     # a "kernel" spanning all of R^r cannot match the 32-element module part
     monkeypatch.setattr(
-        models, "kernel_basis", lambda M: RMatrix.identity(M.modulus, M.rows)
+        models, "kernel_rows", lambda n, rows, cols: [(k, {k: 1}) for k in range(len(rows))]
     )
     with pytest.raises(VerdictFailed, match="module part has 32 elements"):
         module_part_basis(model)
@@ -306,11 +306,11 @@ def test_centralizer_e2_oracle_and_decomposition():
 def test_oracle_equal_is_false_for_a_wrong_span(monkeypatch):
     # a K_cap basis of the right size but the wrong span must fail the oracle
     true_k_cap = models._k_cap
-    wrong = RMatrix.from_rows(2, [[int(j == k) for j in range(8)] for k in range(3)])
+    wrong = [{k: 1} for k in range(3)]
 
     def wrong_k_cap(ctx, K, xn_q):
         basis, size = true_k_cap(ctx, K, xn_q)
-        assert size == 8 and not span_equal(basis, wrong)
+        assert size == 8 and not span_equal(_matrix_of(2, basis, 8), _matrix_of(2, wrong, 8))
         return wrong, size
 
     monkeypatch.setattr(models, "_k_cap", wrong_k_cap)
@@ -439,7 +439,7 @@ def test_probe_products_read_no_linear_side(monkeypatch):
     def linear_side(*args, **kwargs):
         raise AssertionError("the products read the linear side")
 
-    for name in ("_left_sources", "kernel_basis", "howell_form", "_k_cap"):
+    for name in ("_left_sources", "kernel_rows", "_howell_rows", "_ker_f", "_k_cap", "span_equal"):
         monkeypatch.setattr(models, name, linear_side)
     monkeypatch.setattr(QuotientContext, "left_mult_perm", linear_side)
     assert models._prefix_power_products(law, elements, edges, 2, 9) == expected
@@ -553,15 +553,42 @@ def test_k_cap_sparse_products_equal_dense(e):
     prev = build_solv_model(2, e, 1).group
     ctx = QuotientContext(2, prev, list(prev.gen_indices), e)
     K, _ = models._ker_f(ctx)
+    Kd = _matrix_of(e, K, 2 * prev.order)
     for i in (1, 2):
         for n in (1, 2, 3):
             xn_q = prev.power(ctx.images[i - 1], n)
             src = models._left_sources(ctx, xn_q)
-            rows = [[row[s] - a for s, a in zip(src, row)] for row in map(K.row, range(K.rows))]
-            dense = kernel_basis(RMatrix.from_rows(e, rows, cols=K.cols)).mul(K)
+            rows = [[row[s] - a for s, a in zip(src, row)] for row in map(Kd.row, range(Kd.rows))]
+            dense = kernel_basis(RMatrix.from_rows(e, rows, cols=Kd.cols)).mul(Kd)
             basis, size = models._k_cap(ctx, K, xn_q)
-            assert basis == dense
+            assert _matrix_of(e, basis, Kd.cols) == dense
             assert size == howell_form(dense).span_size
+
+
+@pytest.mark.parametrize("e, below", [(e, 1) for e in (4, 5, 7, 8, 9, 11, 13)] + [(2, 2)])
+def test_f_rows_are_the_complex_f_matrix(e, below):
+    # f's rows read off Q's table are build_complex's dense f: over level 1
+    # at every exponent of the benchmark's tower, and over W(2, 2, 2)
+    ctx = models._context_above(2, e, build_solv_model(2, e, below).group)
+    f = build_complex(ctx).f_matrix
+    assert _matrix_of(e, models._f_rows(ctx), f.cols) == f
+
+
+def test_a_dropped_kernel_row_fails_the_oracle(monkeypatch):
+    # a _ker_f that loses the last row of its Howell form, and keeps its
+    # size, leaves K_cap short: the brute-verified tower row no longer
+    # matches, and the full centralizer's oracle fails
+    true_ker_f = models._ker_f
+
+    def dropped(ctx):
+        K, size = true_ker_f(ctx)
+        return K[:-1], size
+
+    monkeypatch.setattr(models, "_ker_f", dropped)
+    rows = kcap_tower(2, 2, [3], 1, 1)
+    assert rows[0].verified_brute and not rows[0].brute_matches
+    rep = centralizer_experiment(build_solv_model(2, 2, 2), 1, 1)
+    assert rep.k_cap_linear < rep.k_cap_brute and not rep.oracle_equal
 
 
 @pytest.mark.parametrize("n", [1, 2])

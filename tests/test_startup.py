@@ -32,17 +32,21 @@ LOADED = (
 )
 
 BASE = ["msolv", "msolv.cli", "msolv.errors"]
-FINITE = ["msolv.dsl", "msolv.fingroup", "msolv.models", "msolv.zmodlin"]
+FINITE = ["msolv.fingroup", "msolv.models", "msolv.zmodlin"]
 MAGNUS_STACK = ["msolv.crowell", "msolv.exp_magnus", "msolv.foxcalc", "msolv.grpring"]
 
 IMPORT_GRAPH = {
     "scan": (
         ["centerfree-scan", "--groups", "builtin S_3", "--m", "1"],
-        BASE + FINITE + ["msolv.constructions", "msolv.exp_groups"],
+        BASE + FINITE + ["msolv.constructions", "msolv.dsl", "msolv.exp_groups"],
     ),
     "scan-help": (["centerfree-scan", "--help"], BASE),
     "centralizer": (
         ["centralizer", "--r", "2", "--e", "2", "--m", "2"],
+        BASE + FINITE + MAGNUS_STACK,
+    ),
+    "tower": (
+        ["solv-model", "--r", "2", "--m", "2", "--tower", "4,5", "--i", "1", "--n", "1"],
         BASE + FINITE + MAGNUS_STACK,
     ),
 }

@@ -23,9 +23,13 @@ from msolv.zmodlin import (
     RMatrix,
     ResidueRing,
     _howell_split,
+    _matrix_of,
+    _rows_of,
+    _span_size,
     _xgcd,
     howell_form,
     kernel_basis,
+    kernel_rows,
     scalar_kernel,
     smith_normal_form_int,
     solve_linear,
@@ -582,6 +586,39 @@ def test_sparse_howell_matches_dense_reference(monkeypatch):
             )
             assert _howell_split(M) == expect, case
     assert calls["_axpy"] and calls["_lin"]
+
+
+def test_kernel_rows_are_the_howell_form_of_the_kernel(monkeypatch):
+    # seeded random dict rows: the kernel rows are the Howell form of ker M
+    # (a second Howell pass returns them unchanged), their pivot product is
+    # |ker M|, which is also n^rows / |row span of M|, and they are the
+    # dense loop's kernel part of [M | I]; the composite moduli must have
+    # run the 2x2 combine
+    combines = {}
+    real = zmodlin._lin
+
+    def counted(*args):
+        combines[args[0]] = combines.get(args[0], 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(zmodlin, "_lin", counted)
+    rng = random.Random(28)
+    moduli = (2, 4, 6, 8, 9, 12, 13, 27)
+    for case in range(160):
+        n = moduli[case % len(moduli)]
+        M = random_sparse(rng, n)
+        form = kernel_rows(n, _rows_of(M), M.cols)
+        K = _matrix_of(n, [row for _, row in form], M.rows)
+        size = _span_size(n, form)
+        assert K == kernel_basis(M), case
+        assert howell_form(K).matrix == K, case
+        assert size == howell_form(K).span_size, case
+        assert size * howell_form(M).span_size == n**M.rows, case
+        if case % 4 == 0:
+            c = M.cols
+            tail = [r[c:] for r in dense_howell_reference(augmented(M)).row_list() if not any(r[:c])]
+            assert K == RMatrix.from_rows(n, tail, cols=M.rows), case
+    assert combines.get(6) and combines.get(12)
 
 
 @pytest.mark.parametrize("e", [4, 8, 9, 13])
