@@ -30,19 +30,17 @@ which is what the BFS closure does per edge.  The brute side of the
 centralizer experiment reads the closure's Cayley table, the flat
 `gen_table` array: el_k x^n along the cycles of generator column i-1 (the
 slice gen_table[i-1::ngens]), with n reduced mod the order of x, and x^n el_k
-along the BFS tree (the first-occurrence rule of `fingroup._tree_edges`, run
-inline), since (x^n p) g = x^n (p g).
+along the BFS tree (`fingroup._tree_edges`), since (x^n p) g = x^n (p g).
 It is group arithmetic from the Cayley graph alone and never touches the
 kernel of f it is checked against.
 
 The capped probe enumerates its BFS prefix of W_m as packed ints by the
 same loop, `fingroup._bfs`, and keeps the BFS tree edge into each element,
-read from the capped table by `fingroup._tree_edges`; the full
-experiment's L loop runs the same first-occurrence rule inline.  `_bfs`
-has one index kind and two stores: a whole level, refused past
-`COORD_LIMIT` elements, is indexed by its co-tree coordinates in one flat
-array and keeps its elements in an array('q'), and the prefix is indexed
-by its elements in a dict and keeps a list.
+read from the capped table by the same `fingroup._tree_edges` as the full
+experiment's L.  That loop has one index kind and two stores: a whole
+level, refused past `COORD_LIMIT` elements, is indexed by its co-tree
+coordinates in one flat array and keeps its elements in an array('q'),
+and the prefix is indexed by its elements in a dict and keeps a list.
 Products with x^n may leave the prefix, so they stay packed values: el_k
 x^n by the n generator steps folded into one step per quotient index, and
 x^n el_k by one generator step along the tree from x^n; an element
@@ -52,8 +50,10 @@ commuting with x^n one level down, and reads the vector condition off the
 packed int digit by digit, stopping at the first slot that fails.
 
 The K_cap oracle (`_ker_f`, `_k_cap`) runs on {slot: residue} dict rows
-from f's rows, read off Q's table, to |K_cap|, through one row-level
-kernel helper, `zmodlin.kernel_rows`; it reads nothing of the brute side.
+from f's rows, read off Q's table, to |K_cap|, through the row-level
+helpers `zmodlin.kernel_rows` and `zmodlin.row_span_size`; it reads
+nothing of the brute side.  `_dense` makes an RMatrix of such rows where
+a group element or `span_equal` needs one.
 `_left_sources` is the one encoding of q's left action on R^r, which
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
 entries v[src[k]] - v[k].  Level orders are predicted before any closure
@@ -102,11 +102,8 @@ from .fingroup import (
 from .zmodlin import (
     RMatrix,
     _axpy,
-    _howell_rows,
-    _lin,
-    _matrix_of,
-    _span_size,
     kernel_rows,
+    row_span_size,
     smith_normal_form_int,
     span_equal,
 )
@@ -292,12 +289,17 @@ def module_part_basis(model: SolvModel):
         raise VerdictFailed(
             f"module part has {module_count} elements but ker f spans {span}"
         )
-    dense = _matrix_of(ctx.ring.modulus, K, ctx.rank * ctx.ring.dimension)
+    dense = _dense(ctx, K)
     for i in range(dense.rows):
         probe = law.encode(MagnusMatrix(ctx, 0, dense.row(i)))
         if probe not in W.index:
             raise VerdictFailed(f"kernel basis row {i} is not a group element")
     return K, module_count
+
+
+def _dense(ctx: QuotientContext, rows: Sequence[dict]) -> RMatrix:
+    """The RMatrix of {slot: residue} rows over R^r, r|Q| columns wide."""
+    return RMatrix.from_dict_rows(ctx.ring.modulus, rows, ctx.rank * ctx.ring.dimension)
 
 
 def _f_rows(ctx: QuotientContext) -> list:
@@ -322,9 +324,7 @@ def _ker_f(ctx: QuotientContext):
     taken from Q's table (`_f_rows`), so no dense matrix is made.  Being a
     Howell form, its pivots give |ker f| directly.
     """
-    n = ctx.ring.modulus
-    form = kernel_rows(n, _f_rows(ctx), ctx.ring.dimension)
-    return [row for _, row in form], _span_size(n, form)
+    return kernel_rows(ctx.ring.modulus, _f_rows(ctx), ctx.ring.dimension)
 
 
 def _k_cap(ctx: QuotientContext, K: Sequence[dict], xn_q: int):
@@ -336,21 +336,26 @@ def _k_cap(ctx: QuotientContext, K: Sequence[dict], xn_q: int):
     K[t] moved minus K[t].  The Howell form of its kernel (`kernel_rows`)
     gives the coefficient rows c with sum c[t] (x^n - 1) K[t] = 0.
     Returns (basis, |K_cap|): each coefficient row summed over the rows of
-    K it names (`_axpy`), and the size from one Howell form of that basis.
+    K it names (`_axpy`), and the size from one Howell form of that basis
+    (`row_span_size`).
     """
     n = ctx.ring.modulus
     src = _left_sources(ctx, xn_q)
     dst = [0] * len(src)
     for k, s in enumerate(src):
         dst[s] = k
-    moved = [_lin(n, 1, {dst[j]: a for j, a in v.items()}, -1, v) for v in K]
+    moved = []
+    for v in K:
+        w = {dst[j]: a for j, a in v.items()}
+        _axpy(n, w, -1, v)
+        moved.append(w)
     basis = []
-    for _, coeffs in kernel_rows(n, moved, len(src)):
+    for coeffs in kernel_rows(n, moved, len(src))[0]:
         b: dict = {}
         for t, c in coeffs.items():
             _axpy(n, b, c, K[t])
         basis.append(b)
-    return basis, _span_size(n, _howell_rows(n, [dict(b) for b in basis]))
+    return basis, row_span_size(n, basis)
 
 
 def _left_sources(ctx: QuotientContext, q: int) -> tuple:
@@ -407,10 +412,8 @@ def _power_products(W: FiniteGroup, i: int, n: int):
 
     All three come from W's Cayley table alone: powers is the cycle of
     generator column i-1 through 0, R takes n steps along that column, and
-    L follows the BFS tree, since (x^n p) g = x^n (p g) gives
-    L[child] = gen_table[L[parent] * ngens + g].  The tree edge into
-    element k is the first table position that holds k (`_tree_edges`);
-    that scan runs inline in the L loop, with no generator between them.
+    L follows the BFS tree (`_tree_edges`), since (x^n p) g = x^n (p g)
+    gives L[child] = gen_table[L[parent] * ngens + g].
 
     Column i-1 is a permutation, so R walks each of its cycles once with
     a and b = a x^n in lockstep: two array reads per element whatever n
@@ -439,11 +442,8 @@ def _power_products(W: FiniteGroup, i: int, n: int):
                     R[a] = b
                     a, b = col[a], col[b]
     L = array("i", [R[0]]) * W.order
-    k = 1
-    for pos, child in enumerate(table):
-        if child == k:  # the tree edge into k, as `_tree_edges` finds it
-            L[k] = table[L[pos // ng] * ng + pos % ng]
-            k += 1
+    for k, pos in enumerate(_tree_edges(table), 1):
+        L[k] = table[L[pos // ng] * ng + pos % ng]
     return R, L, powers
 
 
@@ -467,7 +467,7 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     basis_rows, k_cap_linear = _k_cap(ctx, K, mu_n_q)
 
     # exact set equality: sizes agree and the brute vectors lie in the span
-    k_basis = _matrix_of(ctx.ring.modulus, basis_rows, ctx.rank * ctx.ring.dimension)
+    k_basis = _dense(ctx, basis_rows)
     brute = RMatrix.from_rows(k_basis.modulus, list(brute_module), cols=k_basis.cols)
     stacked = k_basis.vstack(brute)
     oracle_equal = len(brute_module) == k_cap_linear and span_equal(k_basis, stacked)

@@ -28,8 +28,9 @@ transform, and the I-part of the rows whose M-part vanished generates the
 kernel.
 
 `kernel_rows` is the row-level entry point: from M's dict rows it returns
-the Howell form of ker M as (pivot col, row) pairs, so |ker M| is the
-product of n/pivot over them and no second Howell pass is needed.  Why
+the Howell form of ker M as dict rows and |ker M|, the product of n/pivot
+over them, with no second Howell pass; `row_span_size` counts the span
+of any dict rows the same way, after one Howell pass.  Why
 the rows whose M-part vanished are that form: they are the trailing rows
 of the Howell form H of [M | I], the ones with pivots in the I-part.  The
 rows of [M | I] are [u*M | u], so v*M = 0 iff [0 | v] lies in their span.
@@ -148,6 +149,16 @@ class RMatrix:
         return RMatrix(modulus, len(rows), cols, flat)
 
     @staticmethod
+    def from_dict_rows(modulus: int, rows: Sequence[dict], cols: int) -> "RMatrix":
+        """The dense matrix of {col: residue} rows of canonical residues."""
+        flat = [0] * (len(rows) * cols)
+        for i, row in enumerate(rows):
+            base = i * cols
+            for j, a in row.items():
+                flat[base + j] = a
+        return RMatrix(modulus, len(rows), cols, tuple(flat))
+
+    @staticmethod
     def identity(modulus: int, size: int) -> "RMatrix":
         flat = tuple(1 if i == j else 0 for i in range(size) for j in range(size))
         return RMatrix(modulus, size, size, flat)
@@ -237,11 +248,7 @@ class HowellForm:
     @property
     def span_size(self) -> int:
         """Number of vectors in the row span."""
-        n = self.matrix.modulus
-        size = 1
-        for _, _, p in self.pivots:
-            size *= n // p
-        return size
+        return _pivot_product(self.matrix.modulus, (p for _, _, p in self.pivots))
 
 
 def howell_form(M: RMatrix) -> HowellForm:
@@ -258,23 +265,13 @@ def howell_form(M: RMatrix) -> HowellForm:
     from the form of [M | I].
     """
     form = _howell_rows(M.modulus, _rows_of(M))
-    return HowellForm(_matrix_of(M.modulus, [row for _, row in form], M.cols), M)
+    return HowellForm(RMatrix.from_dict_rows(M.modulus, [row for _, row in form], M.cols), M)
 
 
 def _rows_of(M: RMatrix) -> list:
     """The rows of M as {col: residue} dicts of their nonzero entries."""
     c, e = M.cols, M.entries
     return [{j: a for j, a in enumerate(e[i * c : (i + 1) * c]) if a} for i in range(M.rows)]
-
-
-def _matrix_of(n: int, rows: Sequence[dict], cols: int) -> RMatrix:
-    """The dense RMatrix of {col: residue} rows."""
-    flat = [0] * (len(rows) * cols)
-    for i, row in enumerate(rows):
-        base = i * cols
-        for j, a in row.items():
-            flat[base + j] = a
-    return RMatrix(n, len(rows), cols, tuple(flat))
 
 
 def _axpy(n: int, row: dict, q: int, piv: dict) -> None:
@@ -353,36 +350,42 @@ def _howell_rows(n: int, rows: Iterable[dict]) -> list:
 
 def _augmented_howell(n: int, rows: Sequence[dict], cols: int) -> tuple:
     """(image, kernel) of the Howell form over Z/n of [M | I], M given by
-    its {col: residue} rows, every col < cols.  The row dicts take their
-    I-part entry and are reduced in place.
+    its {col: residue} rows, every col < cols.  The rows of [M | I] are
+    new dicts, so M's rows are left alone.
 
     Pivot columns increase, so the rows with a nonzero M-part come first:
     `image` is their (pivot col, row) pairs, M-part and I-part together.
     `kernel` is the (pivot col, I-part) pairs of the rest, columns shifted
     down by `cols`: the Howell form of {v : v * M = 0} (module docstring).
     """
-    for i, row in enumerate(rows):
-        row[cols + i] = 1
-    form = _howell_rows(n, rows)
+    form = _howell_rows(n, [{**row, cols + i: 1} for i, row in enumerate(rows)])
     k = next((t for t, (col, _) in enumerate(form) if col >= cols), len(form))
     kernel = [(col - cols, {j - cols: a for j, a in row.items()}) for col, row in form[k:]]
     return form[:k], kernel
 
 
-def kernel_rows(n: int, rows: Sequence[dict], cols: int) -> list:
-    """The Howell form of {v : v * M = 0} over Z/n as (pivot col, row)
-    pairs, for M given by its {col: residue} rows, every col < cols.
+def kernel_rows(n: int, rows: Sequence[dict], cols: int) -> tuple:
+    """(the Howell form of K = {v : v * M = 0} over Z/n as {col: residue}
+    rows, |K|), for M given by its {col: residue} rows, every col < cols.
 
-    One Howell form of [M | I] (`_augmented_howell`); the row dicts are
-    reduced in place.  |ker M| is `_span_size(n, kernel_rows(...))`.
+    One Howell form of [M | I] (`_augmented_howell`), whose kernel rows
+    give |K| by their pivots; M's rows are left alone.
     """
-    return _augmented_howell(n, rows, cols)[1]
+    kernel = _augmented_howell(n, rows, cols)[1]
+    return [row for _, row in kernel], _pivot_product(n, (row[col] for col, row in kernel))
 
 
-def _span_size(n: int, form: Iterable[tuple]) -> int:
-    """Number of vectors in the span of a Howell form given as (pivot col,
-    row) pairs: the product of n / pivot."""
-    return prod(n // row[col] for col, row in form)
+def row_span_size(n: int, rows: Iterable[dict]) -> int:
+    """Number of vectors in the span over Z/n of {col: residue} rows: one
+    Howell form of them, then the product of n / pivot.  The rows are
+    left alone."""
+    return _pivot_product(n, (row[col] for col, row in _howell_rows(n, map(dict, rows))))
+
+
+def _pivot_product(n: int, pivots: Iterable[int]) -> int:
+    """The product of n / p over the pivots p of a Howell form: the number
+    of vectors in its span."""
+    return prod(n // p for p in pivots)
 
 
 def _howell_split(M: RMatrix) -> tuple:
@@ -398,9 +401,9 @@ def _howell_split(M: RMatrix) -> tuple:
     form = [{j: a for j, a in row.items() if j < c} for _, row in image]
     transform = [{j - c: a for j, a in row.items() if j >= c} for _, row in image]
     return (
-        _matrix_of(n, form, c),
-        _matrix_of(n, transform, M.rows),
-        _matrix_of(n, [row for _, row in kernel], M.rows),
+        RMatrix.from_dict_rows(n, form, c),
+        RMatrix.from_dict_rows(n, transform, M.rows),
+        RMatrix.from_dict_rows(n, [row for _, row in kernel], M.rows),
     )
 
 
@@ -442,7 +445,7 @@ def kernel_basis(M: RMatrix) -> RMatrix:
     off one Howell form of [M | I].
     """
     n = M.modulus
-    return _matrix_of(n, [row for _, row in kernel_rows(n, _rows_of(M), M.cols)], M.rows)
+    return RMatrix.from_dict_rows(n, kernel_rows(n, _rows_of(M), M.cols)[0], M.rows)
 
 
 def solve_linear(M: RMatrix, b: Sequence[int]):

@@ -505,24 +505,15 @@ def test_broken_prediction_fails_the_probe(monkeypatch, capsys):
 def test_broken_tree_fails_the_centralizer(flags, monkeypatch, capsys):
     # swap the tree edges into elements 1 and 2, the generators x_1 and x_2:
     # x^n el is then wrong for x_1 and below, and x_1 commutes with
-    # mu(x_1)^n, so the brute centralizer loses it and the verdict fails.
-    # The capped probe reads its edges from `_tree_edges`; the full
-    # experiment walks the tree inline in `_power_products`, so there the
-    # swap is of the products x^n x_1 and x^n x_2 it walked
-    real_edges, real_products = models._tree_edges, models._power_products
+    # mu(x_1)^n, so the brute centralizer loses it and the verdict fails
+    real = models._tree_edges
 
     def swapped(table):
-        edges = list(real_edges(table))
+        edges = list(real(table))
         edges[0], edges[1] = edges[1], edges[0]
         return iter(edges)
 
-    def swapped_products(W, i, n):
-        R, L, powers = real_products(W, i, n)
-        L[1], L[2] = L[2], L[1]
-        return R, L, powers
-
     monkeypatch.setattr(models, "_tree_edges", swapped)
-    monkeypatch.setattr(models, "_power_products", swapped_products)
     rc = main(["centralizer", *flags])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1

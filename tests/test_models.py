@@ -44,7 +44,7 @@ from msolv.models import (
     surface_presentation,
 )
 from msolv.foxcalc import QuotientContext
-from msolv.zmodlin import RMatrix, _matrix_of, howell_form, kernel_basis, span_equal
+from msolv.zmodlin import RMatrix, howell_form, kernel_basis, span_equal
 
 
 def cyclic_group(k):
@@ -143,9 +143,10 @@ def test_module_part_is_kernel_of_f():
 
 def test_module_part_mismatch_is_a_verdict(monkeypatch):
     model = build_solv_model(2, 2, 2)
-    # a "kernel" spanning all of R^r cannot match the 32-element module part
+    # f = 0 has a kernel spanning all of R^r, which cannot match the
+    # 32-element module part
     monkeypatch.setattr(
-        models, "kernel_rows", lambda n, rows, cols: [(k, {k: 1}) for k in range(len(rows))]
+        models, "_f_rows", lambda ctx: [{} for _ in range(ctx.rank * ctx.ring.dimension)]
     )
     with pytest.raises(VerdictFailed, match="module part has 32 elements"):
         module_part_basis(model)
@@ -310,7 +311,8 @@ def test_oracle_equal_is_false_for_a_wrong_span(monkeypatch):
 
     def wrong_k_cap(ctx, K, xn_q):
         basis, size = true_k_cap(ctx, K, xn_q)
-        assert size == 8 and not span_equal(_matrix_of(2, basis, 8), _matrix_of(2, wrong, 8))
+        dense = RMatrix.from_dict_rows
+        assert size == 8 and not span_equal(dense(2, basis, 8), dense(2, wrong, 8))
         return wrong, size
 
     monkeypatch.setattr(models, "_k_cap", wrong_k_cap)
@@ -439,7 +441,7 @@ def test_probe_products_read_no_linear_side(monkeypatch):
     def linear_side(*args, **kwargs):
         raise AssertionError("the products read the linear side")
 
-    for name in ("_left_sources", "kernel_rows", "_howell_rows", "_ker_f", "_k_cap", "span_equal"):
+    for name in ("_left_sources", "kernel_rows", "row_span_size", "_ker_f", "_k_cap", "span_equal"):
         monkeypatch.setattr(models, name, linear_side)
     monkeypatch.setattr(QuotientContext, "left_mult_perm", linear_side)
     assert models._prefix_power_products(law, elements, edges, 2, 9) == expected
@@ -553,7 +555,7 @@ def test_k_cap_sparse_products_equal_dense(e):
     prev = build_solv_model(2, e, 1).group
     ctx = QuotientContext(2, prev, list(prev.gen_indices), e)
     K, _ = models._ker_f(ctx)
-    Kd = _matrix_of(e, K, 2 * prev.order)
+    Kd = models._dense(ctx, K)
     for i in (1, 2):
         for n in (1, 2, 3):
             xn_q = prev.power(ctx.images[i - 1], n)
@@ -561,7 +563,7 @@ def test_k_cap_sparse_products_equal_dense(e):
             rows = [[row[s] - a for s, a in zip(src, row)] for row in map(Kd.row, range(Kd.rows))]
             dense = kernel_basis(RMatrix.from_rows(e, rows, cols=Kd.cols)).mul(Kd)
             basis, size = models._k_cap(ctx, K, xn_q)
-            assert _matrix_of(e, basis, Kd.cols) == dense
+            assert models._dense(ctx, basis) == dense
             assert size == howell_form(dense).span_size
 
 
@@ -571,7 +573,7 @@ def test_f_rows_are_the_complex_f_matrix(e, below):
     # at every exponent of the benchmark's tower, and over W(2, 2, 2)
     ctx = models._context_above(2, e, build_solv_model(2, e, below).group)
     f = build_complex(ctx).f_matrix
-    assert _matrix_of(e, models._f_rows(ctx), f.cols) == f
+    assert RMatrix.from_dict_rows(e, models._f_rows(ctx), f.cols) == f
 
 
 def test_a_dropped_kernel_row_fails_the_oracle(monkeypatch):

@@ -23,13 +23,12 @@ from msolv.zmodlin import (
     RMatrix,
     ResidueRing,
     _howell_split,
-    _matrix_of,
     _rows_of,
-    _span_size,
     _xgcd,
     howell_form,
     kernel_basis,
     kernel_rows,
+    row_span_size,
     scalar_kernel,
     smith_normal_form_int,
     solve_linear,
@@ -591,9 +590,10 @@ def test_sparse_howell_matches_dense_reference(monkeypatch):
 def test_kernel_rows_are_the_howell_form_of_the_kernel(monkeypatch):
     # seeded random dict rows: the kernel rows are the Howell form of ker M
     # (a second Howell pass returns them unchanged), their pivot product is
-    # |ker M|, which is also n^rows / |row span of M|, and they are the
-    # dense loop's kernel part of [M | I]; the composite moduli must have
-    # run the 2x2 combine
+    # |ker M|, which is also n^rows / |row span of M| (by row_span_size and
+    # by the dense form), and they are the dense loop's kernel part of
+    # [M | I]; neither helper changes M's rows; the composite moduli must
+    # have run the 2x2 combine
     combines = {}
     real = zmodlin._lin
 
@@ -607,13 +607,16 @@ def test_kernel_rows_are_the_howell_form_of_the_kernel(monkeypatch):
     for case in range(160):
         n = moduli[case % len(moduli)]
         M = random_sparse(rng, n)
-        form = kernel_rows(n, _rows_of(M), M.cols)
-        K = _matrix_of(n, [row for _, row in form], M.rows)
-        size = _span_size(n, form)
+        rows = _rows_of(M)
+        kernel, size = kernel_rows(n, rows, M.cols)
+        span = row_span_size(n, rows)
+        assert rows == _rows_of(M), case
+        K = RMatrix.from_dict_rows(n, kernel, M.rows)
         assert K == kernel_basis(M), case
         assert howell_form(K).matrix == K, case
         assert size == howell_form(K).span_size, case
-        assert size * howell_form(M).span_size == n**M.rows, case
+        assert span == howell_form(M).span_size, case
+        assert size * span == n**M.rows, case
         if case % 4 == 0:
             c = M.cols
             tail = [r[c:] for r in dense_howell_reference(augmented(M)).row_list() if not any(r[:c])]
