@@ -17,7 +17,6 @@ relator rows when a presentation is supplied.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +24,7 @@ from .errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed, b
 from .fingroup import _bfs, _tree_edges
 from .foxcalc import FreeWord, QuotientContext, fox_row
 from .grpring import RingElem, augmentation, right_mult_matrix
-from .zmodlin import RMatrix, howell_form, kernel_basis, span_equal
+from .zmodlin import RMatrix, _rows_of, howell_form, kernel_rows
 
 
 class MagnusMatrix:
@@ -126,8 +125,13 @@ class _PackedMagnusLaw:
     (i-1)*d + q: one table lookup and one digit bump, which `step_rows`
     tabulates for the callers that run it inline.  `mul` and `inv` are the
     general product and inverse on packed ints, visiting only the nonzero
-    digits of the right operand.  `encode` / `decode` convert to and from
-    MagnusMatrix, which stays the single-element type for callers.
+    digits of the right operand.  `pack` makes [[q, v]] from v's
+    {slot: residue} entries and `vector` reads v back in slot order;
+    `encode` / `decode` bridge them to MagnusMatrix, the dense reference
+    that `magnus_image` and the tests multiply.  The models read the law
+    through `generators`, `mul`, `inv`, `q`, `pack`, `vector` and
+    `weight` / `base` / `e` (digit k of a is a // weight[k] % e) alone;
+    `step_rows`, `coord_size` and `end` serve this dense layout only.
 
     The digit order makes a co-tree coordinate a remainder.  Slot (i-1)*d + j
     is the edge j -> j q_i of Q's Cayley graph, so the vector part of a
@@ -192,9 +196,7 @@ class _PackedMagnusLaw:
         # weight[k]: the packed value of a 1 in slot k of the vector part
         self.weight = tuple(d * e**p for p in self._positions)
         self._weights_cache: dict = {}
-        self.generators = [
-            self.encode(MagnusMatrix.generator(ctx, i)) for i in range(1, ctx.rank + 1)
-        ]
+        self.generators = [self.pack(ctx.images[i], {i * d: 1}) for i in range(ctx.rank)]
         # step_rows[q][i] = (delta, e*w, (e-1)*w): the right product of an
         # element with quotient index q by generator i+1.  w is the weight of
         # slot i*d + q, and delta = q*q_(i+1) - q + w bumps that digit; it
@@ -209,12 +211,19 @@ class _PackedMagnusLaw:
             rows.append(tuple(row))
         self.step_rows = tuple(rows)
 
-    def encode(self, m: MagnusMatrix) -> int:
-        e = self.e
-        for c in m.vec:
+    def pack(self, q: int, row: dict) -> int:
+        """The packed [[q, v]] for v given by its {slot: residue} entries;
+        ValueError on an entry not reduced mod e."""
+        e, weight = self.e, self.weight
+        x = q
+        for k, c in row.items():
             if not 0 <= c < e:
                 raise ValueError(f"vector entry {c} not reduced mod {e}")
-        return m.q + sum(map(operator.mul, m.vec, self.weight))
+            x += c * weight[k]
+        return x
+
+    def encode(self, m: MagnusMatrix) -> int:
+        return self.pack(m.q, dict(enumerate(m.vec)))
 
     def q(self, x: int) -> int:
         """The quotient index q of a packed [[q, v]], without decoding v."""
@@ -232,10 +241,13 @@ class _PackedMagnusLaw:
         del vec[size:]
         return vec
 
+    def vector(self, x: int) -> tuple:
+        """The vector part of packed x, its digits in slot order."""
+        digits = self._digits(x // self.base)
+        return tuple(map(digits.__getitem__, self._positions))
+
     def decode(self, x: int) -> MagnusMatrix:
-        code, q = divmod(x, self.base)
-        digits = self._digits(code)
-        return MagnusMatrix(self.ctx, q, tuple(map(digits.__getitem__, self._positions)))
+        return MagnusMatrix(self.ctx, self.q(x), self.vector(x))
 
     def _weights(self, q: int) -> tuple:
         """The weight of each digit position after left multiplication by q
@@ -349,25 +361,27 @@ class ExactnessReport:
     im_f_size: int
     ker_s_size: int
     ker_f_size: int
-    ker_f_basis: RMatrix
 
 
 def exactness_check(c: CrowellComplex) -> ExactnessReport:
-    """Exactness at R: im f = ker s, with s onto; plus ker f data."""
-    im_f = c.f_matrix
-    ker_s = kernel_basis(c.s_matrix)
-    middle = span_equal(im_f, ker_s)
+    """Exactness at R: im f = ker s, with s onto; plus |ker f|.
+
+    One Howell form per matrix: `kernel_rows` gives each kernel's form and
+    size, and im f's form is compared with ker s's and counted."""
+    f, s = c.f_matrix, c.s_matrix
+    im_f = howell_form(f)
+    ker_s, ker_s_size = kernel_rows(s.modulus, _rows_of(s), s.cols)
+    ker_f_size = kernel_rows(f.modulus, _rows_of(f), f.cols)[1]
+    middle = im_f.matrix == RMatrix.from_dict_rows(s.modulus, ker_s, s.rows)
     # s is onto iff its row span is all of Z/n; s(1) = 1 makes this automatic
-    s_onto = howell_form(c.s_matrix).span_size == c.ctx.ring.modulus
-    ker_f = kernel_basis(c.f_matrix)
+    s_onto = howell_form(s).span_size == c.ctx.ring.modulus
     return ExactnessReport(
         passed=middle and s_onto,
         im_f_equals_ker_s=middle,
         s_surjective=s_onto,
-        im_f_size=howell_form(im_f).span_size,
-        ker_s_size=howell_form(ker_s).span_size,
-        ker_f_size=howell_form(ker_f).span_size,
-        ker_f_basis=ker_f,
+        im_f_size=im_f.span_size,
+        ker_s_size=ker_s_size,
+        ker_f_size=ker_f_size,
     )
 
 
@@ -401,9 +415,10 @@ def relation_module_report(ctx: QuotientContext, relators: Sequence[FreeWord]) -
     The R-module generated by the rows is realized over Z/n by also taking
     every group translate q * row.  When the relators normally generate the
     kernel of pi the two spans agree at this level; the report quantifies
-    any discrepancy instead of asserting it away.
+    any discrepancy instead of asserting it away.  One Howell form each:
+    ker f's from `kernel_rows`, and the span's, compared and counted.
     """
-    c = build_complex(ctx)
+    f = build_complex(ctx).f_matrix
     G = ctx.group
     d = ctx.ring.dimension
     rows = []
@@ -422,14 +437,12 @@ def relation_module_report(ctx: QuotientContext, relators: Sequence[FreeWord]) -
             rows.append(flat)
     if not rows:
         rows = [[0] * (ctx.rank * d)]
-    span = RMatrix.from_rows(ctx.ring.modulus, rows, cols=ctx.rank * d)
-    ker_f = kernel_basis(c.f_matrix)
-    eq = span_equal(span, ker_f)
-    ker_size = howell_form(ker_f).span_size
-    span_size = howell_form(span).span_size
+    span = howell_form(RMatrix.from_rows(ctx.ring.modulus, rows, cols=ctx.rank * d))
+    ker_f, ker_size = kernel_rows(f.modulus, _rows_of(f), f.cols)
+    span_size = span.span_size
     return RelationModuleReport(
         ker_f_size=ker_size,
         relation_span_size=span_size,
-        spans_equal=eq,
+        spans_equal=span.matrix == RMatrix.from_dict_rows(f.modulus, ker_f, f.rows),
         discrepancy_index=ker_size // span_size if span_size else 0,
     )

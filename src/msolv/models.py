@@ -24,7 +24,8 @@ that disappears in the limit the models approximate.
 Elements of every level are packed ints q + |Q| * code, with the vector
 part v held as base-e digits, code = sum_k v[k] e^pos(k), the co-tree
 slots' digits lowest (`_PackedMagnusLaw` in crowell), and `_context_above`
-is the one place a level's context is made.
+is the one place a level's context is made.  Elements are made and read
+here only through that law's packed interface (its docstring lists it).
 A right product by a generator is then a table lookup and one digit bump,
 which is what the BFS closure does per edge.  The brute side of the
 centralizer experiment reads the closure's Cayley table, the flat
@@ -53,7 +54,7 @@ The K_cap oracle (`_ker_f`, `_k_cap`) runs on {slot: residue} dict rows
 from f's rows, read off Q's table, to |K_cap|, through the row-level
 helpers `zmodlin.kernel_rows` and `zmodlin.row_span_size`; it reads
 nothing of the brute side.  `_dense` makes an RMatrix of such rows where
-a group element or `span_equal` needs one.
+`span_equal` needs one.
 `_left_sources` is the one encoding of q's left action on R^r, which
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
 entries v[src[k]] - v[k].  Level orders are predicted before any closure
@@ -276,8 +277,6 @@ def module_part_basis(model: SolvModel):
     equality, so the Howell basis of ker f describes the module part
     exactly.
     """
-    from .crowell import MagnusMatrix
-
     if model.degenerate or model.m < 2:
         raise PreconditionViolated("no module part below level 2")
     W = model.group
@@ -289,10 +288,8 @@ def module_part_basis(model: SolvModel):
         raise VerdictFailed(
             f"module part has {module_count} elements but ker f spans {span}"
         )
-    dense = _dense(ctx, K)
-    for i in range(dense.rows):
-        probe = law.encode(MagnusMatrix(ctx, 0, dense.row(i)))
-        if probe not in W.index:
+    for i, row in enumerate(K):
+        if law.pack(0, row) not in W.index:
             raise VerdictFailed(f"kernel basis row {i} is not a group element")
     return K, module_count
 
@@ -449,8 +446,6 @@ def _power_products(W: FiniteGroup, i: int, n: int):
 
 def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerReport:
     """Brute centralizer of mu(x_i)^n versus the linear-algebra oracle."""
-    from .crowell import MagnusMatrix
-
     check_centralizer_question(model.rank, model.exponent, model.m, i, n)
     W = model.group
     law = W.law
@@ -459,7 +454,7 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     # brute force: every element against mu(x_i)^n, over the Cayley table
     R, L, powers = _power_products(W, i, n)
     cz_elements = list(compress(W.elements, map(eq, R, L)))
-    brute_module = {law.decode(x).vec for x in cz_elements if law.q(x) == 0}
+    module = [x for x in cz_elements if law.q(x) == 0]
     mu_n_q = law.q(W.elements[R[0]])
 
     # linear oracle: K_cap = {v in ker f : (x^n - 1) v = 0}
@@ -468,12 +463,11 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
 
     # exact set equality: sizes agree and the brute vectors lie in the span
     k_basis = _dense(ctx, basis_rows)
-    brute = RMatrix.from_rows(k_basis.modulus, list(brute_module), cols=k_basis.cols)
+    brute = RMatrix.from_rows(k_basis.modulus, map(law.vector, module), cols=k_basis.cols)
     stacked = k_basis.vstack(brute)
-    oracle_equal = len(brute_module) == k_cap_linear and span_equal(k_basis, stacked)
+    oracle_equal = len(module) == k_cap_linear and span_equal(k_basis, stacked)
 
     # decomposition: C must equal <mu(x_i)> * K_cap as a set
-    module = [law.encode(MagnusMatrix(ctx, 0, v)) for v in brute_module]
     product_set = {law.mul(W.elements[p], v) for p in powers for v in module}
     decomposition = product_set == set(cz_elements)
 
@@ -486,7 +480,7 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
         group_order=W.order,
         x_order=len(powers),
         centralizer_order=len(cz_elements),
-        k_cap_brute=len(brute_module),
+        k_cap_brute=len(module),
         k_cap_linear=k_cap_linear,
         oracle_equal=oracle_equal,
         decomposition_holds=decomposition,
@@ -695,12 +689,11 @@ def centralizer_probe_capped(
     it, the vector condition is one congruence per slot k,
     v[src[k]] - v[k] = ((q - 1) w_n)[k] mod e with src from
     `_left_sources`, and digit k of a packed element a is
-    a // weight[k] % e; so no element is decoded, and an element is
-    dropped at its first failing slot.  The prediction reads neither the
-    products with x^n nor `law.mul`.
+    a // weight[k] % e; so no element is unpacked, and an element is
+    dropped at its first failing slot.  The prediction reads neither
+    `law.step_rows` nor the products with x^n; x^n itself, and the
+    decomposition's cofactors, are `law.mul` and `law.inv` products.
     """
-    from .crowell import MagnusMatrix
-
     check_centralizer_question(r, e, m, i, n)
     if cap < 2:
         raise PreconditionViolated("cap too small to enumerate anything")
@@ -714,28 +707,29 @@ def centralizer_probe_capped(
     ctx = law.ctx
     prev = ctx.group
     base = law.base
-    mu = MagnusMatrix.generator(ctx, i)
+    mu = law.generators[i - 1]
+    mu_hat = law.q(mu)
 
     # powers of the one-level-down image of x_i, for the decomposition;
     # there are o of them, o its order
     hat_powers = {0: 0}
-    g = prev.mul(0, mu.q)
+    g = mu_hat
     while g != 0:
         hat_powers[g] = len(hat_powers)
-        g = prev.mul(g, mu.q)
+        g = prev.mul(g, mu_hat)
     n_top = n % (len(hat_powers) * e)  # not 0: e divides o e but not n
 
     right, left = _prefix_power_products(law, elements, edges, i, n_top)
-    mu_inv = mu.inverse()
-    mu_n = MagnusMatrix.identity(ctx)
+    mu_inv = law.inv(mu)
+    mu_n = 0  # the packed identity
     for _ in range(n_top):
-        mu_n = mu_n * mu
-    xn_hat = mu_n.q
+        mu_n = law.mul(mu_n, mu)
+    xn_hat = law.q(mu_n)
 
     # linear prediction, decided once over Q: for each q that commutes with
     # x^n one level down, entry k of rhs_of[q] is entry k of (q - 1) w_n,
     # and slot k pairs the weights of digits src[k] and k
-    w_n = mu_n.vec
+    w_n = law.vector(mu_n)
     weight = law.weight
     slots = [(weight[s], weight[k]) for k, s in enumerate(_left_sources(ctx, xn_hat))]
     rhs_of = {
@@ -762,10 +756,10 @@ def centralizer_probe_capped(
         if t is None:
             decomposition_ok = False
         else:
-            factor = law.decode(a)
+            factor = a
             for _ in range(t):
-                factor = mu_inv * factor
-            if factor.q != 0 or (factor * mu_n) != (mu_n * factor):
+                factor = law.mul(mu_inv, factor)
+            if law.q(factor) != 0 or law.mul(factor, mu_n) != law.mul(mu_n, factor):
                 decomposition_ok = False
     return CappedCentralizerReport(
         rank=r,

@@ -189,22 +189,6 @@ class RMatrix:
                          self.entries, other.entries)
         return RMatrix(self.modulus, self.rows, other.cols, flat)
 
-    def add(self, other: "RMatrix") -> "RMatrix":
-        self._check_ring(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shapes differ")
-        n = self.modulus
-        return RMatrix(self.modulus, self.rows, self.cols,
-                       tuple((a + b) % n for a, b in zip(self.entries, other.entries)))
-
-    def sub(self, other: "RMatrix") -> "RMatrix":
-        self._check_ring(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shapes differ")
-        n = self.modulus
-        return RMatrix(self.modulus, self.rows, self.cols,
-                       tuple((a - b) % n for a, b in zip(self.entries, other.entries)))
-
     def scale(self, c: int) -> "RMatrix":
         n = self.modulus
         return RMatrix(self.modulus, self.rows, self.cols,
@@ -223,15 +207,9 @@ class RMatrix:
 
 @dataclass(frozen=True)
 class HowellForm:
-    """Canonical Howell normal form `matrix` of the input `source`."""
+    """Canonical Howell normal form `matrix` of a matrix."""
 
     matrix: RMatrix
-    source: RMatrix
-
-    @property
-    def transform(self) -> RMatrix:
-        """T with T * source = matrix, read off the Howell form of [source | I]."""
-        return _howell_split(self.source)[1]
 
     @property
     def pivots(self) -> tuple:
@@ -261,11 +239,11 @@ def howell_form(M: RMatrix) -> HowellForm:
     property holds (any span element with leading zeros lies in the span of
     the trailing rows; enforced via annihilator rows).
 
-    Only the rows are reduced; `HowellForm.transform` is derived on demand
-    from the form of [M | I].
+    Only the rows are reduced; a transform comes from the form of [M | I]
+    (`_howell_split`).
     """
     form = _howell_rows(M.modulus, _rows_of(M))
-    return HowellForm(RMatrix.from_dict_rows(M.modulus, [row for _, row in form], M.cols), M)
+    return HowellForm(RMatrix.from_dict_rows(M.modulus, [row for _, row in form], M.cols))
 
 
 def _rows_of(M: RMatrix) -> list:

@@ -236,12 +236,16 @@ OPTIMIZED_MODE_ARGV = {
     + ["--word", "x1*x2^-1*x1"],
     "centerfree-scan": ["centerfree-scan"],
     "aliased-coordinate": ["solv-model", "--r", "2", "--e", "2", "--m", "2"],
+    "flipped-inverse": ["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "3"]
+    + ["--cap", "1500"],
 }
 
-# runs with a fault put in before the CLI starts, and the witness their
-# failed verdict must carry: with the top co-tree digit dropped from every
-# packed law's coordinate, x_2 = 2 lands on the identity's coordinate at
-# level 1
+# runs with a fault put in before the CLI starts, and the report fields
+# their failed verdict must carry: with the top co-tree digit dropped from
+# every packed law's coordinate, x_2 = 2 lands on the identity's coordinate
+# at level 1; with digit position 0 of every packed inverse bumped mod e,
+# the probe's cofactors fail while its linear prediction, which takes no
+# inverse, still holds
 OPTIMIZED_MODE_FAULTS = {
     "aliased-coordinate": (
         "import sys\n"
@@ -252,7 +256,19 @@ OPTIMIZED_MODE_FAULTS = {
         "    self.coord_size //= self.e\n"
         "crowell._PackedMagnusLaw.__init__ = dropped\n"
         "sys.exit(cli.main(sys.argv[1:]))\n",
-        "packed elements 0 and 2 share co-tree coordinate 0",
+        {"witness": "packed elements 0 and 2 share co-tree coordinate 0"},
+    ),
+    "flipped-inverse": (
+        "import sys\n"
+        "from msolv import cli, crowell\n"
+        "inv = crowell._PackedMagnusLaw.inv\n"
+        "def flipped(self, a):\n"
+        "    x = inv(self, a)\n"
+        "    d0 = x // self.base % self.e\n"
+        "    return x + ((d0 + 1) % self.e - d0) * self.base\n"
+        "crowell._PackedMagnusLaw.inv = flipped\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n",
+        {"oracle_equal_pointwise": True, "decomposition_holds_pointwise": False},
     ),
 }
 
@@ -261,7 +277,7 @@ OPTIMIZED_MODE_FAULTS = {
 def test_verdicts_survive_optimized_mode(case):
     # python -O strips asserts; the reports must not depend on them
     env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
-    fault, witness = OPTIMIZED_MODE_FAULTS.get(case, (None, None))
+    fault, fields = OPTIMIZED_MODE_FAULTS.get(case, (None, {}))
     entry = ["-c", fault] if fault else ["-m", "msolv.cli"]
     argv = [*entry, *OPTIMIZED_MODE_ARGV[case]]
     runs = [
@@ -272,11 +288,12 @@ def test_verdicts_survive_optimized_mode(case):
     ]
     for proc in runs:
         assert proc.returncode == (1 if fault else 0), proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
     assert runs[0].stdout == runs[1].stdout
     result = json.loads(runs[1].stdout)["experiments"][0]
     assert result["passed"] is not fault
-    if fault:
-        assert result["report"]["witness"] == witness
+    for name, value in fields.items():
+        assert result["report"][name] == value
 
 
 def _limit_address_space():
@@ -1216,6 +1233,33 @@ def test_level_one_report_bytes_are_pinned(argv, digest, capsys):
     # the degenerate paths, above the Cayley limit (order 729) and under
     # a tower row over level 1 of order 529
     rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--group", "builtin S_3", "--images", "g1,g2"]
+            + ["--relators", "x1^3,x2^2,x1*x2*x1*x2"],
+            "3c03d824059343fe58310c80c5864deba4e7b395bf47ff190a607e29ee58a1e4",
+        ),
+        (
+            ["--group", "builtin S_4", "--images", "g1,g2", "--n", "3"],
+            "f177f0f76879322c6ee18bddc8b9bbbea491e409deac350b87d92eb7fde9c4a3",
+        ),
+        (
+            ["--group", "builtin S_4", "--images", "g1,g2", "--n", "4"],
+            "2e930b1444fd1190bdba29dbc427c3a73929de616568c65527b59c11d16becab",
+        ),
+    ],
+)
+def test_crowell_report_bytes_are_pinned(argv, digest, capsys):
+    # stdout sha256 taken when exactness_check and relation_module_report
+    # made a Howell form of every matrix they compared or counted
+    rc = main(["crowell", *argv])
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

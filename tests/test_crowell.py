@@ -213,6 +213,8 @@ def test_packed_law_matches_magnus_matrix(label, raw_a, raw_b):
     a, b = magnus_fold(ctx, raw_a), magnus_fold(ctx, raw_b)
     pa, pb = law.encode(a), law.encode(b)
     assert law.decode(pa) == a
+    assert law.vector(pa) == a.vec and law.q(pa) == a.q
+    assert law.pack(a.q, {k: c for k, c in enumerate(a.vec) if c}) == pa
     assert law.mul(pa, pb) == law.encode(a * b)  # general path
     assert law.inv(pa) == law.encode(a.inverse())
     for i, g in enumerate(law.generators, start=1):  # products by a generator
@@ -542,6 +544,9 @@ def test_packed_encode_rejects_unreduced_entries():
     bad = MagnusMatrix(law.ctx, 0, (3,) + (0,) * (len(law.weight) - 1))
     with pytest.raises(ValueError):
         law.encode(bad)
+    for row in ({0: 3}, {1: -1}):
+        with pytest.raises(ValueError):
+            law.pack(0, row)
 
 
 def test_packed_law_refuses_more_digits_than_the_limit(monkeypatch):

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from msolv import models
+from msolv import crowell, models
 from msolv.crowell import MagnusMatrix, build_complex
 from msolv.errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed
 from msolv.fingroup import (
@@ -354,6 +354,51 @@ def test_capped_probe_m3():
     assert rep.decomposition_holds_pointwise
     assert rep.centralizer_seen >= 1  # the identity at minimum
     assert rep.note == MODEL_NOTE
+
+
+@pytest.mark.parametrize(
+    "r, e, m, cap, i, n", [(2, 2, 3, 1500, 1, 1), (2, 2, 3, 20000, 2, 3), (2, 3, 2, 5000, 1, 2)]
+)
+def test_a_wrong_packed_inverse_fails_only_the_decomposition(monkeypatch, r, e, m, cap, i, n):
+    # the cofactor of each centralizer element is taken by law.inv and
+    # law.mul; the linear prediction reads neither
+    honest = centralizer_probe_capped(r, e, m, cap, i, n)
+    assert honest.oracle_equal_pointwise and honest.decomposition_holds_pointwise
+    models.clear_run_memos()
+    inv = crowell._PackedMagnusLaw.inv
+
+    def flipped(self, a):  # digit position 0, of weight |Q|, bumped mod e
+        x = inv(self, a)
+        d0 = x // self.base % self.e
+        return x + ((d0 + 1) % self.e - d0) * self.base
+
+    monkeypatch.setattr(crowell._PackedMagnusLaw, "inv", flipped)
+    rep = centralizer_probe_capped(r, e, m, cap, i, n)
+    assert rep.oracle_equal_pointwise
+    assert not rep.decomposition_holds_pointwise
+
+
+def test_model_paths_make_no_dense_element(monkeypatch):
+    # the full centralizer, the probe and the module part build and read
+    # elements through the packed law alone
+    def runs():
+        model = build_solv_model(2, 2, 2)
+        return (
+            [centralizer_experiment(model, i, n) for i, n in ((1, 1), (2, 3))],
+            centralizer_probe_capped(2, 2, 3, 1500, 1, 1),
+            module_part_basis(model),
+        )
+
+    honest = runs()
+    models.clear_run_memos()
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a model path made or read a dense Magnus element")
+
+    monkeypatch.setattr(MagnusMatrix, "__init__", dense)
+    monkeypatch.setattr(crowell._PackedMagnusLaw, "encode", dense)
+    monkeypatch.setattr(crowell._PackedMagnusLaw, "decode", dense)
+    assert runs() == honest
 
 
 def test_w223_probe_prefix_is_frozen():
