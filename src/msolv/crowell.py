@@ -6,9 +6,12 @@ vector in R^r.  The assignment  w  |->  [[pi(w), (pi d_i w)_i], [0, 1]]
 is a group homomorphism from the free group, and its vector part lands in
 ker f where f: R^r -> R sends (lambda_i) to sum lambda_i (pi(x_i) - 1).
 
-f and the augmentation s are flattened to Z/n matrices (row-vector
-convention, matching zmodlin), so images, kernels and exactness at R are
-decided by Howell forms.  The injectivity leg of the exact sequence is a
+f and the augmentation s are {col: residue} dict rows over the Z/n basis
+of R (row-vector convention, matching zmodlin), read off Q's table by
+`build_complex`, the one place that makes them: the exactness checks here
+and the K_cap oracle of `models` read those rows, and images, kernels and
+exactness at R are decided by Howell forms of them.  A vector times f is
+a sum of f's rows.  The injectivity leg of the exact sequence is a
 profinite statement with no single-level counterpart; what can be checked
 at one level is im f = ker s, plus agreement of ker f with the span of
 relator rows when a presentation is supplied.
@@ -23,8 +26,7 @@ from typing import Sequence
 from .errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed, brief
 from .fingroup import _bfs, _tree_edges
 from .foxcalc import FreeWord, QuotientContext, fox_row
-from .grpring import RingElem, augmentation, right_mult_matrix
-from .zmodlin import RMatrix, _rows_of, howell_form, kernel_rows
+from .zmodlin import _augmented_howell, _axpy, _howell_rows, _pivot_product, kernel_rows
 
 
 class MagnusMatrix:
@@ -333,24 +335,32 @@ def magnus_image(ctx: QuotientContext, w: FreeWord) -> MagnusMatrix:
 
 @dataclass
 class CrowellComplex:
-    """f: R^r -> R and s: R -> Z/n flattened over the Z/n basis of R."""
+    """f: R^r -> R and s: R -> Z/n as {col: residue} rows over the Z/n
+    basis of R, one row per basis element of the source."""
 
     ctx: QuotientContext
-    f_matrix: RMatrix  # r|Q| x |Q|
-    s_matrix: RMatrix  # |Q| x 1
+    f_rows: list  # r|Q| rows over |Q| columns
+    s_rows: list  # |Q| rows over 1 column
 
 
 def build_complex(ctx: QuotientContext) -> CrowellComplex:
-    R = ctx.ring
-    blocks = []
-    for i in range(1, ctx.rank + 1):
-        lam = R.embed(ctx.images[i - 1]) - R.one()  # pi(x_i) - 1
-        blocks.append(right_mult_matrix(lam))
-    f = blocks[0]
-    for b in blocks[1:]:
-        f = f.vstack(b)
-    s = RMatrix.from_rows(R.modulus, [[1] for _ in range(R.dimension)], cols=1)
-    return CrowellComplex(ctx, f, s)
+    """The complex read off Q's table: row j of block i of f is
+    e_(j q_i) - e_j, the coefficients of g_j (pi(x_i) - 1), and empty when
+    q_i = 1; every row of s is the augmentation's 1."""
+    G = ctx.group
+    n = ctx.ring.modulus
+    f = []
+    for qi in ctx.images:
+        for j in range(G.order):
+            k = G.mul(j, qi)
+            f.append({k: 1, j: n - 1} if k != j else {})
+    return CrowellComplex(ctx, f, [{0: 1} for _ in range(G.order)])
+
+
+def _size(n: int, form) -> int:
+    """The number of vectors in the span of a Howell form's (pivot col,
+    row) pairs."""
+    return _pivot_product(n, (row[col] for col, row in form))
 
 
 @dataclass
@@ -366,37 +376,45 @@ class ExactnessReport:
 def exactness_check(c: CrowellComplex) -> ExactnessReport:
     """Exactness at R: im f = ker s, with s onto; plus |ker f|.
 
-    One Howell form per matrix: `kernel_rows` gives each kernel's form and
-    size, and im f's form is compared with ker s's and counted."""
-    f, s = c.f_matrix, c.s_matrix
-    im_f = howell_form(f)
-    ker_s, ker_s_size = kernel_rows(s.modulus, _rows_of(s), s.cols)
-    ker_f_size = kernel_rows(f.modulus, _rows_of(f), f.cols)[1]
-    middle = im_f.matrix == RMatrix.from_dict_rows(s.modulus, ker_s, s.rows)
+    One Howell form of [f | I] gives im f, its leading rows' f-parts, and
+    ker f; one of [s | I] gives s's image and ker s (`_augmented_howell`).
+    The forms are canonical, so im f = ker s is equality of rows."""
+    n, d = c.ctx.ring.modulus, c.ctx.ring.dimension
+    im_f, ker_f = _augmented_howell(n, c.f_rows, d)
+    im_s, ker_s = _augmented_howell(n, c.s_rows, 1)
+    im_f_rows = [{j: a for j, a in row.items() if j < d} for _, row in im_f]
+    middle = im_f_rows == [row for _, row in ker_s]
     # s is onto iff its row span is all of Z/n; s(1) = 1 makes this automatic
-    s_onto = howell_form(s).span_size == c.ctx.ring.modulus
+    s_onto = _size(n, im_s) == n
     return ExactnessReport(
         passed=middle and s_onto,
         im_f_equals_ker_s=middle,
         s_surjective=s_onto,
-        im_f_size=im_f.span_size,
-        ker_s_size=ker_s_size,
-        ker_f_size=ker_f_size,
+        im_f_size=_size(n, im_f),
+        ker_s_size=_size(n, ker_s),
+        ker_f_size=_size(n, ker_f),
     )
 
 
-def relator_kernel_check(ctx: QuotientContext, relators: Sequence[FreeWord]) -> bool:
-    """Each relator's Fox row must be annihilated by f."""
-    c = build_complex(ctx)
+def _fox_dict(ctx: QuotientContext, w: FreeWord) -> dict:
+    """The Fox row of a relator as one {col: residue} row over R^r;
+    RelatorNotInKernel unless pi(w) = 1."""
+    if ctx.eval_word(w) != 0:
+        raise RelatorNotInKernel(f"pi({w!r}) != 1")
     d = ctx.ring.dimension
+    comps = fox_row(ctx, w)
+    return {b * d + i: a for b, comp in enumerate(comps) for i, a in enumerate(comp.coeffs) if a}
+
+
+def relator_kernel_check(c: CrowellComplex, relators: Sequence[FreeWord]) -> bool:
+    """Each relator's Fox row v must be annihilated by f: v * f is the sum
+    of a times row k of f over v's nonzero entries a at k."""
+    n = c.ctx.ring.modulus
     for w in relators:
-        if ctx.eval_word(w) != 0:
-            raise RelatorNotInKernel(f"pi({w!r}) != 1")
-        flat = []
-        for comp in fox_row(ctx, w):
-            flat.extend(comp.coeffs)
-        v = RMatrix.from_rows(ctx.ring.modulus, [flat], cols=ctx.rank * d)
-        if not v.mul(c.f_matrix).is_zero():
+        image: dict = {}
+        for k, a in _fox_dict(c.ctx, w).items():
+            _axpy(n, image, a, c.f_rows[k])
+        if image:
             return False
     return True
 
@@ -409,7 +427,7 @@ class RelationModuleReport:
     discrepancy_index: int  # |ker f| / |relation span|
 
 
-def relation_module_report(ctx: QuotientContext, relators: Sequence[FreeWord]) -> RelationModuleReport:
+def relation_module_report(c: CrowellComplex, relators: Sequence[FreeWord]) -> RelationModuleReport:
     """Compare ker f with the R-span of the relator Fox rows.
 
     The R-module generated by the rows is realized over Z/n by also taking
@@ -418,31 +436,20 @@ def relation_module_report(ctx: QuotientContext, relators: Sequence[FreeWord]) -
     any discrepancy instead of asserting it away.  One Howell form each:
     ker f's from `kernel_rows`, and the span's, compared and counted.
     """
-    f = build_complex(ctx).f_matrix
-    G = ctx.group
-    d = ctx.ring.dimension
+    ctx = c.ctx
+    n, d = ctx.ring.modulus, ctx.ring.dimension
     rows = []
     for w in relators:
-        if ctx.eval_word(w) != 0:
-            raise RelatorNotInKernel(f"pi({w!r}) != 1")
-        comps = fox_row(ctx, w)
-        for q in range(G.order):
+        v = _fox_dict(ctx, w)
+        for q in range(d):
             perm = ctx.left_mult_perm(q)
-            flat = [0] * (ctx.rank * d)
-            for b, comp in enumerate(comps):
-                base = b * d
-                for i, a in enumerate(comp.coeffs):
-                    if a:
-                        flat[base + perm[i]] = a
-            rows.append(flat)
-    if not rows:
-        rows = [[0] * (ctx.rank * d)]
-    span = howell_form(RMatrix.from_rows(ctx.ring.modulus, rows, cols=ctx.rank * d))
-    ker_f, ker_size = kernel_rows(f.modulus, _rows_of(f), f.cols)
-    span_size = span.span_size
+            rows.append({k - k % d + perm[k % d]: a for k, a in v.items()})
+    span = _howell_rows(n, rows)
+    ker_f, ker_size = kernel_rows(n, c.f_rows, d)
+    span_size = _size(n, span)
     return RelationModuleReport(
         ker_f_size=ker_size,
         relation_span_size=span_size,
-        spans_equal=span.matrix == RMatrix.from_dict_rows(f.modulus, ker_f, f.rows),
-        discrepancy_index=ker_size // span_size if span_size else 0,
+        spans_equal=[row for _, row in span] == ker_f,
+        discrepancy_index=ker_size // span_size,
     )

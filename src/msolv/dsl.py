@@ -430,7 +430,7 @@ def parse_word(text: str, rank: int, letter: str = "x") -> FreeWord:
         if not 1 <= i <= rank:
             raise ParseError(f"generator index {i} outside 1..{rank}", 1, col)
         e = _read_int(m.group(3), 1, col + m.start(3)) if m.group(3) else 1
-        w = w * generator_word(rank, i).power(e)
+        w = w * generator_word(rank, i, e)
         col += len(raw) + 1
     return w
 

@@ -128,8 +128,8 @@ def _exp_crowell(p: dict, rng) -> Tuple[dict, bool]:
     if p.get("relators"):
         rank = ctx.rank
         rels = [parse_word(s, rank) for s in p["relators"].split(",") if s.strip()]
-        in_kernel = relator_kernel_check(ctx, rels)
-        mod_rep = relation_module_report(ctx, rels)
+        in_kernel = relator_kernel_check(comp, rels)
+        mod_rep = relation_module_report(comp, rels)
         report["relators"] = [word_text(w) for w in rels]
         report["relators_in_kernel"] = in_kernel
         report["relation_span_size"] = mod_rep.relation_span_size

@@ -71,7 +71,10 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
 
 
 def reduce_word(raw: Sequence, rank: int) -> FreeWord:
-    """Freely reduce a raw letter list; exponents may be any nonzero int."""
+    """Freely reduce a raw letter list; exponents may be any nonzero int.
+
+    WordTooLong once the letters spelled out pass MAX_WORD_LENGTH, before
+    the run that passes it is expanded."""
     expanded = []
     for item in raw:
         i, e = item
@@ -79,18 +82,15 @@ def reduce_word(raw: Sequence, rank: int) -> FreeWord:
             raise BadGeneratorIndex(f"generator x{i} outside 1..{rank}")
         if e == 0:
             continue
-        sign = 1 if e > 0 else -1
-        expanded.extend((i, sign) for _ in range(abs(e)))
-        if len(expanded) > MAX_WORD_LENGTH:
+        if len(expanded) + abs(e) > MAX_WORD_LENGTH:
             raise WordTooLong(f"word exceeds {MAX_WORD_LENGTH} letters")
+        expanded.extend([(i, 1 if e > 0 else -1)] * abs(e))
     stack: list = []
     for letter in expanded:
         if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
             stack.append(letter)
-    if len(stack) > MAX_WORD_LENGTH:
-        raise WordTooLong(f"word exceeds {MAX_WORD_LENGTH} letters")
     return FreeWord(rank, tuple(stack))
 
 

@@ -51,9 +51,9 @@ commuting with x^n one level down, and reads the vector condition off the
 packed int digit by digit, stopping at the first slot that fails.
 
 The K_cap oracle (`_ker_f`, `_k_cap`) runs on {slot: residue} dict rows
-from f's rows, read off Q's table, to |K_cap|, through the row-level
-helpers `zmodlin.kernel_rows` and `zmodlin.row_span_size`; it reads
-nothing of the brute side.  `_dense` makes an RMatrix of such rows where
+from f's rows, which `crowell.build_complex` alone makes (off Q's table),
+to |K_cap|, through the row-level helpers `zmodlin.kernel_rows` and
+`zmodlin.row_span_size`; it reads nothing of the brute side.  `_dense` makes an RMatrix of such rows where
 `span_equal` needs one.
 `_left_sources` is the one encoding of q's left action on R^r, which
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
@@ -299,29 +299,17 @@ def _dense(ctx: QuotientContext, rows: Sequence[dict]) -> RMatrix:
     return RMatrix.from_dict_rows(ctx.ring.modulus, rows, ctx.rank * ctx.ring.dimension)
 
 
-def _f_rows(ctx: QuotientContext) -> list:
-    """The r|Q| rows of f: R^r -> R as {col: residue} dicts, read from Q's
-    table: row j of block i is e_(j q_i) - e_j, the coefficients of
-    g_j (pi(x_i) - 1), and empty when q_i = 1."""
-    G = ctx.group
-    e = ctx.ring.modulus
-    rows = []
-    for qi in ctx.images:
-        for j in range(G.order):
-            k = G.mul(j, qi)
-            rows.append({k: 1, j: e - 1} if k != j else {})
-    return rows
-
-
 def _ker_f(ctx: QuotientContext):
     """(kernel basis of f, |ker f|) for the context's two-step complex.
 
     The basis is the Howell form of ker f as {slot: residue} rows over
-    R^r, from one Howell form of [f | I] (`kernel_rows`), with f's rows
-    taken from Q's table (`_f_rows`), so no dense matrix is made.  Being a
-    Howell form, its pivots give |ker f| directly.
+    R^r, from one Howell form of [f | I] (`kernel_rows`) on the dict rows
+    of f that `crowell.build_complex` reads off Q's table, so no dense
+    matrix is made.  Being a Howell form, its pivots give |ker f| directly.
     """
-    return kernel_rows(ctx.ring.modulus, _f_rows(ctx), ctx.ring.dimension)
+    from .crowell import build_complex
+
+    return kernel_rows(ctx.ring.modulus, build_complex(ctx).f_rows, ctx.ring.dimension)
 
 
 def _k_cap(ctx: QuotientContext, K: Sequence[dict], xn_q: int):

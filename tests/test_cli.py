@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msolv
-from msolv import cli, dsl, exp_groups, exp_magnus, fingroup, models
+from msolv import cli, crowell, dsl, exp_groups, exp_magnus, fingroup, models, zmodlin
 from msolv.cli import INT_LIST, PARAMS, emit_report, main, run_experiment
 from msolv.dsl import (
     build_group,
@@ -45,6 +45,7 @@ from msolv.dsl import (
 )
 from msolv.errors import MsolvError, ParseError, VerdictFailed
 from msolv.fingroup import PermElem, center, iso_test_small
+from msolv.foxcalc import empty_word, generator_word
 from msolv.models import centerfree_scan
 
 
@@ -162,6 +163,19 @@ def test_word_round_trip():
         parse_word("x3", 2)
 
 
+def test_word_exponents_are_letter_products():
+    # x_i^e is parsed as one run of |e| letters; it must equal the product
+    # of those letters one by one, with free cancellation across tokens
+    rng = random.Random(17)
+    for _ in range(200):
+        tokens = [(rng.randint(1, 3), rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
+        w = empty_word(3)
+        for i, e in tokens:
+            for _ in range(abs(e)):
+                w = w * generator_word(3, i, 1 if e > 0 else -1)
+        assert parse_word("*".join(f"x{i}^{e}" for i, e in tokens), 3) == w, tokens
+
+
 # ------------------------------------------------------- JSON canonical form
 
 
@@ -238,6 +252,8 @@ OPTIMIZED_MODE_ARGV = {
     "aliased-coordinate": ["solv-model", "--r", "2", "--e", "2", "--m", "2"],
     "flipped-inverse": ["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "3"]
     + ["--cap", "1500"],
+    "dropped-f-entry": ["crowell", "--group", "builtin S_3", "--images", "g1,g2"]
+    + ["--relators", "x1^3,x2^2,x1*x2*x1*x2"],
 }
 
 # runs with a fault put in before the CLI starts, and the report fields
@@ -245,7 +261,9 @@ OPTIMIZED_MODE_ARGV = {
 # every packed law's coordinate, x_2 = 2 lands on the identity's coordinate
 # at level 1; with digit position 0 of every packed inverse bumped mod e,
 # the probe's cofactors fail while its linear prediction, which takes no
-# inverse, still holds
+# inverse, still holds; with the identity's entry dropped from f's first
+# row, the basis element q_1 lies in im f but not in ker s, and x1^3's
+# Fox row, whose identity entry is 1, no longer lies in ker f
 OPTIMIZED_MODE_FAULTS = {
     "aliased-coordinate": (
         "import sys\n"
@@ -269,6 +287,18 @@ OPTIMIZED_MODE_FAULTS = {
         "crowell._PackedMagnusLaw.inv = flipped\n"
         "sys.exit(cli.main(sys.argv[1:]))\n",
         {"oracle_equal_pointwise": True, "decomposition_holds_pointwise": False},
+    ),
+    "dropped-f-entry": (
+        "import sys\n"
+        "from msolv import cli, crowell\n"
+        "build = crowell.build_complex\n"
+        "def dropped(ctx):\n"
+        "    c = build(ctx)\n"
+        "    del c.f_rows[0][0]\n"
+        "    return c\n"
+        "crowell.build_complex = dropped\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n",
+        {"exact_at_middle": False, "relators_in_kernel": False},
     ),
 }
 
@@ -612,6 +642,13 @@ HUGE_CAP_ARGV = [
     ["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "3", "--cap", "1000000000000"],
 ]
 
+# words past foxcalc.MAX_WORD_LENGTH letters: refused before a run of
+# letters is expanded, at once
+LONG_WORD_ARGV = [
+    ["fox", "--group", "builtin S_3", "--images", "g1,g2", "--word", "x1^10001"],
+    ["crowell", "--group", "builtin S_3", "--images", "g1,g2", "--relators", "x1^99999999999"],
+]
+
 # integers longer than int() reads from a string (4300 digits by default)
 LONG_INTEGER_ARGV = [
     ["derived-series", "--group", "perm 3 : (0 " + "9" * 5000 + ")"],
@@ -639,6 +676,7 @@ LONG_INTEGER_ARGV = [
         *((argv, None) for argv in LONG_INTEGER_ARGV),
         *((argv, None) for argv in HUGE_EXPONENT_ARGV),
         *((argv, None) for argv in HUGE_CAP_ARGV),
+        *((argv, None) for argv in LONG_WORD_ARGV),
     ],
 )
 def test_bad_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
@@ -659,12 +697,16 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         argv = [*argv, "--config", str(path)]
+    t0 = time.perf_counter()
     rc = main(argv)
+    elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("msolv: error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    if argv in LONG_WORD_ARGV:
+        assert elapsed < 1, elapsed
 
 
 def test_tower_row_past_the_index_limit_is_linear_only(capsys, monkeypatch):
@@ -1263,6 +1305,31 @@ def test_crowell_report_bytes_are_pinned(argv, digest, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_crowell_instance_makes_one_complex(monkeypatch, capsys):
+    # the exactness check and both relator checks read one complex, and
+    # make 4 Howell forms: of [f | I] and [s | I] for exactness, of the
+    # relator translates and of [f | I] for the relation module
+    calls = {"complex": 0, "howell": 0}
+
+    def counted(key, func):
+        def wrapper(*args):
+            calls[key] += 1
+            return func(*args)
+
+        return wrapper
+
+    complex_counter = counted("complex", crowell.build_complex)
+    monkeypatch.setattr(crowell, "build_complex", complex_counter)
+    monkeypatch.setattr(exp_magnus, "build_complex", complex_counter)
+    howell_counter = counted("howell", zmodlin._howell_rows)
+    monkeypatch.setattr(zmodlin, "_howell_rows", howell_counter)
+    monkeypatch.setattr(crowell, "_howell_rows", howell_counter)
+    argv = ["crowell", "--group", "builtin S_4", "--images", "g1,g2", "--n", "4"]
+    assert main([*argv, "--relators", "x1^4,x2^2"]) == 0
+    capsys.readouterr()
+    assert calls == {"complex": 1, "howell": 4}
 
 
 def test_msolv_quotient_experiment(capsys):

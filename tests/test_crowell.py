@@ -10,6 +10,7 @@ BFS that runs its generator step inline against the generic loop of one
 `mul` call per edge.
 """
 
+import dataclasses
 import functools
 import hashlib
 import random
@@ -603,6 +604,16 @@ def test_exactness_sweep(n):
             assert rep.im_f_size == rep.ker_s_size
 
 
+def test_a_broken_s_fails_exactness():
+    # s = 2 * augmentation over Z/4 is not onto, and its kernel outgrows im f
+    G = s3()
+    ctx = QuotientContext(2, G, list(G.gen_indices), 4)
+    comp = dataclasses.replace(build_complex(ctx), s_rows=[{0: 2}] * G.order)
+    rep = exactness_check(comp)
+    assert not rep.s_surjective and not rep.im_f_equals_ker_s and not rep.passed
+    assert rep.ker_s_size == 2 * rep.im_f_size
+
+
 def test_complex_sizes_are_consistent():
     G = s3()
     ctx = QuotientContext(2, G, list(G.gen_indices), 4)
@@ -626,8 +637,10 @@ def s3_presentation_ctx(n=2):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9])
 def test_relator_rows_in_kernel(n):
+    # d_1 of x1^3 (x1 x2)^2 is 1 + x1 + x1^2 + x1^3 (1 + x1 x2), with
+    # x1^3 = 1 in S_3: an entry 2, so v * f must weigh f's rows by v
     ctx, rels = s3_presentation_ctx(n)
-    assert relator_kernel_check(ctx, rels)
+    assert relator_kernel_check(build_complex(ctx), [*rels, rels[0] * rels[2]])
 
 
 def test_relator_rows_in_kernel_d8():
@@ -635,18 +648,18 @@ def test_relator_rows_in_kernel_d8():
     ctx = QuotientContext(2, G, list(G.gen_indices), 2)
     x1, x2 = generator_word(2, 1), generator_word(2, 2)
     rels = [x1.power(4), x2.power(2), (x1 * x2).power(2)]
-    assert relator_kernel_check(ctx, rels)
+    assert relator_kernel_check(build_complex(ctx), rels)
 
 
 def test_relator_check_rejects_non_relation():
     ctx, _ = s3_presentation_ctx()
     with pytest.raises(RelatorNotInKernel):
-        relator_kernel_check(ctx, [generator_word(2, 1)])
+        relator_kernel_check(build_complex(ctx), [generator_word(2, 1)])
 
 
 def test_full_presentation_spans_kernel():
     ctx, rels = s3_presentation_ctx()
-    rep = relation_module_report(ctx, rels)
+    rep = relation_module_report(build_complex(ctx), rels)
     assert rep.spans_equal
     assert rep.relation_span_size == rep.ker_f_size
     assert rep.discrepancy_index == 1
@@ -655,7 +668,7 @@ def test_full_presentation_spans_kernel():
 def test_partial_presentation_does_not_span():
     # x1^3 and x2^2 alone present C3 * C2, not S3: the span must be smaller
     ctx, rels = s3_presentation_ctx()
-    rep = relation_module_report(ctx, rels[:2])
+    rep = relation_module_report(build_complex(ctx), rels[:2])
     assert not rep.spans_equal
     assert rep.relation_span_size < rep.ker_f_size
     assert rep.discrepancy_index > 1
@@ -667,4 +680,4 @@ def test_conjugated_relators_stay_in_kernel():
     for _ in range(25):
         g = random_word(rng, 2, 6)
         conj = [g * r * g.inverse() for r in rels]
-        assert relator_kernel_check(ctx, conj)
+        assert relator_kernel_check(build_complex(ctx), conj)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msolv.errors import BadGeneratorIndex
+from msolv.errors import BadGeneratorIndex, WordTooLong
 from msolv.fingroup import (
     FiniteGroup,
     PermElem,
@@ -30,6 +30,7 @@ from msolv.foxcalc import (
     expansion_check,
     fox_derivative,
     fox_row,
+    MAX_WORD_LENGTH,
     generator_word,
     reduce_word,
 )
@@ -60,6 +61,17 @@ def test_reduce_word_expands_exponents():
     w = reduce_word([(1, 2), (1, 3), (2, -2)], rank=2)
     assert w.letters == ((1, 1),) * 5 + ((2, -1),) * 2
     assert reduce_word([(1, 2), (1, -2)], rank=1).letters == ()
+
+
+def test_reduce_word_refuses_a_run_before_spelling_it_out():
+    # the cap counts letters before free reduction, as they are spelled
+    # out; a run that would pass it is refused before it is expanded
+    assert len(generator_word(2, 1, MAX_WORD_LENGTH)) == MAX_WORD_LENGTH
+    for raw in ([(1, MAX_WORD_LENGTH + 1)], [(2, -(10**18))], [(1, 1), (1, MAX_WORD_LENGTH)]):
+        with pytest.raises(WordTooLong):
+            reduce_word(raw, rank=2)
+    with pytest.raises(WordTooLong):
+        generator_word(2, 1, 6000) * generator_word(2, 1, -6000)
 
 
 def test_reduce_word_rejects_bad_index():

@@ -13,6 +13,8 @@ of the capped W(2,2,3) prefix against hashes frozen before elements were
 packed into ints; so are the capped probe's products with x^n.
 """
 
+import dataclasses
+import functools
 import hashlib
 import random
 
@@ -44,6 +46,7 @@ from msolv.models import (
     surface_presentation,
 )
 from msolv.foxcalc import QuotientContext
+from msolv.grpring import right_mult_matrix
 from msolv.zmodlin import RMatrix, howell_form, kernel_basis, span_equal
 
 
@@ -145,9 +148,13 @@ def test_module_part_mismatch_is_a_verdict(monkeypatch):
     model = build_solv_model(2, 2, 2)
     # f = 0 has a kernel spanning all of R^r, which cannot match the
     # 32-element module part
-    monkeypatch.setattr(
-        models, "_f_rows", lambda ctx: [{} for _ in range(ctx.rank * ctx.ring.dimension)]
-    )
+    real = crowell.build_complex
+
+    def zero_f(ctx):
+        c = real(ctx)
+        return dataclasses.replace(c, f_rows=[{} for _ in c.f_rows])
+
+    monkeypatch.setattr(crowell, "build_complex", zero_f)
     with pytest.raises(VerdictFailed, match="module part has 32 elements"):
         module_part_basis(model)
 
@@ -614,11 +621,15 @@ def test_k_cap_sparse_products_equal_dense(e):
 
 @pytest.mark.parametrize("e, below", [(e, 1) for e in (4, 5, 7, 8, 9, 11, 13)] + [(2, 2)])
 def test_f_rows_are_the_complex_f_matrix(e, below):
-    # f's rows read off Q's table are build_complex's dense f: over level 1
-    # at every exponent of the benchmark's tower, and over W(2, 2, 2)
+    # f's rows read off Q's table by build_complex are the dense right
+    # multiplications by q_i - 1, stacked: over level 1 at every exponent
+    # of the benchmark's tower, and over W(2, 2, 2)
     ctx = models._context_above(2, e, build_solv_model(2, e, below).group)
-    f = build_complex(ctx).f_matrix
-    assert RMatrix.from_dict_rows(e, models._f_rows(ctx), f.cols) == f
+    R = ctx.ring
+    f = functools.reduce(
+        RMatrix.vstack, [right_mult_matrix(R.embed(q) - R.one()) for q in ctx.images]
+    )
+    assert RMatrix.from_dict_rows(e, build_complex(ctx).f_rows, f.cols) == f
 
 
 def test_a_dropped_kernel_row_fails_the_oracle(monkeypatch):

@@ -49,6 +49,11 @@ IMPORT_GRAPH = {
         ["solv-model", "--r", "2", "--m", "2", "--tower", "4,5", "--i", "1", "--n", "1"],
         BASE + FINITE + MAGNUS_STACK,
     ),
+    "crowell": (
+        ["crowell", "--group", "builtin S_3", "--images", "g1,g2"]
+        + ["--relators", "x1^3,x2^2,x1*x2*x1*x2"],
+        BASE + FINITE + MAGNUS_STACK + ["msolv.dsl"],
+    ),
 }
 
 

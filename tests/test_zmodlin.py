@@ -628,6 +628,6 @@ def test_kernel_rows_are_the_howell_form_of_the_kernel(monkeypatch):
 def test_sparse_howell_matches_dense_reference_on_f_augmented(e):
     # [f | I] of the level-2 complex over W(2, e, 1): the kcap-linear input
     Q = build_solv_model(2, e, 1).group
-    f = build_complex(QuotientContext(2, Q, list(Q.gen_indices), e)).f_matrix
-    FI = augmented(f)
+    f_rows = build_complex(QuotientContext(2, Q, list(Q.gen_indices), e)).f_rows
+    FI = augmented(RMatrix.from_dict_rows(e, f_rows, Q.order))
     assert howell_form(FI).matrix == dense_howell_reference(FI)
