@@ -53,8 +53,8 @@ packed int digit by digit, stopping at the first slot that fails.
 The K_cap oracle (`_ker_f`, `_k_cap`) runs on {slot: residue} dict rows
 from f's rows, which `crowell.build_complex` alone makes (off Q's table),
 to |K_cap|, through the row-level helpers `zmodlin.kernel_rows` and
-`zmodlin.row_span_size`; it reads nothing of the brute side.  `_dense` makes an RMatrix of such rows where
-`span_equal` needs one.
+`zmodlin.row_span_size`; it reads nothing of the brute side.  `_dense`
+makes an RMatrix of such rows where `span_equal` needs one.
 `_left_sources` is the one encoding of q's left action on R^r, which
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
 entries v[src[k]] - v[k].  Level orders are predicted before any closure
