@@ -9,12 +9,12 @@ ker f where f: R^r -> R sends (lambda_i) to sum lambda_i (pi(x_i) - 1).
 f and the augmentation s are {col: residue} dict rows over the Z/n basis
 of R (row-vector convention, matching zmodlin), read off Q's table by
 `build_complex`, the one place that makes them: the exactness checks here
-and the K_cap oracle of `models` read those rows, and images, kernels and
-exactness at R are decided by Howell forms of them.  A vector times f is
-a sum of f's rows.  The injectivity leg of the exact sequence is a
-profinite statement with no single-level counterpart; what can be checked
-at one level is im f = ker s, plus agreement of ker f with the span of
-relator rows when a presentation is supplied.
+read those rows, and images, kernels and exactness at R are decided by
+Howell forms of them, [f | I]'s once per complex (`f_form`).  A vector
+times f is a sum of f's rows.  The injectivity leg of the exact sequence
+is a profinite statement with no single-level counterpart; what can be
+checked at one level is im f = ker s, plus agreement of ker f with the
+span of relator rows when a presentation is supplied.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 from .errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed, brief
 from .fingroup import _bfs, _tree_edges
 from .foxcalc import FreeWord, QuotientContext, fox_row
-from .zmodlin import _augmented_howell, _axpy, _howell_rows, _pivot_product, kernel_rows
+from .zmodlin import _augmented_howell, _axpy, _howell_rows, _pivot_product
 
 
 class MagnusMatrix:
@@ -342,6 +342,11 @@ class CrowellComplex:
     f_rows: list  # r|Q| rows over |Q| columns
     s_rows: list  # |Q| rows over 1 column
 
+    @functools.cached_property
+    def f_form(self) -> tuple:
+        """(image, kernel) of the Howell form of [f | I] (`_augmented_howell`)."""
+        return _augmented_howell(self.ctx.ring.modulus, self.f_rows, self.ctx.ring.dimension)
+
 
 def build_complex(ctx: QuotientContext) -> CrowellComplex:
     """The complex read off Q's table: row j of block i of f is
@@ -376,11 +381,11 @@ class ExactnessReport:
 def exactness_check(c: CrowellComplex) -> ExactnessReport:
     """Exactness at R: im f = ker s, with s onto; plus |ker f|.
 
-    One Howell form of [f | I] gives im f, its leading rows' f-parts, and
-    ker f; one of [s | I] gives s's image and ker s (`_augmented_howell`).
+    The Howell form of [f | I] (`f_form`) gives im f, its leading rows'
+    f-parts, and ker f; one of [s | I] gives s's image and ker s.
     The forms are canonical, so im f = ker s is equality of rows."""
     n, d = c.ctx.ring.modulus, c.ctx.ring.dimension
-    im_f, ker_f = _augmented_howell(n, c.f_rows, d)
+    im_f, ker_f = c.f_form
     im_s, ker_s = _augmented_howell(n, c.s_rows, 1)
     im_f_rows = [{j: a for j, a in row.items() if j < d} for _, row in im_f]
     middle = im_f_rows == [row for _, row in ker_s]
@@ -433,8 +438,8 @@ def relation_module_report(c: CrowellComplex, relators: Sequence[FreeWord]) -> R
     The R-module generated by the rows is realized over Z/n by also taking
     every group translate q * row.  When the relators normally generate the
     kernel of pi the two spans agree at this level; the report quantifies
-    any discrepancy instead of asserting it away.  One Howell form each:
-    ker f's from `kernel_rows`, and the span's, compared and counted.
+    any discrepancy instead of asserting it away.  The span's Howell form
+    is compared with ker f's, from the complex's `f_form`, and counted.
     """
     ctx = c.ctx
     n, d = ctx.ring.modulus, ctx.ring.dimension
@@ -444,12 +449,11 @@ def relation_module_report(c: CrowellComplex, relators: Sequence[FreeWord]) -> R
         for q in range(d):
             perm = ctx.left_mult_perm(q)
             rows.append({k - k % d + perm[k % d]: a for k, a in v.items()})
-    span = _howell_rows(n, rows)
-    ker_f, ker_size = kernel_rows(n, c.f_rows, d)
-    span_size = _size(n, span)
+    span, ker_f = _howell_rows(n, rows), c.f_form[1]
+    ker_size, span_size = _size(n, ker_f), _size(n, span)
     return RelationModuleReport(
         ker_f_size=ker_size,
         relation_span_size=span_size,
-        spans_equal=[row for _, row in span] == ker_f,
+        spans_equal=span == ker_f,
         discrepancy_index=ker_size // span_size,
     )

@@ -414,15 +414,15 @@ _WORD_TOKEN = re.compile(r"([A-Za-z]+)(\d+)(?:\^(-?\d+))?$")
 def parse_word(text: str, rank: int, letter: str = "x") -> FreeWord:
     """Words like `x1*x2^-1` or `x1 x2^-1 x1^2` in generators 1..rank.
 
-    `1` denotes the empty word, matching the canonical rendering.
+    `1` denotes the empty word, matching the canonical rendering.  Tokens
+    are reduced onto one stack, the reduced word so far (`_push`), which
+    refuses a token exactly where the product of the tokens would.
     """
-    from .foxcalc import empty_word, generator_word
+    from .foxcalc import FreeWord, _push
 
-    if text.strip() == "1":
-        return empty_word(rank)
-    w = empty_word(rank)
+    stack: list = []
     col = 1
-    for raw in text.replace("*", " ").split():
+    for raw in [] if text.strip() == "1" else text.replace("*", " ").split():
         m = _WORD_TOKEN.match(raw)
         if not m or m.group(1) != letter:
             raise ParseError(f"expected a {letter}<i>[^e] letter, got {raw!r}", 1, col)
@@ -430,9 +430,9 @@ def parse_word(text: str, rank: int, letter: str = "x") -> FreeWord:
         if not 1 <= i <= rank:
             raise ParseError(f"generator index {i} outside 1..{rank}", 1, col)
         e = _read_int(m.group(3), 1, col + m.start(3)) if m.group(3) else 1
-        w = w * generator_word(rank, i, e)
+        _push(stack, i, e)
         col += len(raw) + 1
-    return w
+    return FreeWord(rank, tuple(stack))
 
 
 def word_text(w: FreeWord, letter: str = "x") -> str:

@@ -74,24 +74,29 @@ def reduce_word(raw: Sequence, rank: int) -> FreeWord:
     """Freely reduce a raw letter list; exponents may be any nonzero int.
 
     WordTooLong once the letters spelled out pass MAX_WORD_LENGTH, before
-    the run that passes it is expanded."""
-    expanded = []
-    for item in raw:
-        i, e = item
+    the run that passes it is pushed."""
+    stack: list = []
+    spelled = 0
+    for i, e in raw:
         if not 1 <= i <= rank:
             raise BadGeneratorIndex(f"generator x{i} outside 1..{rank}")
-        if e == 0:
-            continue
-        if len(expanded) + abs(e) > MAX_WORD_LENGTH:
+        spelled += abs(e)
+        if spelled > MAX_WORD_LENGTH:
             raise WordTooLong(f"word exceeds {MAX_WORD_LENGTH} letters")
-        expanded.extend([(i, 1 if e > 0 else -1)] * abs(e))
-    stack: list = []
-    for letter in expanded:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
-        else:
-            stack.append(letter)
+        _push(stack, i, e)
     return FreeWord(rank, tuple(stack))
+
+
+def _push(stack: list, i: int, e: int) -> None:
+    """Multiply the freely reduced letters `stack` by x_i^e, in place;
+    WordTooLong, as their product would be, past MAX_WORD_LENGTH letters."""
+    if len(stack) + abs(e) > MAX_WORD_LENGTH:
+        raise WordTooLong(f"word exceeds {MAX_WORD_LENGTH} letters")
+    k, sign = abs(e), (1 if e > 0 else -1)
+    while k and stack and stack[-1] == (i, -sign):
+        stack.pop()
+        k -= 1
+    stack.extend([(i, sign)] * k)
 
 
 class QuotientContext:

@@ -50,11 +50,11 @@ The linear prediction decides its q-part once over Q, as the set of q
 commuting with x^n one level down, and reads the vector condition off the
 packed int digit by digit, stopping at the first slot that fails.
 
-The K_cap oracle (`_ker_f`, `_k_cap`) runs on {slot: residue} dict rows
-from f's rows, which `crowell.build_complex` alone makes (off Q's table),
-to |K_cap|, through the row-level helpers `zmodlin.kernel_rows` and
-`zmodlin.row_span_size`; it reads nothing of the brute side.  `_dense`
-makes an RMatrix of such rows where `span_equal` needs one.
+The K_cap oracle (`_ker_f`, `_k_cap`) eliminates nothing: f is the
+boundary map of Q's right Cayley graph, so ker f is its cycle space and
+K_cap the part of it that x^n fixes, each with a basis of fundamental
+cycles (`_cycle_space`) grown from `ctx.group.mul` and `ctx.images` alone,
+so it reads nothing of the brute side.
 `_left_sources` is the one encoding of q's left action on R^r, which
 both the K_cap oracle and the probe's prediction read: (q - 1) v has
 entries v[src[k]] - v[k].  Level orders are predicted before any closure
@@ -100,14 +100,7 @@ from .fingroup import (
     quotient_by,
     trivial_group,
 )
-from .zmodlin import (
-    RMatrix,
-    _axpy,
-    kernel_rows,
-    row_span_size,
-    smith_normal_form_int,
-    span_equal,
-)
+from .zmodlin import RMatrix, smith_normal_form_int, span_equal
 
 MODEL_NOTE = (
     "finite Magnus-matrix model: lies in the solvable variety of length <= m "
@@ -274,8 +267,7 @@ def module_part_basis(model: SolvModel):
     verifying that the group-theoretic module part has exactly the
     kernel's span size and that each kernel basis row is an enumerated
     group element; size equality plus one-sided containment force set
-    equality, so the Howell basis of ker f describes the module part
-    exactly.
+    equality, so the basis of ker f describes the module part exactly.
     """
     if model.degenerate or model.m < 2:
         raise PreconditionViolated("no module part below level 2")
@@ -294,53 +286,60 @@ def module_part_basis(model: SolvModel):
     return K, module_count
 
 
-def _dense(ctx: QuotientContext, rows: Sequence[dict]) -> RMatrix:
-    """The RMatrix of {slot: residue} rows over R^r, r|Q| columns wide."""
-    return RMatrix.from_dict_rows(ctx.ring.modulus, rows, ctx.rank * ctx.ring.dimension)
+def _ker_f(ctx: QuotientContext, rows: bool = True):
+    """(basis of ker f, |ker f|): every cycle of Q's graph (`_cycle_space`)."""
+    return _cycle_space(ctx, range(ctx.ring.dimension), rows)
 
 
-def _ker_f(ctx: QuotientContext):
-    """(kernel basis of f, |ker f|) for the context's two-step complex.
-
-    The basis is the Howell form of ker f as {slot: residue} rows over
-    R^r, from one Howell form of [f | I] (`kernel_rows`) on the dict rows
-    of f that `crowell.build_complex` reads off Q's table, so no dense
-    matrix is made.  Being a Howell form, its pivots give |ker f| directly.
-    """
-    from .crowell import build_complex
-
-    return kernel_rows(ctx.ring.modulus, build_complex(ctx).f_rows, ctx.ring.dimension)
+def _k_cap(ctx: QuotientContext, xn_q: int, rows: bool = True):
+    """(basis, size) of K_cap, the cycles that x^n fixes (`_cycle_space`)."""
+    return _cycle_space(ctx, _left_sources(ctx, xn_q), rows)
 
 
-def _k_cap(ctx: QuotientContext, K: Sequence[dict], xn_q: int):
-    """The linear K_cap oracle: {v in span K : (x^n - 1) v = 0}.
-
-    `xn_q` is the index of x^n one level down, and K holds {slot: residue}
-    rows.  Row t of the coefficient matrix is (x^n - 1) K[t]: x^n moves
-    slot j to slot dst[j], dst the inverse of `_left_sources`, so it is
-    K[t] moved minus K[t].  The Howell form of its kernel (`kernel_rows`)
-    gives the coefficient rows c with sum c[t] (x^n - 1) K[t] = 0.
-    Returns (basis, |K_cap|): each coefficient row summed over the rows of
-    K it names (`_axpy`), and the size from one Howell form of that basis
-    (`row_span_size`).
-    """
-    n = ctx.ring.modulus
-    src = _left_sources(ctx, xn_q)
-    dst = [0] * len(src)
-    for k, s in enumerate(src):
-        dst[s] = k
-    moved = []
-    for v in K:
-        w = {dst[j]: a for j, a in v.items()}
-        _axpy(n, w, -1, v)
-        moved.append(w)
+def _cycle_space(ctx: QuotientContext, src: Sequence[int], rows: bool):
+    """({slot: residue} basis rows, size) of the cycles of Q's right Cayley
+    graph (edge j -> j q_b at slot b|Q| + j) fixed by `src`, left
+    multiplication by some q, which acts freely.  They are constant on edge
+    orbits, so they are the cycles of the orbit graph: vertices src's
+    cycles, edge b * (orbit count) + U from U to the orbit of u q_b, u in U.
+    A BFS tree from the orbit of 0 must reach every orbit (VerdictFailed if
+    not); then the fundamental cycles, e_t plus the tree path to co-tree
+    edge t's tail less that to its head, are a free basis of size
+    e^(co-tree edges), lifted to R^r over each edge orbit's slots.  With
+    `rows` False only the tree is made."""
+    G, d, e = ctx.group, ctx.ring.dimension, ctx.ring.modulus
+    orbit, members = [-1] * d, []  # each vertex's orbit, and each orbit's vertices
+    for v in range(d):
+        if orbit[v] < 0:
+            members.append([])
+        while orbit[v] < 0:
+            orbit[v] = len(members) - 1
+            members[-1].append(v)
+            v = src[v]
+    nv = len(members)
+    heads = [orbit[G.mul(cyc[0], q)] for q in ctx.images for cyc in members]
+    into, depth = [-1] * nv, [0] + [-1] * (nv - 1)  # the tree edge into each vertex
+    reached = [0]
+    for u in reached:
+        for t in range(u, len(heads), nv):
+            if depth[heads[t]] < 0:
+                into[heads[t]], depth[heads[t]] = t, depth[u] + 1
+                reached.append(heads[t])
+    if len(reached) != nv:
+        raise VerdictFailed(f"the spanning tree reaches {len(reached)} of {nv} vertices")
     basis = []
-    for coeffs in kernel_rows(n, moved, len(src))[0]:
-        b: dict = {}
-        for t, c in coeffs.items():
-            _axpy(n, b, c, K[t])
-        basis.append(b)
-    return basis, row_span_size(n, basis)
+    for t in range(len(heads) if rows else 0):
+        a, b = t % nv, heads[t]
+        if into[b] == t:
+            continue
+        cycle = {t: 1}
+        while a != b:  # up the tree from the deeper end, to where they meet
+            if depth[a] >= depth[b]:
+                cycle[into[a]], a = 1, into[a] % nv
+            else:
+                cycle[into[b]], b = e - 1, into[b] % nv
+        basis.append({s // nv * d + u: c for s, c in cycle.items() for u in members[s % nv]})
+    return basis, e ** (len(heads) - nv + 1)
 
 
 def _left_sources(ctx: QuotientContext, q: int) -> tuple:
@@ -446,11 +445,11 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     mu_n_q = law.q(W.elements[R[0]])
 
     # linear oracle: K_cap = {v in ker f : (x^n - 1) v = 0}
-    K, _ = module_part_basis(model)
-    basis_rows, k_cap_linear = _k_cap(ctx, K, mu_n_q)
+    module_part_basis(model)  # VerdictFailed unless the module part is ker f
+    basis_rows, k_cap_linear = _k_cap(ctx, mu_n_q)
 
     # exact set equality: sizes agree and the brute vectors lie in the span
-    k_basis = _dense(ctx, basis_rows)
+    k_basis = RMatrix.from_dict_rows(ctx.ring.modulus, basis_rows, ctx.rank * ctx.ring.dimension)
     brute = RMatrix.from_rows(k_basis.modulus, map(law.vector, module), cols=k_basis.cols)
     stacked = k_basis.vstack(brute)
     oracle_equal = len(module) == k_cap_linear and span_equal(k_basis, stacked)
@@ -512,8 +511,8 @@ def kcap_tower(
         prev = model.levels[-2] if verified else model.group
         # level m's law already holds the context above level m - 1
         ctx = model.group.law.ctx if verified else _context_above(r, e, prev)
-        K, kf_span = _ker_f(ctx)
-        _, k_cap = _k_cap(ctx, K, prev.power(ctx.images[i - 1], n))
+        _, kf_span = _ker_f(ctx, rows=False)
+        _, k_cap = _k_cap(ctx, prev.power(ctx.images[i - 1], n), rows=False)
         order = prev.order * kf_span
         matches = True
         if verified:

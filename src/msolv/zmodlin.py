@@ -29,18 +29,17 @@ kernel.
 
 `kernel_rows` is the row-level entry point: from M's dict rows it returns
 the Howell form of ker M as dict rows and |ker M|, the product of n/pivot
-over them, with no second Howell pass; `row_span_size` counts the span
-of any dict rows the same way, after one Howell pass.  Why
-the rows whose M-part vanished are that form: they are the trailing rows
-of the Howell form H of [M | I], the ones with pivots in the I-part.  The
-rows of [M | I] are [u*M | u], so v*M = 0 iff [0 | v] lies in their span.
-By the span property of H, such a [0 | v] whose v is zero before column j
-lies in the span of H's rows with pivot at column c + j or later, c the
-width of M.  So their I-parts span ker M and keep the span property; their
-pivot columns increase, their pivots divide n and the entries above their
-pivots are reduced, because all of that holds in H.  A Howell form is
-canonical, so they are the Howell form of ker M.  `kernel_basis` is the
-dense wrapper over `kernel_rows`.
+over them, with no second Howell pass.  Why the rows whose M-part vanished
+are that form: they are the trailing rows of the Howell form H of [M | I],
+the ones with pivots in the I-part.  The rows of [M | I] are [u*M | u], so
+v*M = 0 iff [0 | v] lies in their span.  By the span property of H, such
+a [0 | v] whose v is zero before column j lies in the span of H's rows
+with pivot at column c + j or later, c the width of M.  So their I-parts
+span ker M and keep the span property; their pivot columns increase, their
+pivots divide n and the entries above their pivots are reduced, because
+all of that holds in H.  A Howell form is canonical, so they are the
+Howell form of ker M.  `kernel_basis` is the dense wrapper over
+`kernel_rows`.
 """
 
 from __future__ import annotations
@@ -351,13 +350,6 @@ def kernel_rows(n: int, rows: Sequence[dict], cols: int) -> tuple:
     """
     kernel = _augmented_howell(n, rows, cols)[1]
     return [row for _, row in kernel], _pivot_product(n, (row[col] for col, row in kernel))
-
-
-def row_span_size(n: int, rows: Iterable[dict]) -> int:
-    """Number of vectors in the span over Z/n of {col: residue} rows: one
-    Howell form of them, then the product of n / pivot.  The rows are
-    left alone."""
-    return _pivot_product(n, (row[col] for col, row in _howell_rows(n, map(dict, rows))))
 
 
 def _pivot_product(n: int, pivots: Iterable[int]) -> int:

@@ -43,9 +43,9 @@ from msolv.dsl import (
     print_group_spec,
     word_text,
 )
-from msolv.errors import MsolvError, ParseError, VerdictFailed
+from msolv.errors import MsolvError, ParseError, VerdictFailed, WordTooLong
 from msolv.fingroup import PermElem, center, iso_test_small
-from msolv.foxcalc import empty_word, generator_word
+from msolv.foxcalc import MAX_WORD_LENGTH, empty_word, generator_word
 from msolv.models import centerfree_scan
 
 
@@ -174,6 +174,48 @@ def test_word_exponents_are_letter_products():
             for _ in range(abs(e)):
                 w = w * generator_word(3, i, 1 if e > 0 else -1)
         assert parse_word("*".join(f"x{i}^{e}" for i, e in tokens), 3) == w, tokens
+
+
+def test_parse_word_refuses_where_the_token_product_does():
+    # the one-stack reduction against the token-by-token FreeWord product,
+    # on seeded runs near MAX_WORD_LENGTH: the same word, or WordTooLong at
+    # the same token
+    rng = random.Random(31)
+    big = MAX_WORD_LENGTH // 3
+    refused = 0
+    for _ in range(300):
+        tokens = [
+            (rng.randint(1, 2), rng.choice([-1, 1]) * rng.choice([1, 2, big, big + 7]))
+            for _ in range(rng.randint(1, 8))
+        ]
+        w = empty_word(2)
+        expect = None
+        for k, (i, e) in enumerate(tokens):
+            try:
+                w = w * generator_word(2, i, e)
+            except WordTooLong:
+                expect = k
+                break
+        text = " ".join(f"x{i}^{e}" for i, e in tokens[: len(tokens) if expect is None else expect + 1])
+        if expect is None:
+            assert parse_word(text, 2) == w, tokens
+            continue
+        refused += 1
+        with pytest.raises(WordTooLong):
+            parse_word(text, 2)
+        # one token fewer parses, to the product so far
+        assert parse_word(" ".join(text.split()[:-1]) or "1", 2) == w, tokens
+    assert 30 < refused < 270
+
+
+def test_parse_word_is_linear_in_its_tokens():
+    # 5,000 single-letter tokens took 7.5 s when each was multiplied onto
+    # the word so far by a full reduce_word
+    text = " ".join(["x1", "x2", "x1^-1", "x2"] * 1250)
+    start = time.perf_counter()
+    w = parse_word(text, 2)
+    assert time.perf_counter() - start < 0.5
+    assert len(w) == 5000
 
 
 # ------------------------------------------------------- JSON canonical form
@@ -1309,8 +1351,9 @@ def test_crowell_report_bytes_are_pinned(argv, digest, capsys):
 
 def test_a_crowell_instance_makes_one_complex(monkeypatch, capsys):
     # the exactness check and both relator checks read one complex, and
-    # make 4 Howell forms: of [f | I] and [s | I] for exactness, of the
-    # relator translates and of [f | I] for the relation module
+    # make 3 Howell forms: of [f | I], which the exactness check and the
+    # relation module share, of [s | I] for exactness, and of the relator
+    # translates for the relation module
     calls = {"complex": 0, "howell": 0}
 
     def counted(key, func):
@@ -1329,7 +1372,7 @@ def test_a_crowell_instance_makes_one_complex(monkeypatch, capsys):
     argv = ["crowell", "--group", "builtin S_4", "--images", "g1,g2", "--n", "4"]
     assert main([*argv, "--relators", "x1^4,x2^2"]) == 0
     capsys.readouterr()
-    assert calls == {"complex": 1, "howell": 4}
+    assert calls == {"complex": 1, "howell": 3}
 
 
 def test_msolv_quotient_experiment(capsys):

@@ -42,6 +42,7 @@ from msolv.fingroup import (
     closure,
     derived_series,
     subgroup_closure,
+    trivial_group,
 )
 from msolv.foxcalc import (
     QuotientContext,
@@ -672,6 +673,15 @@ def test_partial_presentation_does_not_span():
     assert not rep.spans_equal
     assert rep.relation_span_size < rep.ker_f_size
     assert rep.discrepancy_index > 1
+
+
+def test_a_span_short_in_its_last_row_does_not_span():
+    # over the trivial group at n = 4, ker f is all of Z/4 and x1^2's Fox
+    # row spans 2 Z/4: the two Howell forms differ only in their last row
+    ctx = QuotientContext(1, trivial_group(), [0], 4)
+    rep = relation_module_report(build_complex(ctx), [generator_word(1, 1, 2)])
+    assert (rep.ker_f_size, rep.relation_span_size) == (4, 2)
+    assert not rep.spans_equal and rep.discrepancy_index == 2
 
 
 def test_conjugated_relators_stay_in_kernel():

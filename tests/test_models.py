@@ -13,14 +13,18 @@ of the capped W(2,2,3) prefix against hashes frozen before elements were
 packed into ints; so are the capped probe's products with x^n.
 """
 
-import dataclasses
 import functools
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from msolv import crowell, models
+import howell_reference
+from msolv import crowell, fingroup, models, zmodlin
 from msolv.crowell import MagnusMatrix, build_complex
 from msolv.errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed
 from msolv.fingroup import (
@@ -146,15 +150,14 @@ def test_module_part_is_kernel_of_f():
 
 def test_module_part_mismatch_is_a_verdict(monkeypatch):
     model = build_solv_model(2, 2, 2)
-    # f = 0 has a kernel spanning all of R^r, which cannot match the
-    # 32-element module part
-    real = crowell.build_complex
+    # a _ker_f that counts the kernel of f = 0, all of R^r, cannot match
+    # the 32-element module part
+    real = models._ker_f
 
-    def zero_f(ctx):
-        c = real(ctx)
-        return dataclasses.replace(c, f_rows=[{} for _ in c.f_rows])
+    def zero_f(ctx, rows=True):
+        return real(ctx, rows)[0], ctx.ring.modulus ** (ctx.rank * ctx.ring.dimension)
 
-    monkeypatch.setattr(crowell, "build_complex", zero_f)
+    monkeypatch.setattr(models, "_ker_f", zero_f)
     with pytest.raises(VerdictFailed, match="module part has 32 elements"):
         module_part_basis(model)
 
@@ -316,8 +319,8 @@ def test_oracle_equal_is_false_for_a_wrong_span(monkeypatch):
     true_k_cap = models._k_cap
     wrong = [{k: 1} for k in range(3)]
 
-    def wrong_k_cap(ctx, K, xn_q):
-        basis, size = true_k_cap(ctx, K, xn_q)
+    def wrong_k_cap(ctx, xn_q, rows=True):
+        basis, size = true_k_cap(ctx, xn_q, rows)
         dense = RMatrix.from_dict_rows
         assert size == 8 and not span_equal(dense(2, basis, 8), dense(2, wrong, 8))
         return wrong, size
@@ -493,7 +496,7 @@ def test_probe_products_read_no_linear_side(monkeypatch):
     def linear_side(*args, **kwargs):
         raise AssertionError("the products read the linear side")
 
-    for name in ("_left_sources", "kernel_rows", "row_span_size", "_ker_f", "_k_cap", "span_equal"):
+    for name in ("_left_sources", "_cycle_space", "_ker_f", "_k_cap", "span_equal"):
         monkeypatch.setattr(models, name, linear_side)
     monkeypatch.setattr(QuotientContext, "left_mult_perm", linear_side)
     assert models._prefix_power_products(law, elements, edges, 2, 9) == expected
@@ -601,21 +604,21 @@ def test_kcap_tower_exponent_3():
 
 @pytest.mark.parametrize("e", [4, 5, 7, 8, 9, 11, 13])
 def test_k_cap_sparse_products_equal_dense(e):
-    # the benchmark's tower exponents at r = 2, m = 2, and its n: the basis
-    # summed from the nonzero kernel coefficients is the dense product
-    # coefficients * K
+    # the Howell reference at the benchmark's tower exponents at r = 2,
+    # m = 2, and its n: the basis summed from the nonzero kernel
+    # coefficients is the dense product coefficients * K
     prev = build_solv_model(2, e, 1).group
     ctx = QuotientContext(2, prev, list(prev.gen_indices), e)
-    K, _ = models._ker_f(ctx)
-    Kd = models._dense(ctx, K)
+    K, _ = howell_reference.ker_f(ctx)
+    Kd = howell_reference.dense(ctx, K)
     for i in (1, 2):
         for n in (1, 2, 3):
             xn_q = prev.power(ctx.images[i - 1], n)
             src = models._left_sources(ctx, xn_q)
             rows = [[row[s] - a for s, a in zip(src, row)] for row in map(Kd.row, range(Kd.rows))]
             dense = kernel_basis(RMatrix.from_rows(e, rows, cols=Kd.cols)).mul(Kd)
-            basis, size = models._k_cap(ctx, K, xn_q)
-            assert models._dense(ctx, basis) == dense
+            basis, size = howell_reference.k_cap(ctx, K, xn_q)
+            assert howell_reference.dense(ctx, basis) == dense
             assert size == howell_form(dense).span_size
 
 
@@ -633,20 +636,20 @@ def test_f_rows_are_the_complex_f_matrix(e, below):
 
 
 def test_a_dropped_kernel_row_fails_the_oracle(monkeypatch):
-    # a _ker_f that loses the last row of its Howell form, and keeps its
-    # size, leaves K_cap short: the brute-verified tower row no longer
-    # matches, and the full centralizer's oracle fails
-    true_ker_f = models._ker_f
+    # a _k_cap that loses the last of its lifted cycles, and keeps its
+    # size, leaves the basis of K_cap short: the full centralizer's oracle
+    # fails, and so the brute-verified tower row no longer matches
+    true_k_cap = models._k_cap
 
-    def dropped(ctx):
-        K, size = true_ker_f(ctx)
-        return K[:-1], size
+    def dropped(ctx, xn_q, rows=True):
+        basis, size = true_k_cap(ctx, xn_q, rows)
+        return basis[:-1], size
 
-    monkeypatch.setattr(models, "_ker_f", dropped)
+    monkeypatch.setattr(models, "_k_cap", dropped)
     rows = kcap_tower(2, 2, [3], 1, 1)
     assert rows[0].verified_brute and not rows[0].brute_matches
     rep = centralizer_experiment(build_solv_model(2, 2, 2), 1, 1)
-    assert rep.k_cap_linear < rep.k_cap_brute and not rep.oracle_equal
+    assert rep.k_cap_linear == rep.k_cap_brute and not rep.oracle_equal
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -654,17 +657,22 @@ def test_kcap_tower_linear_rows_at_generator_2(n):
     # linear-only rows at i = 2; the values were computed when K_cap still
     # multiplied K by a dense matrix of q - 1
     rows = kcap_tower(2, 2, [5, 7], 2, n)
-    assert [(r.e, r.q_order, r.kernel_span, r.k_cap, r.group_order) for r in rows] == [
-        (5, 25, 1490116119384765625, 15625, 37252902984619140625),
-        (
-            7,
-            49,
-            1798465042647412146620280340569649349251249,
-            5764801,
-            88124787089723195184393736687912818113311201,
-        ),
-    ]
+    assert [(r.e, r.q_order, r.kernel_span, r.k_cap, r.group_order) for r in rows] == (
+        GENERATOR_2_ROWS
+    )
     assert all(not r.verified_brute and r.brute_matches for r in rows)
+
+
+GENERATOR_2_ROWS = [
+    (5, 25, 1490116119384765625, 15625, 37252902984619140625),
+    (
+        7,
+        49,
+        1798465042647412146620280340569649349251249,
+        5764801,
+        88124787089723195184393736687912818113311201,
+    ),
+]
 
 
 def test_kcap_tower_rows_past_exponent_13():
@@ -676,6 +684,150 @@ def test_kcap_tower_rows_past_exponent_13():
         (17, 289, 17**290, 17**18, 289 * 17**290),
     ]
     assert all(not r.verified_brute and r.brute_matches for r in rows)
+
+
+# ------------------------------------------ the K_cap oracle's cycle space
+
+# the contexts of the graph oracle's sweep: above level 1 at r = 2 and 3,
+# and above the non-abelian W(2, 2, 2), where left and right
+# multiplication differ
+ORACLE_CONTEXTS = [(2, e, 1) for e in (2, 3, 4, 5, 7, 9, 13)] + [
+    (3, 2, 1),
+    (3, 3, 1),
+    (3, 4, 1),
+    (3, 5, 1),
+    (2, 2, 2),
+]
+
+
+def oracle_context(r, e, below):
+    return models._context_above(r, e, build_solv_model(r, e, below).group)
+
+
+@pytest.mark.parametrize("r, e, below", ORACLE_CONTEXTS)
+def test_cycle_space_oracle_equals_the_howell_reference(r, e, below):
+    # ker f and K_cap at every i and n = 1..9 (e not dividing n): the
+    # fundamental cycles span what the Howell reference spans, both ways,
+    # and the counts, with or without rows, are the reference's
+    ctx = oracle_context(r, e, below)
+    ref_K, ref_size = howell_reference.ker_f(ctx)
+    K, size = models._ker_f(ctx)
+    assert size == ref_size == models._ker_f(ctx, rows=False)[1]
+    assert models._ker_f(ctx, rows=False)[0] == []
+    assert howell_reference.spans_equal(ctx.ring.modulus, K, ref_K)
+    cases = 0
+    for i in range(1, r + 1):
+        for n in range(1, 10):
+            if n % e == 0:
+                continue
+            xn_q = ctx.group.power(ctx.images[i - 1], n)
+            ref_basis, ref_k_cap = howell_reference.k_cap(ctx, ref_K, xn_q)
+            basis, k_cap = models._k_cap(ctx, xn_q)
+            assert k_cap == ref_k_cap == models._k_cap(ctx, xn_q, rows=False)[1], (i, n)
+            assert howell_reference.spans_equal(ctx.ring.modulus, basis, ref_basis), (i, n)
+            cases += 1
+    assert cases == r * (9 - 9 // e)
+
+
+def test_a_tree_that_misses_a_vertex_is_a_failed_verdict():
+    # images that generate only <x_1> split Q's Cayley graph into its 3
+    # cosets, so no spanning tree reaches all 9 vertices; the orbit graph
+    # under x_1 has 3 vertices and each edge stays at its own.  Both must
+    # fail as verdicts, which python -O keeps
+    ctx = oracle_context(2, 3, 1)
+    ctx.images = (ctx.images[0], ctx.images[0])
+    with pytest.raises(VerdictFailed, match="reaches 3 of 9 vertices"):
+        models._ker_f(ctx, rows=False)
+    with pytest.raises(VerdictFailed, match="reaches 1 of 3 vertices"):
+        models._k_cap(ctx, ctx.images[0])
+    code = (
+        "from msolv import errors, models\n"
+        "ctx = models._context_above(2, 3, models.build_solv_model(2, 3, 1).group)\n"
+        "ctx.images = (ctx.images[0], ctx.images[0])\n"
+        "try:\n"
+        "    models._ker_f(ctx)\n"
+        "except errors.VerdictFailed as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(models.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, env=env, timeout=60
+    )
+    assert proc.stdout == b"the spanning tree reaches 3 of 9 vertices\n", proc.stderr
+
+
+def test_orbits_by_right_multiplication_fail_the_span_check(monkeypatch):
+    # over the non-abelian W(2, 2, 2), orbits of x^n taken by right
+    # multiplication are not orbits of a graph automorphism: each case must
+    # fail, by the spanning-tree verdict or by the span check (the tree
+    # verdict catches all four today: the orbit graph falls apart)
+    ctx = oracle_context(2, 2, 2)
+    ref_K, _ = howell_reference.ker_f(ctx)
+    cases = [
+        (xn_q, howell_reference.k_cap(ctx, ref_K, xn_q)[0])
+        for xn_q in (ctx.group.power(q, n) for q in ctx.images for n in (1, 3))
+    ]
+
+    def right_mult_perm(self, q):
+        return tuple(self.group.mul(j, q) for j in range(self.group.order))
+
+    monkeypatch.setattr(QuotientContext, "left_mult_perm", right_mult_perm)
+    for xn_q, ref_basis in cases:
+        try:
+            basis, _ = models._k_cap(ctx, xn_q)
+        except VerdictFailed:
+            continue
+        assert not howell_reference.spans_equal(ctx.ring.modulus, basis, ref_basis), xn_q
+
+
+# |K_cap| of the kcap-linear tower, kcap_tower(2, 2, [4, 5, 7, 8, 9, 11, 13],
+# 1, n), as the Howell route gave it; |ker f| is e^(e^2 + 1) on every row
+KCAP_LINEAR_K_CAP = {
+    1: [4**5, 5**6, 7**8, 8**9, 9**10, 11**12, 13**14],
+    2: [4**9, 5**6, 7**8, 8**17, 9**10, 11**12, 13**14],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tower_rows_need_no_elimination(monkeypatch, n):
+    # with every binding of the Howell loop and of kernel_rows made to
+    # raise, the linear-only rows keep their pinned values
+    def eliminated(*args, **kwargs):
+        raise AssertionError("the K_cap oracle ran a Howell elimination")
+
+    for module in (models, crowell, zmodlin):
+        for name in ("kernel_rows", "_howell_rows", "_augmented_howell"):
+            monkeypatch.setattr(module, name, eliminated, raising=False)
+    exponents = [4, 5, 7, 8, 9, 11, 13]
+    rows = kcap_tower(2, 2, exponents, 1, n)
+    assert [(r.kernel_span, r.k_cap) for r in rows] == [
+        (e ** (e * e + 1), k) for e, k in zip(exponents, KCAP_LINEAR_K_CAP[n])
+    ]
+    rows = kcap_tower(2, 2, [5, 7], 2, n)
+    assert [(r.e, r.q_order, r.kernel_span, r.k_cap, r.group_order) for r in rows] == (
+        GENERATOR_2_ROWS
+    )
+
+
+def test_the_oracle_reads_no_brute_side(monkeypatch):
+    # on prebuilt contexts, with the brute side's BFS and tree edges made to
+    # raise, ker f and K_cap come out as before
+    contexts = [oracle_context(2, 3, 1), oracle_context(3, 2, 1), oracle_context(2, 2, 2)]
+    honest = [
+        (models._ker_f(ctx), models._k_cap(ctx, ctx.group.power(ctx.images[-1], 3)))
+        for ctx in contexts
+    ]
+
+    def brute(*args, **kwargs):
+        raise AssertionError("the K_cap oracle read the brute side")
+
+    for module in (fingroup, models):
+        for name in ("_tree_edges", "_bfs"):
+            monkeypatch.setattr(module, name, brute)
+    assert [
+        (models._ker_f(ctx), models._k_cap(ctx, ctx.group.power(ctx.images[-1], 3)))
+        for ctx in contexts
+    ] == honest
 
 
 # --------------------------------------------------------------- surfaces

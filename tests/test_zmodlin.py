@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from howell_reference import row_span_size
 from msolv import zmodlin
 from msolv.crowell import QuotientContext, build_complex
 from msolv.errors import DimensionMismatch, RingMismatch, TooLarge
@@ -28,7 +29,6 @@ from msolv.zmodlin import (
     howell_form,
     kernel_basis,
     kernel_rows,
-    row_span_size,
     scalar_kernel,
     smith_normal_form_int,
     solve_linear,
