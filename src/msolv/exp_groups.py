@@ -38,7 +38,7 @@ from .constructions import (
 )
 from .dsl import _group_from_text, parse_element
 from .models import ScanProfile, centerfree_scan, run_memo
-from .zmodlin import RMatrix, scalar_kernel, valuation
+from .zmodlin import scalar_kernel, valuation
 
 
 def _exp_counterexample(p: dict, rng) -> Tuple[dict, bool]:
@@ -68,9 +68,13 @@ def _exp_derived_series(p: dict, rng) -> Tuple[dict, bool]:
     series = derived_series(G)
     layers_abelian = []
     for top, bottom in zip(series, series[1:]):
-        # the first term is G itself, already enumerated
-        Q, _ = m_step_quotient(G if top is series[0] else top.as_group(), 1)
-        layers_abelian.append(Q.order * bottom.order == top.order)
+        # decided inside G: top/bottom is abelian iff bottom is normal in top
+        # and holds every commutator, both read off the generators
+        inside, gens = bottom.element_set, top.gen_indices
+        layers_abelian.append(
+            all(G.conj(h, g) in inside for g in gens for h in bottom.gen_indices)
+            and all(G.mul(G.mul(a, b), G.inv(G.mul(b, a))) in inside for a in gens for b in gens)
+        )
     report = {
         "group": label,
         "orders": [s.order for s in series],
@@ -110,8 +114,10 @@ def _exp_gtilde(p: dict, rng) -> Tuple[dict, bool]:
 def _reduction_lemma_cases(p: dict, rng):
     """(E, ntilde, ell, sigma) for every case, in report order: the
     exhaustive sweep with one identity probe per unit ntilde, then the
-    random cases."""
+    random cases.  E is the tuple of a square matrix's entries, row by row,
+    over Z/ell^sigma."""
     umax = p["umax"]
+    identity = tuple(int(i == j) for i in range(umax) for j in range(umax))
     ells = _int_list(p["lset"])
     sigmamax = p["sigmamax"]
     ntildemax = p["ntildemax"]
@@ -125,11 +131,11 @@ def _reduction_lemma_cases(p: dict, rng):
                 mults = list(range(0, mod, t)) if t else [0]
                 for u in range(1, umax + 1):
                     for combo in itertools.product(mults, repeat=u * u):
-                        yield RMatrix(mod, u, u, combo), ntilde, ell, sigma
+                        yield combo, ntilde, ell, sigma
                 # one vacuous probe: E = I is outside the hypothesis
                 # whenever ntilde is a unit at this modulus
                 if ntilde % ell:
-                    yield RMatrix.identity(mod, umax), ntilde, ell, sigma
+                    yield identity, ntilde, ell, sigma
     for _ in range(p["random"]):
         ell = ells[rng.randrange(len(ells))]
         sigma = rng.randint(1, sigmamax)
@@ -142,7 +148,7 @@ def _reduction_lemma_cases(p: dict, rng):
         u = rng.randint(1, p["random_umax"])
         step = t or mod
         entries = tuple(step * rng.randrange(mod // step) % mod for _ in range(u * u))
-        yield RMatrix(mod, u, u, entries), ntilde, ell, sigma
+        yield entries, ntilde, ell, sigma
 
 
 def _exp_reduction_lemma(p: dict, rng) -> Tuple[dict, bool]:
@@ -157,7 +163,7 @@ def _exp_reduction_lemma(p: dict, rng) -> Tuple[dict, bool]:
                 "ntilde": ntilde,
                 "ell": ell,
                 "sigma": sigma,
-                "entries": list(E.entries),
+                "entries": list(E),
             }
     report = {
         "cases": cases,

@@ -170,6 +170,8 @@ def _exp_kernel_projection(p: dict, rng) -> Tuple[dict, bool]:
                     "passed": rep.passed,
                 }
             )
+            if not rep.passed:
+                checked[-1]["witness"] = rep.witness
             all_ok = all_ok and rep.passed
     report = {
         "modulus": p["modulus"],

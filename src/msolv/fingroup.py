@@ -44,7 +44,7 @@ from .errors import (
     TooLarge,
     VerdictFailed,
 )
-from .zmodlin import RMatrix, _flat_mul, _howell_split, _xgcd
+from .zmodlin import _augmented_howell, _flat_mul, _xgcd
 
 # largest coordinate space a packed enumeration may index by one flat
 # array: its slots and coordinates are array('i') values.  A whole model
@@ -202,11 +202,15 @@ class MatElem:
 
 
 def _invert_entries(n: int, size: int, entries: tuple) -> tuple:
-    # M is invertible iff its Howell form is I; the transform is then M^-1
-    form, inverse, _ = _howell_split(RMatrix(n, size, size, entries))
-    if form != RMatrix.identity(n, size):
+    # M is invertible iff its Howell form, the M-parts of the image rows of
+    # [M | I], is the unit rows; their I-parts are then M^-1
+    rows = [{j: a for j, a in enumerate(entries[i * size : (i + 1) * size]) if a}
+            for i in range(size)]
+    image, _ = _augmented_howell(n, rows, size)
+    units = [{i: 1} for i in range(size)]
+    if [{j: a for j, a in row.items() if j < size} for _, row in image] != units:
         raise ValueError(f"matrix not invertible over Z/{n}")
-    return inverse.entries
+    return tuple(row.get(size + j, 0) for _, row in image for j in range(size))
 
 
 class _DirectLaw:

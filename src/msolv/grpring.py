@@ -1,9 +1,9 @@
 """Group rings (Z/n)[Q] and cyclic-algebra towers A[C_N].
 
 Ring elements are dense coefficient vectors indexed by the owning group's
-element indices.  Multiplication is the |Q|^2 convolution; the left- and
-right-multiplication operators of a fixed element are exported as RMatrix
-values so that kernels and spans can be computed exactly by zmodlin.
+element indices.  Multiplication is the |Q|^2 convolution; kernels are
+computed exactly by zmodlin from {col: residue} rows.  The dense
+`right_mult_matrix` is kept only for the benchmark's span names.
 
 The tower machinery materializes A[C_N] for A = (Z/n)[H] as the group ring
 (Z/n)[H x C_N] and provides the level-collapsing projections used by the
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import LevelMismatch, PreconditionViolated, RingMismatch
 from .fingroup import FiniteGroup, Homomorphism, PermElem, closure, trivial_group
-from .zmodlin import RMatrix, ResidueRing, kernel_basis
+from .zmodlin import RMatrix, ResidueRing, kernel_rows
 
 DEFAULT_SIGMA = frozenset({2, 3})
 
@@ -147,18 +147,6 @@ class RingElem:
 def augmentation(elem: RingElem) -> int:
     """The coefficient sum, as a canonical residue."""
     return sum(elem.coeffs) % elem.owner.modulus
-
-
-def mult_matrix(elem: RingElem) -> RMatrix:
-    """Matrix of left multiplication by `elem` on the ring.
-
-    Row i holds the coefficients of elem * q_i, so for a coefficient row
-    vector v of a the product v . mult_matrix(elem) is the coefficient
-    vector of elem * a.
-    """
-    d = elem.owner.dimension
-    rows = [(elem.mul_group_right(i)).coeffs for i in range(d)]
-    return RMatrix.from_rows(elem.owner.modulus, rows)
 
 
 def right_mult_matrix(elem: RingElem) -> RMatrix:
@@ -307,17 +295,22 @@ def kernel_projection_check(t: CyclicTower, n: int, kM: int, M: int) -> KernelPr
     x_idx = t._cycle_gen[kM]
     xn = Rk.embed(Gk.power(x_idx, n % kM))
     lam = xn - Rk.one()
-    K = kernel_basis(mult_matrix(lam))
+    # row i is lam * q_i, so v . rows is the coefficient vector of lam * v
+    d = Rk.dimension
+    rows = [{j: a for j, a in enumerate(lam.mul_group_right(i).coeffs) if a} for i in range(d)]
+    kernel, _ = kernel_rows(Rk.modulus, rows, d)
     g = gcd(k, t.modulus)
     witness = None
     passed = True
-    for i in range(K.rows):
-        y = Rk.from_coeffs(K.row(i))
-        z = t.tower_project(kM, M, y)
+    for row in kernel:
+        coeffs = [0] * d
+        for j, a in row.items():
+            coeffs[j] = a
+        z = t.tower_project(kM, M, Rk.from_coeffs(coeffs))
         if any(c % g for c in z.coeffs):
             passed = False
-            witness = {"kernel_row": list(K.row(i)), "projection": list(z.coeffs)}
+            witness = {"kernel_row": coeffs, "projection": list(z.coeffs)}
             break
     return KernelProjectionReport(
-        passed=passed, n=n, kM=kM, M=M, k=k, kernel_rank=K.rows, witness=witness
+        passed=passed, n=n, kM=kM, M=M, k=k, kernel_rank=len(kernel), witness=witness
     )

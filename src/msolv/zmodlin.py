@@ -18,8 +18,7 @@ is then cleared by one row update, and a unimodular 2x2 combine runs only
 when the pivot does not divide the entry, which never happens for a
 prime-power n.  Neither the dict rows nor the pivot rule can show in a
 result: the Howell form is canonical, so every sequence of span-preserving
-row operations that ends in it ends in the same matrix.  `RMatrix` and
-`HowellForm` stay dense at the boundary.
+row operations that ends in it ends in the same matrix.
 
 The loop carries no transform.  Whatever needs one, or a kernel, reduces
 [M | I] once (`_augmented_howell`), built directly as dict rows: rows with
@@ -38,8 +37,13 @@ with pivot at column c + j or later, c the width of M.  So their I-parts
 span ker M and keep the span property; their pivot columns increase, their
 pivots divide n and the entries above their pivots are reduced, because
 all of that holds in H.  A Howell form is canonical, so they are the
-Howell form of ker M.  `kernel_basis` is the dense wrapper over
-`kernel_rows`.
+Howell form of ker M.
+
+The dense `RMatrix` is the boundary, kept only where a reader outside the
+row code needs it: `models.centralizer_experiment` compares spans by
+`span_equal`, through `howell_form`, which `perfbench/primitives.py` also
+times; `perfbench/spans.py` wraps `RMatrix.mul` and names `kernel_basis`,
+the dense wrapper over `kernel_rows`.  `MatElem` multiplies by `_flat_mul`.
 """
 
 from __future__ import annotations
@@ -78,10 +82,6 @@ class ResidueRing:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
 
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a unit."""
-        return pow(a % self.modulus, -1, self.modulus)
-
     def stab_unit(self, a: int) -> int:
         """A unit u with u*a = gcd(a, n) in Z/n.
 
@@ -99,12 +99,6 @@ class ResidueRing:
         while gcd(u, n) != 1:
             u += n // g
         return u % n
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ResidueRing) and other.modulus == self.modulus
-
-    def __hash__(self) -> int:
-        return hash(("ResidueRing", self.modulus))
 
     def __repr__(self) -> str:
         return f"ResidueRing({self.modulus})"
@@ -157,24 +151,8 @@ class RMatrix:
                 flat[base + j] = a
         return RMatrix(modulus, len(rows), cols, tuple(flat))
 
-    @staticmethod
-    def identity(modulus: int, size: int) -> "RMatrix":
-        flat = tuple(1 if i == j else 0 for i in range(size) for j in range(size))
-        return RMatrix(modulus, size, size, flat)
-
-    @staticmethod
-    def zero(modulus: int, rows: int, cols: int) -> "RMatrix":
-        return RMatrix(modulus, rows, cols, (0,) * (rows * cols))
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
 
     def _check_ring(self, other: "RMatrix") -> None:
         if self.modulus != other.modulus:
@@ -188,11 +166,6 @@ class RMatrix:
                          self.entries, other.entries)
         return RMatrix(self.modulus, self.rows, other.cols, flat)
 
-    def scale(self, c: int) -> "RMatrix":
-        n = self.modulus
-        return RMatrix(self.modulus, self.rows, self.cols,
-                       tuple((c * a) % n for a in self.entries))
-
     def vstack(self, other: "RMatrix") -> "RMatrix":
         self._check_ring(other)
         if self.cols != other.cols:
@@ -200,49 +173,22 @@ class RMatrix:
         return RMatrix(self.modulus, self.rows + other.rows, self.cols,
                        self.entries + other.entries)
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
 
-
-@dataclass(frozen=True)
-class HowellForm:
-    """Canonical Howell normal form `matrix` of a matrix."""
-
-    matrix: RMatrix
-
-    @property
-    def pivots(self) -> tuple:
-        """(row, col, pivot value) per row of the form."""
-        out = []
-        for i in range(self.matrix.rows):
-            r = self.matrix.row(i)
-            for j, a in enumerate(r):
-                if a:
-                    out.append((i, j, a))
-                    break
-        return tuple(out)
-
-    @property
-    def span_size(self) -> int:
-        """Number of vectors in the row span."""
-        return _pivot_product(self.matrix.modulus, (p for _, _, p in self.pivots))
-
-
-def howell_form(M: RMatrix) -> HowellForm:
+def howell_form(M: RMatrix) -> RMatrix:
     """Howell normal form over Z/n.
 
     The result is canonical: row_span(A) == row_span(B) iff
-    howell_form(A).matrix == howell_form(B).matrix.  Normalisations: zero
-    rows dropped, pivot columns strictly increase, every pivot divides n,
-    entries above a pivot are reduced modulo that pivot, and the span
-    property holds (any span element with leading zeros lies in the span of
-    the trailing rows; enforced via annihilator rows).
+    howell_form(A) == howell_form(B).  Normalisations: zero rows dropped,
+    pivot columns strictly increase, every pivot divides n, entries above a
+    pivot are reduced modulo that pivot, and the span property holds (any
+    span element with leading zeros lies in the span of the trailing rows;
+    enforced via annihilator rows).
 
     Only the rows are reduced; a transform comes from the form of [M | I]
-    (`_howell_split`).
+    (`_augmented_howell`).
     """
     form = _howell_rows(M.modulus, _rows_of(M))
-    return HowellForm(RMatrix.from_dict_rows(M.modulus, [row for _, row in form], M.cols))
+    return RMatrix.from_dict_rows(M.modulus, [row for _, row in form], M.cols)
 
 
 def _rows_of(M: RMatrix) -> list:
@@ -358,25 +304,6 @@ def _pivot_product(n: int, pivots: Iterable[int]) -> int:
     return prod(n // p for p in pivots)
 
 
-def _howell_split(M: RMatrix) -> tuple:
-    """(form, transform, kernel) of M from one Howell form of [M | I].
-
-    The M-parts of the leading rows (`_augmented_howell`) keep the span
-    property: they are howell_form(M).matrix, with transform * M = form for
-    their I-parts.  The I-parts of the rows whose M-part vanished generate
-    {v : v * M = 0}.
-    """
-    n, c = M.modulus, M.cols
-    image, kernel = _augmented_howell(n, _rows_of(M), c)
-    form = [{j: a for j, a in row.items() if j < c} for _, row in image]
-    transform = [{j - c: a for j, a in row.items() if j >= c} for _, row in image]
-    return (
-        RMatrix.from_dict_rows(n, form, c),
-        RMatrix.from_dict_rows(n, transform, M.rows),
-        RMatrix.from_dict_rows(n, [row for _, row in kernel], M.rows),
-    )
-
-
 def _reduce(n: int, form: Sequence[tuple], b: dict) -> Optional[list]:
     """Coefficients of b over the (pivot col, row) pairs of a Howell form,
     or None when b is not in its span.  b is reduced in place."""
@@ -418,34 +345,13 @@ def kernel_basis(M: RMatrix) -> RMatrix:
     return RMatrix.from_dict_rows(n, kernel_rows(n, _rows_of(M), M.cols)[0], M.rows)
 
 
-def solve_linear(M: RMatrix, b: Sequence[int]):
-    """Solve x*M = b over Z/n.
-
-    One Howell form of [M | I] gives the form of M that b is reduced against,
-    the transform that turns the reduction into x, and the kernel.
-
-    Returns:
-        (x, kernel) where x is a solution tuple or None if infeasible, and
-        kernel is kernel_basis(M) (all solutions are x + span(kernel)).
-    """
-    if len(b) != M.cols:
-        raise DimensionMismatch(f"rhs length {len(b)} != cols {M.cols}")
-    n = M.modulus
-    H, U, kernel = _howell_split(M)
-    form = [(min(row), row) for row in _rows_of(H)]
-    coeffs = _reduce(n, form, {j: a % n for j, a in enumerate(b) if a % n})
-    if coeffs is None:
-        return None, kernel
-    return _flat_mul(n, 1, H.rows, M.rows, coeffs, U.entries), kernel
-
-
 def span_equal(A: RMatrix, B: RMatrix) -> bool:
     """Whether two matrices over the same Z/n have identical row spans."""
     if A.modulus != B.modulus:
         raise RingMismatch("moduli differ")
     if A.cols != B.cols:
         raise DimensionMismatch("ambient dimensions differ")
-    return howell_form(A).matrix == howell_form(B).matrix
+    return howell_form(A) == howell_form(B)
 
 
 def smith_normal_form_int(rows: Sequence[Sequence[int]]) -> tuple:

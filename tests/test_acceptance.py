@@ -61,7 +61,7 @@ from msolv.models import (
     centralizer_probe_capped,
     module_part_basis,
 )
-from msolv.zmodlin import RMatrix, scalar_kernel, valuation
+from msolv.zmodlin import scalar_kernel, valuation
 
 # ------------------------------------------------------------- helpers
 
@@ -163,10 +163,7 @@ def test_criterion_02_reduction_lemma():
                 entries = list(range(0, mod, t)) if t else [0]
                 for u in (1, 2):
                     for combo in itertools.product(entries, repeat=u * u):
-                        E = RMatrix.from_rows(
-                            mod, [combo[i * u : (i + 1) * u] for i in range(u)]
-                        )
-                        rep = reduction_lemma_check(E, ntilde, ell, sigma)
+                        rep = reduction_lemma_check(combo, ntilde, ell, sigma)
                         assert rep.passed and not rep.vacuous
                         cases += 1
     assert cases > 1000
@@ -181,11 +178,8 @@ def test_criterion_02_reduction_lemma():
         u = rng.randrange(1, 7)
         mod = ell**sigma
         step = scalar_kernel(ntilde, ell, sigma) or mod
-        rows = [
-            [step * rng.randrange(mod // step) % mod for _ in range(u)]
-            for _ in range(u)
-        ]
-        rep = reduction_lemma_check(RMatrix.from_rows(mod, rows), ntilde, ell, sigma)
+        entries = [step * rng.randrange(mod // step) % mod for _ in range(u * u)]
+        rep = reduction_lemma_check(entries, ntilde, ell, sigma)
         assert rep.passed and not rep.vacuous
         done += 1
     stamp(2, f"reduction lemma on {cases} exhaustive + 1000 random matrices", t0, 10)

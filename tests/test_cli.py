@@ -296,6 +296,8 @@ OPTIMIZED_MODE_ARGV = {
     + ["--cap", "1500"],
     "dropped-f-entry": ["crowell", "--group", "builtin S_3", "--images", "g1,g2"]
     + ["--relators", "x1^3,x2^2,x1*x2*x1*x2"],
+    "bumped-projection": ["kernel-projection", "--modulus", "4", "--levels", "1,2"],
+    "dropped-derived-term": ["derived-series", "--group", "builtin S_4"],
 }
 
 # runs with a fault put in before the CLI starts, and the report fields
@@ -305,7 +307,10 @@ OPTIMIZED_MODE_ARGV = {
 # the probe's cofactors fail while its linear prediction, which takes no
 # inverse, still holds; with the identity's entry dropped from f's first
 # row, the basis element q_1 lies in im f but not in ker s, and x1^3's
-# Fox row, whose identity entry is 1, no longer lies in ker f
+# Fox row, whose identity entry is 1, no longer lies in ker f; with 1 added
+# to coefficient 0 of every tower projection, the kernel row 1 + x of level
+# 2 over Z/4 projects to 3, outside 2·A[C_1]; with A_4 dropped from S_4's
+# derived series, S_4/V_4 is the first layer, and it is not abelian
 OPTIMIZED_MODE_FAULTS = {
     "aliased-coordinate": (
         "import sys\n"
@@ -341,6 +346,36 @@ OPTIMIZED_MODE_FAULTS = {
         "crowell.build_complex = dropped\n"
         "sys.exit(cli.main(sys.argv[1:]))\n",
         {"exact_at_middle": False, "relators_in_kernel": False},
+    ),
+    "bumped-projection": (
+        "import sys\n"
+        "from msolv import cli, grpring\n"
+        "project = grpring.CyclicTower.tower_project\n"
+        "def bumped(self, kM, M, y):\n"
+        "    z = project(self, kM, M, y)\n"
+        "    return z.owner.from_coeffs((z.coeffs[0] + 1,) + z.coeffs[1:])\n"
+        "grpring.CyclicTower.tower_project = bumped\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n",
+        {
+            "checked": [
+                {
+                    "M": 1,
+                    "k": 2,
+                    "kM": 2,
+                    "kernel_rank": 1,
+                    "passed": False,
+                    "witness": {"kernel_row": [1, 1], "projection": [3]},
+                }
+            ]
+        },
+    ),
+    "dropped-derived-term": (
+        "import sys\n"
+        "from msolv import cli, exp_groups\n"
+        "series = exp_groups.derived_series\n"
+        "exp_groups.derived_series = lambda G: [s for k, s in enumerate(series(G)) if k != 1]\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n",
+        {"orders": [24, 4, 1], "layers_abelian": [False, True]},
     ),
 }
 
@@ -1135,7 +1170,7 @@ def test_reduction_lemma_first_failure_is_the_witness(monkeypatch, capsys):
 
     def planted(E, ntilde, ell, sigma):
         rep = real(E, ntilde, ell, sigma)
-        if sum(E.entries) % 5 == 3 and not rep.vacuous:
+        if sum(E) % 5 == 3 and not rep.vacuous:
             return dataclasses.replace(rep, passed=False)
         return rep
 
@@ -1258,6 +1293,46 @@ def test_derived_series_s8_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e1bb6b7703529a3ca004de0ea5f9e4668da6e0e3d0b4182a5ec834ddb9004e51"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["kernel-projection", "--modulus", "4"],
+            "657ee70b293d0bb765447c32c9f6b484f6d1a0ff3f1c1f49afd895f71b772cb6",
+        ),
+        (
+            ["kernel-projection", "--modulus", "3", "--base-group", "builtin S_3"]
+            + ["--levels", "1,2,3,6"],
+            "a3d20bddcc13a9aec0b84cd6ef9c8decb19af3a89e6ae41b634cc3d7c1b9fb19",
+        ),
+        (
+            ["reduction-lemma"],
+            "8c8038d04287d01625640826f33812fc0c0edb99dba2aa5a2c144f8b1b71a80c",
+        ),
+        (
+            ["reduction-lemma", "--random", "200"],
+            "02db907632437e795cff24f92f353b1b6401c31b51422a61a8cd5d21c21c443e",
+        ),
+        (
+            ["msolv-quotient", "--group", "builtin Q8", "--m", "1"],
+            "37bfc41f3cd793d49c9ad3b937652d84861a15cf2a4561fda517eee3c167f225",
+        ),
+        (
+            ["derived-series", "--group", "mat 5 : [[2,0],[0,3]], [[1,1],[0,1]]"],
+            "551a9cfcd91fa65aca28325639bf90fdecb5a27851c41e9c9e78f1093fffc947",
+        ),
+    ],
+)
+def test_dense_matrix_caller_bytes_are_pinned(argv, digest, capsys):
+    # stdout sha256 taken when the kernel projection, the reduction lemma
+    # and matrix-group inversion went through dense RMatrix values, and the
+    # derived-series layers were checked on quotients of copied terms
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from msolv.constructions import (
     gtilde_experiment,
     reduction_lemma_check,
 )
-from msolv.errors import PreconditionViolated, RingMismatch
+from msolv.errors import PreconditionViolated
 from msolv.fingroup import (
     PermElem,
     center,
@@ -36,7 +36,7 @@ from msolv.fingroup import (
     m_step_quotient,
     normal_subgroups,
 )
-from msolv.zmodlin import RMatrix, scalar_kernel, valuation
+from msolv.zmodlin import scalar_kernel, valuation
 
 
 def cyclic_group(k):
@@ -111,8 +111,7 @@ def exhaustive_reduction_sweep(ell, sigma, ntilde, u):
     entries = list(range(0, mod, t)) if t else [0]
     count = 0
     for combo in itertools.product(entries, repeat=u * u):
-        E = RMatrix.from_rows(mod, [combo[i * u : (i + 1) * u] for i in range(u)])
-        rep = reduction_lemma_check(E, ntilde, ell, sigma)
+        rep = reduction_lemma_check(combo, ntilde, ell, sigma)
         assert rep.passed, (ell, sigma, ntilde, combo)
         assert not rep.vacuous
         count += 1
@@ -144,29 +143,24 @@ def test_reduction_lemma_random_larger_matrices():
         mod = ell**sigma
         t = scalar_kernel(ntilde, ell, sigma)
         step = t or mod
-        rows = [
-            [step * rng.randrange(mod // step) % mod for _ in range(u)]
-            for _ in range(u)
-        ]
-        rep = reduction_lemma_check(RMatrix.from_rows(mod, rows), ntilde, ell, sigma)
+        entries = [step * rng.randrange(mod // step) % mod for _ in range(u * u)]
+        rep = reduction_lemma_check(entries, ntilde, ell, sigma)
         assert rep.passed and not rep.vacuous
         done += 1
 
 
 def test_reduction_lemma_vacuous_when_not_annihilated():
-    E = RMatrix.from_rows(9, [[1, 0], [0, 0]])
+    E = (1, 0, 0, 0)
     rep = reduction_lemma_check(E, 3, 3, 2)  # 3 * E != 0 mod 9
     assert rep.passed and rep.vacuous
 
 
 def test_reduction_lemma_preconditions():
-    E = RMatrix.from_rows(8, [[0]])
+    E = (0,)
     with pytest.raises(PreconditionViolated):
         reduction_lemma_check(E, 0, 2, 3)
     with pytest.raises(PreconditionViolated):
         reduction_lemma_check(E, 8, 2, 3)  # sigma <= ord_2(8)
-    with pytest.raises(RingMismatch):
-        reduction_lemma_check(RMatrix.from_rows(9, [[0]]), 1, 2, 3)
 
 
 def test_scalar_kernel_generator_values():

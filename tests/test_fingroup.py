@@ -8,11 +8,13 @@ both on frozen known answers and via theorem-level properties.
 
 import random
 from array import array
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msolv import zmodlin
 from msolv.constructions import counterexample_group
 from msolv.errors import (
     CapExceeded,
@@ -27,6 +29,7 @@ from msolv.fingroup import (
     FiniteGroup,
     _bfs,
     _DirectLaw,
+    _invert_entries,
     Homomorphism,
     MatElem,
     PermElem,
@@ -168,6 +171,49 @@ def test_mat_inverse_witness():
     assert prod * prod.inverse() == MatElem.identity(9, 2)
     with pytest.raises(ValueError):
         MatElem.from_rows(9, [[3, 0], [0, 1]])
+
+
+def _det(rows):
+    """Integer determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+def test_mat_inverse_through_augmented_form_random(monkeypatch):
+    # seeded k x k matrices, k <= 4: inversion through [M | I] succeeds iff
+    # gcd(det M, n) = 1, with M^-1 M = M M^-1 = I, and raises otherwise;
+    # both outcomes occur at every modulus, and the moduli with two primes
+    # run the 2x2 combine
+    combines = {}
+    real = zmodlin._lin
+
+    def counted(*args):
+        combines[args[0]] = combines.get(args[0], 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(zmodlin, "_lin", counted)
+    rng = random.Random(33)
+    moduli = (2, 4, 6, 8, 9, 12, 27)
+    outcomes = set()
+    for case in range(840):
+        n, k = moduli[case % len(moduli)], case // len(moduli) % 4 + 1
+        entries = tuple(rng.randrange(n) for _ in range(k * k))
+        unit = gcd(_det([list(entries[i * k : (i + 1) * k]) for i in range(k)]), n) == 1
+        outcomes.add((n, unit))
+        if unit:
+            inv = _invert_entries(n, k, entries)
+            eye = tuple(int(i == j) for i in range(k) for j in range(k))
+            assert zmodlin._flat_mul(n, k, k, k, entries, inv) == eye, (n, entries)
+            assert zmodlin._flat_mul(n, k, k, k, inv, entries) == eye, (n, entries)
+        else:
+            with pytest.raises(ValueError):
+                _invert_entries(n, k, entries)
+    assert outcomes == {(n, unit) for n in moduli for unit in (False, True)}
+    assert combines.get(6) and combines.get(12)
 
 
 def test_mixed_variants_rejected():

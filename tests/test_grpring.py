@@ -21,11 +21,10 @@ from msolv.grpring import (
     RingElem,
     augmentation,
     kernel_projection_check,
-    mult_matrix,
     right_mult_matrix,
     sigma_split,
 )
-from msolv.zmodlin import RMatrix, howell_form, kernel_basis, scalar_kernel
+from msolv.zmodlin import scalar_kernel
 
 
 def cyclic_group(k):
@@ -111,18 +110,19 @@ def test_augmentation_is_ring_hom_to_base():
     assert augmentation(R.one()) == 1
 
 
-def test_mult_matrix_realizes_left_multiplication():
+def test_mul_group_right_rows_realize_left_multiplication():
+    # the rows kernel_projection_check reduces: row i is a * q_i
     rng = random.Random(13)
     R = GroupRing(9, s3())
     for _ in range(25):
         a, v = R.random_elem(rng), R.random_elem(rng)
-        M = mult_matrix(a)
+        rows = [a.mul_group_right(i).coeffs for i in range(6)]
         prod = a * v
-        # row-vector convention: (v coefficients) . M = coefficients of a*v
+        # row-vector convention: (v coefficients) . rows = coefficients of a*v
         out = [0] * 6
         for i, c in enumerate(v.coeffs):
             for j in range(6):
-                out[j] = (out[j] + c * M[i, j]) % 9
+                out[j] = (out[j] + c * rows[i][j]) % 9
         assert tuple(out) == prod.coeffs
 
 
@@ -136,7 +136,7 @@ def test_right_mult_matrix_realizes_right_multiplication():
         out = [0] * 6
         for i, c in enumerate(v.coeffs):
             for j in range(6):
-                out[j] = (out[j] + c * M[i, j]) % 8
+                out[j] = (out[j] + c * M.row(i)[j]) % 8
         assert tuple(out) == prod.coeffs
 
 

@@ -5,6 +5,8 @@ row spans, kernels and solution sets; larger shapes get randomized and
 property-based coverage.  Frozen values below were computed by hand or by
 the brute-force oracles in this file.  The dense Howell loop that the
 sparse-row elimination replaced is kept here as a reference oracle.
+Transforms and solutions are read off one Howell form of [M | I]
+(`_augmented_howell`), as `fingroup._invert_entries` reads an inverse.
 """
 
 import itertools
@@ -23,7 +25,10 @@ from msolv.models import build_solv_model
 from msolv.zmodlin import (
     RMatrix,
     ResidueRing,
-    _howell_split,
+    _augmented_howell,
+    _flat_mul,
+    _howell_rows,
+    _reduce,
     _rows_of,
     _xgcd,
     howell_form,
@@ -31,7 +36,6 @@ from msolv.zmodlin import (
     kernel_rows,
     scalar_kernel,
     smith_normal_form_int,
-    solve_linear,
     span_equal,
     valuation,
 )
@@ -78,6 +82,41 @@ def brute_solutions(M: RMatrix, b) -> frozenset:
     return frozenset(out)
 
 
+def row_list(M: RMatrix) -> list:
+    return [list(M.row(i)) for i in range(M.rows)]
+
+
+def unit_matrix(n: int, size: int) -> RMatrix:
+    return RMatrix.from_rows(n, [[int(i == j) for j in range(size)] for i in range(size)])
+
+
+def split(M: RMatrix) -> tuple:
+    """(form, transform, kernel) of M, read off one Howell form of [M | I]:
+    the M-parts and I-parts of its image rows, and its kernel rows."""
+    n, c = M.modulus, M.cols
+    image, kernel = _augmented_howell(n, _rows_of(M), c)
+    form = [{j: a for j, a in row.items() if j < c} for _, row in image]
+    transform = [{j - c: a for j, a in row.items() if j >= c} for _, row in image]
+    return (
+        RMatrix.from_dict_rows(n, form, c),
+        RMatrix.from_dict_rows(n, transform, M.rows),
+        RMatrix.from_dict_rows(n, [row for _, row in kernel], M.rows),
+    )
+
+
+def solve(M: RMatrix, b) -> tuple:
+    """(x with x*M = b over Z/n, or None; the kernel of M): b reduced over
+    the form gives its coefficients on the form's rows, and the transform
+    turns them into x."""
+    n = M.modulus
+    H, T, K = split(M)
+    form = [(min(row), row) for row in _rows_of(H)]
+    coeffs = _reduce(n, form, {j: a % n for j, a in enumerate(b) if a % n})
+    if coeffs is None:
+        return None, K
+    return _flat_mul(n, 1, H.rows, M.rows, coeffs, T.entries), K
+
+
 def small_matrix_family():
     """A deterministic mix of exhaustive and sampled small matrices."""
     fam = []
@@ -111,15 +150,15 @@ FAMILY = small_matrix_family()
 
 def test_howell_preserves_span_exhaustive():
     for M in FAMILY:
-        H = howell_form(M).matrix
+        H = howell_form(M)
         assert brute_span(H) == brute_span(M)
 
 
 def test_howell_is_canonical_under_span_preserving_changes():
     rng = random.Random(7)
     for M in FAMILY[::3]:
-        H = howell_form(M).matrix
-        rows = M.row_list()
+        H = howell_form(M)
+        rows = row_list(M)
         rng.shuffle(rows)
         if len(rows) > 1:
             c = rng.randrange(M.modulus)
@@ -127,33 +166,33 @@ def test_howell_is_canonical_under_span_preserving_changes():
         extra = rng.choice(sorted(brute_span(M)))
         rows.append(list(extra))
         M2 = RMatrix.from_rows(M.modulus, rows, cols=M.cols)
-        assert howell_form(M2).matrix == H
+        assert howell_form(M2) == H
 
 
 def test_howell_idempotent():
     for M in FAMILY[::5]:
-        H = howell_form(M).matrix
+        H = howell_form(M)
         if H.rows == 0:
             continue
-        assert howell_form(H).matrix == H
+        assert howell_form(H) == H
 
 
 def test_howell_transform_recovers_form():
     for M in FAMILY[::2]:
-        hf = howell_form(M)
-        if hf.matrix.rows == 0:
+        H = howell_form(M)
+        if H.rows == 0:
             continue
-        assert _howell_split(M)[1].mul(M) == hf.matrix
+        assert split(M)[1].mul(M) == H
 
 
 def test_howell_span_size_matches_brute():
     for M in FAMILY[::4]:
-        assert howell_form(M).span_size == len(brute_span(M))
+        assert row_span_size(M.modulus, _rows_of(M)) == len(brute_span(M))
 
 
 def test_howell_single_entry_example():
-    H = howell_form(RMatrix.from_rows(4, [[2]])).matrix
-    assert H.row_list() == [[2]]
+    H = howell_form(RMatrix.from_rows(4, [[2]]))
+    assert row_list(H) == [[2]]
 
 
 # ---------------------------------------------------------------- kernel
@@ -178,27 +217,27 @@ def test_kernel_rows_annihilate():
 
 def test_kernel_examples():
     K = kernel_basis(RMatrix.from_rows(9, [[3]]))
-    assert K.row_list() == [[3]]
-    K = kernel_basis(RMatrix.identity(4, 2))
+    assert row_list(K) == [[3]]
+    K = kernel_basis(unit_matrix(4, 2))
     assert K.rows == 0
     K = kernel_basis(RMatrix.from_rows(4, [[2, 2]]))
-    assert K.row_list() == [[2]]
+    assert row_list(K) == [[2]]
 
 
 # ----------------------------------------------------------------- solve
 
 
 def test_solve_scalar_examples():
-    x, K = solve_linear(RMatrix.from_rows(4, [[2]]), (2,))
+    x, K = solve(RMatrix.from_rows(4, [[2]]), (2,))
     assert x is not None
-    sols = {(x[0] + c * K[0, 0]) % 4 for c in range(4)} if K.rows else {x[0]}
+    sols = {(x[0] + c * K.entries[0]) % 4 for c in range(4)} if K.rows else {x[0]}
     assert sols == {1, 3}
 
-    x, _ = solve_linear(RMatrix.from_rows(4, [[2]]), (1,))
+    x, _ = solve(RMatrix.from_rows(4, [[2]]), (1,))
     assert x is None
 
-    I = RMatrix.identity(6, 3)
-    x, K = solve_linear(I, (4, 5, 1))
+    I = unit_matrix(6, 3)
+    x, K = solve(I, (4, 5, 1))
     assert x == (4, 5, 1) and K.rows == 0
 
 
@@ -211,7 +250,7 @@ def test_solve_matches_brute_exhaustive():
             bs = rng.sample(bs, 20)
         for b in bs:
             sols = brute_solutions(M, b)
-            x, K = solve_linear(M, b)
+            x, K = solve(M, b)
             if not sols:
                 assert x is None
             else:
@@ -220,11 +259,6 @@ def test_solve_matches_brute_exhaustive():
                     tuple((a + k) % n for a, k in zip(x, v)) for v in brute_span(K)
                 }
                 assert shifted == sols
-
-
-def test_solve_rhs_length_checked():
-    with pytest.raises(DimensionMismatch):
-        solve_linear(RMatrix.identity(4, 2), (1, 2, 3))
 
 
 # ------------------------------------------------------------ span_equal
@@ -243,9 +277,9 @@ def test_span_equal_matches_brute():
 
 def test_span_equal_ring_checks():
     with pytest.raises(RingMismatch):
-        span_equal(RMatrix.identity(4, 2), RMatrix.identity(9, 2))
+        span_equal(unit_matrix(4, 2), unit_matrix(9, 2))
     with pytest.raises(DimensionMismatch):
-        span_equal(RMatrix.identity(4, 2), RMatrix.identity(4, 3))
+        span_equal(unit_matrix(4, 2), unit_matrix(4, 3))
 
 
 # ------------------------------------------------------------------- SNF
@@ -373,9 +407,9 @@ def test_valuation_rejects_base_below_2(p):
 
 def test_rmatrix_shape_checks():
     with pytest.raises(DimensionMismatch):
-        RMatrix.identity(4, 2).mul(RMatrix.identity(4, 3).vstack(RMatrix.zero(4, 1, 3)))
+        unit_matrix(4, 2).mul(unit_matrix(4, 3).vstack(RMatrix.from_rows(4, [[0, 0, 0]])))
     with pytest.raises(RingMismatch):
-        RMatrix.identity(4, 2).mul(RMatrix.identity(9, 2))
+        unit_matrix(4, 2).mul(unit_matrix(9, 2))
 
 
 # ------------------------------------------------------------ properties
@@ -393,18 +427,17 @@ def rmatrices(draw, max_rows=4, max_cols=4):
 @given(rmatrices())
 @settings(max_examples=80, deadline=None)
 def test_howell_properties_random(M):
-    hf = howell_form(M)
-    H = hf.matrix
+    # mutual span containment, no brute force needed: the transform puts
+    # H's rows in the span of M, and each row of M reduces to zero over
+    # the Howell rows of H
+    n = M.modulus
+    H = howell_form(M)
     if H.rows:
-        assert _howell_split(M)[1].mul(M) == H
-        assert howell_form(H).matrix == H
-    # mutual span containment via solvability, no brute force needed
-    for i in range(M.rows):
-        x, _ = solve_linear(H, M.row(i)) if H.rows else ((), None)
-        assert x is not None or any(M.row(i))
-    for i in range(H.rows):
-        x, _ = solve_linear(M, H.row(i))
-        assert x is not None
+        assert split(M)[1].mul(M) == H
+        assert howell_form(H) == H
+    form = _howell_rows(n, _rows_of(H))
+    for row in _rows_of(M):
+        assert _reduce(n, form, row) is not None
 
 
 @given(rmatrices())
@@ -412,11 +445,12 @@ def test_howell_properties_random(M):
 def test_howell_split_of_augmented_form_random(M):
     # one Howell form of [M | I] carries the form of M, its transform and
     # the kernel; |row span| * |kernel| = n^rows checks that none is short
-    form, T, K = _howell_split(M)
-    assert form == howell_form(M).matrix
+    form, T, K = split(M)
+    assert form == howell_form(M)
     assert T.mul(M) == form
-    assert K.mul(M).is_zero()
-    assert howell_form(form).span_size * howell_form(K).span_size == M.modulus**M.rows
+    assert not any(K.mul(M).entries)
+    n = M.modulus
+    assert row_span_size(n, _rows_of(form)) * row_span_size(n, _rows_of(K)) == n**M.rows
 
 
 @given(
@@ -436,12 +470,13 @@ def test_mul_matches_the_entrywise_definition(n, rows, inner, cols, data):
     assert (product.rows, product.cols) == (rows, cols)
     for i in range(rows):
         for k in range(cols):
-            assert product[i, k] == sum(a[i][j] * b[j][k] for j in range(inner)) % n
+            want = sum(a[i][j] * b[j][k] for j in range(inner)) % n
+            assert product.entries[i * cols + k] == want
 
 
 def test_mul_through_an_empty_inner_dimension():
-    assert RMatrix.zero(5, 2, 0).mul(RMatrix.zero(5, 0, 3)) == RMatrix.zero(5, 2, 3)
-    assert kernel_basis(RMatrix.zero(4, 0, 2)) == RMatrix.zero(4, 0, 0)
+    assert RMatrix(5, 2, 0, ()).mul(RMatrix(5, 0, 3, ())) == RMatrix(5, 2, 3, (0,) * 6)
+    assert kernel_basis(RMatrix(4, 0, 2, ())) == RMatrix(4, 0, 0, ())
 
 
 @given(rmatrices())
@@ -466,7 +501,7 @@ def test_solve_feasibility_random(M, seed):
     for c, i in zip(coeffs, range(M.rows)):
         if c:
             b = [(a + c * e) % M.modulus for a, e in zip(b, M.row(i))]
-    x, _ = solve_linear(M, b)
+    x, _ = solve(M, b)
     assert x is not None
     v = [0] * M.cols
     for c, i in zip(x, range(M.rows)):
@@ -572,10 +607,10 @@ def test_sparse_howell_matches_dense_reference(monkeypatch):
     moduli = (4, 6, 8, 9, 12, 13, 27)
     for case in range(504):
         M = random_sparse(rng, moduli[case % len(moduli)])
-        assert howell_form(M).matrix == dense_howell_reference(M), (case, M)
+        assert howell_form(M) == dense_howell_reference(M), (case, M)
         if case % 4 == 0:
             c = M.cols
-            full = dense_howell_reference(augmented(M)).row_list()
+            full = row_list(dense_howell_reference(augmented(M)))
             lead = [r for r in full if any(r[:c])]
             tail = [r for r in full if not any(r[:c])]
             expect = (
@@ -583,17 +618,17 @@ def test_sparse_howell_matches_dense_reference(monkeypatch):
                 RMatrix.from_rows(M.modulus, [r[c:] for r in lead], cols=M.rows),
                 RMatrix.from_rows(M.modulus, [r[c:] for r in tail], cols=M.rows),
             )
-            assert _howell_split(M) == expect, case
+            assert split(M) == expect, case
     assert calls["_axpy"] and calls["_lin"]
 
 
 def test_kernel_rows_are_the_howell_form_of_the_kernel(monkeypatch):
     # seeded random dict rows: the kernel rows are the Howell form of ker M
     # (a second Howell pass returns them unchanged), their pivot product is
-    # |ker M|, which is also n^rows / |row span of M| (by row_span_size and
-    # by the dense form), and they are the dense loop's kernel part of
-    # [M | I]; neither helper changes M's rows; the composite moduli must
-    # have run the 2x2 combine
+    # |ker M|, which is also n^rows / |row span of M| (by row_span_size of
+    # M's rows and of its dense Howell form), and they are the dense loop's
+    # kernel part of [M | I]; neither helper changes M's rows; the
+    # composite moduli must have run the 2x2 combine
     combines = {}
     real = zmodlin._lin
 
@@ -613,13 +648,14 @@ def test_kernel_rows_are_the_howell_form_of_the_kernel(monkeypatch):
         assert rows == _rows_of(M), case
         K = RMatrix.from_dict_rows(n, kernel, M.rows)
         assert K == kernel_basis(M), case
-        assert howell_form(K).matrix == K, case
-        assert size == howell_form(K).span_size, case
-        assert span == howell_form(M).span_size, case
+        assert howell_form(K) == K, case
+        assert size == row_span_size(n, kernel), case
+        assert span == row_span_size(n, _rows_of(howell_form(M))), case
         assert size * span == n**M.rows, case
         if case % 4 == 0:
             c = M.cols
-            tail = [r[c:] for r in dense_howell_reference(augmented(M)).row_list() if not any(r[:c])]
+            full = row_list(dense_howell_reference(augmented(M)))
+            tail = [r[c:] for r in full if not any(r[:c])]
             assert K == RMatrix.from_rows(n, tail, cols=M.rows), case
     assert combines.get(6) and combines.get(12)
 
@@ -630,4 +666,4 @@ def test_sparse_howell_matches_dense_reference_on_f_augmented(e):
     Q = build_solv_model(2, e, 1).group
     f_rows = build_complex(QuotientContext(2, Q, list(Q.gen_indices), e)).f_rows
     FI = augmented(RMatrix.from_dict_rows(e, f_rows, Q.order))
-    assert howell_form(FI).matrix == dense_howell_reference(FI)
+    assert howell_form(FI) == dense_howell_reference(FI)
