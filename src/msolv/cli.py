@@ -28,7 +28,15 @@ most of its wall time.  So this module imports no msolv module but
   metavar lists every experiment, as argparse's default would, so its
   usage and error text are those of the parser of every experiment, which
   a missing or unknown experiment gets;
-- `traceback` is imported only to report an internal error.
+- `traceback` is imported only to report an internal error;
+- the library modules define plain classes with explicit `__init__`
+  methods, not dataclasses.  Importing `dataclasses` (with `inspect`) costs
+  about 7 ms, and each `@dataclass` execs its generated methods when its
+  module loads, about 0.4 ms a class, with or without a bytecode cache;
+- the Magnus runs that eliminate nothing (a K_cap tower, a capped probe,
+  `solv-model`) do not load `zmodlin`: `fingroup`, `grpring`, `models`
+  and `crowell` import it inside the functions that row-reduce, and
+  `fingroup._flat_mul`, the matrix-group product, lives beside `MatElem`.
 No module may import `msolv.cli`: under `python -m msolv.cli` this file
 runs as `__main__`, and that import would compile it a second time.
 
@@ -51,7 +59,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_CAP, MAX_INT_DIGITS, MsolvError, VerdictFailed, _int_list, brief
@@ -121,7 +128,6 @@ EXPERIMENTS: Dict[str, str] = {
 INT_LIST = "int list"  # a JSON list of ints, or a comma-separated string
 
 
-@dataclass(frozen=True)
 class Param:
     """One experiment input: its name, type, default and lower bound.
 
@@ -130,11 +136,26 @@ class Param:
     (and so out of the report's params echo) unless it is given.
     """
 
-    name: str
-    type: object
-    default: object = None
-    required: bool = False
-    min: Optional[int] = None
+    __slots__ = ("name", "type", "default", "required", "min")
+
+    def __init__(self, name: str, type: object, default: object = None,
+                 required: bool = False, min: Optional[int] = None):
+        self.name = name
+        self.type = type
+        self.default = default
+        self.required = required
+        self.min = min
+
+    def _key(self) -> tuple:
+        return self.name, self.type, self.default, self.required, self.min
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def flag(self) -> str:

@@ -19,7 +19,6 @@ B-block existence question delegated to exact linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import PreconditionViolated, VerdictFailed
@@ -38,14 +37,15 @@ from .zmodlin import _howell_rows, _reduce, valuation
 # ----------------------------------------------------------- counterexample
 
 
-@dataclass
 class CounterexampleBundle:
-    group: FiniteGroup
-    quotient: FiniteGroup
-    projection: Homomorphism
-    dihedral_witness: Homomorphism
-    center_order: int
-    quotient_center_order: int
+    def __init__(self, group: FiniteGroup, quotient: FiniteGroup, projection: Homomorphism,
+                 dihedral_witness: Homomorphism, center_order: int, quotient_center_order: int):
+        self.group = group
+        self.quotient = quotient
+        self.projection = projection
+        self.dihedral_witness = dihedral_witness
+        self.center_order = center_order
+        self.quotient_center_order = quotient_center_order
 
 
 def _affine_perm(mat, vec) -> PermElem:
@@ -101,10 +101,10 @@ def build_counterexample() -> CounterexampleBundle:
 # --------------------------------------------------------- reduction lemma
 
 
-@dataclass
 class ReductionReport:
-    passed: bool
-    vacuous: bool
+    def __init__(self, passed: bool, vacuous: bool):
+        self.passed = passed
+        self.vacuous = vacuous
 
     def __bool__(self) -> bool:
         return self.passed
@@ -132,24 +132,20 @@ def reduction_lemma_check(E: Sequence[int], ntilde: int, ell: int, sigma: int) -
 # -------------------------------------------------------- block experiment
 
 
-@dataclass
 class GTildeInstance:
     """Parameters of the block-triangular centralizer experiment."""
 
-    group: FiniteGroup
-    x_index: int
-    n: int
-    ell: int
-    sigma: int
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, group: FiniteGroup, x_index: int, n: int, ell: int, sigma: int):
+        if n < 1:
             raise PreconditionViolated("n must be a positive integer")
-        s = self.group.element_order(self.x_index)
-        if self.sigma <= valuation(s * self.n, self.ell):
-            raise PreconditionViolated(
-                f"need sigma > ord_{self.ell}(s*n) = {valuation(s * self.n, self.ell)}"
-            )
+        s = group.element_order(x_index)
+        if sigma <= valuation(s * n, ell):
+            raise PreconditionViolated(f"need sigma > ord_{ell}(s*n) = {valuation(s * n, ell)}")
+        self.group = group
+        self.x_index = x_index
+        self.n = n
+        self.ell = ell
+        self.sigma = sigma
 
     @property
     def s(self) -> int:
@@ -160,17 +156,18 @@ class GTildeInstance:
         return self.group.order
 
 
-@dataclass
 class GTildeReport:
-    u: int
-    s: int
-    n: int
-    ell: int
-    sigma: int
-    pairs_tested: int
-    feasible_pairs: list  # (element index of A's group element, power k of x)
-    containment_holds: bool  # every feasible pair has A = C
-    diagonal_exact: bool  # feasible set == {(x^k, k)}
+    def __init__(self, u: int, s: int, n: int, ell: int, sigma: int, pairs_tested: int,
+                 feasible_pairs: list, containment_holds: bool, diagonal_exact: bool):
+        self.u = u
+        self.s = s
+        self.n = n
+        self.ell = ell
+        self.sigma = sigma
+        self.pairs_tested = pairs_tested
+        self.feasible_pairs = feasible_pairs  # (element index of A's group element, power k of x)
+        self.containment_holds = containment_holds  # every feasible pair has A = C
+        self.diagonal_exact = diagonal_exact  # feasible set == {(x^k, k)}
 
 
 def gtilde_experiment(inst: GTildeInstance) -> GTildeReport:

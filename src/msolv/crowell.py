@@ -20,13 +20,11 @@ span of relator rows when a presentation is supplied.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed, brief
 from .fingroup import _bfs, _tree_edges
 from .foxcalc import FreeWord, QuotientContext, fox_row
-from .zmodlin import _augmented_howell, _axpy, _howell_rows, _pivot_product
 
 
 class MagnusMatrix:
@@ -333,18 +331,20 @@ def magnus_image(ctx: QuotientContext, w: FreeWord) -> MagnusMatrix:
     return m
 
 
-@dataclass
 class CrowellComplex:
     """f: R^r -> R and s: R -> Z/n as {col: residue} rows over the Z/n
     basis of R, one row per basis element of the source."""
 
-    ctx: QuotientContext
-    f_rows: list  # r|Q| rows over |Q| columns
-    s_rows: list  # |Q| rows over 1 column
+    def __init__(self, ctx: QuotientContext, f_rows: list, s_rows: list):
+        self.ctx = ctx
+        self.f_rows = f_rows  # r|Q| rows over |Q| columns
+        self.s_rows = s_rows  # |Q| rows over 1 column
 
     @functools.cached_property
     def f_form(self) -> tuple:
         """(image, kernel) of the Howell form of [f | I] (`_augmented_howell`)."""
+        from .zmodlin import _augmented_howell
+
         return _augmented_howell(self.ctx.ring.modulus, self.f_rows, self.ctx.ring.dimension)
 
 
@@ -365,17 +365,20 @@ def build_complex(ctx: QuotientContext) -> CrowellComplex:
 def _size(n: int, form) -> int:
     """The number of vectors in the span of a Howell form's (pivot col,
     row) pairs."""
+    from .zmodlin import _pivot_product
+
     return _pivot_product(n, (row[col] for col, row in form))
 
 
-@dataclass
 class ExactnessReport:
-    passed: bool
-    im_f_equals_ker_s: bool
-    s_surjective: bool
-    im_f_size: int
-    ker_s_size: int
-    ker_f_size: int
+    def __init__(self, passed: bool, im_f_equals_ker_s: bool, s_surjective: bool,
+                 im_f_size: int, ker_s_size: int, ker_f_size: int):
+        self.passed = passed
+        self.im_f_equals_ker_s = im_f_equals_ker_s
+        self.s_surjective = s_surjective
+        self.im_f_size = im_f_size
+        self.ker_s_size = ker_s_size
+        self.ker_f_size = ker_f_size
 
 
 def exactness_check(c: CrowellComplex) -> ExactnessReport:
@@ -384,6 +387,8 @@ def exactness_check(c: CrowellComplex) -> ExactnessReport:
     The Howell form of [f | I] (`f_form`) gives im f, its leading rows'
     f-parts, and ker f; one of [s | I] gives s's image and ker s.
     The forms are canonical, so im f = ker s is equality of rows."""
+    from .zmodlin import _augmented_howell
+
     n, d = c.ctx.ring.modulus, c.ctx.ring.dimension
     im_f, ker_f = c.f_form
     im_s, ker_s = _augmented_howell(n, c.s_rows, 1)
@@ -414,6 +419,8 @@ def _fox_dict(ctx: QuotientContext, w: FreeWord) -> dict:
 def relator_kernel_check(c: CrowellComplex, relators: Sequence[FreeWord]) -> bool:
     """Each relator's Fox row v must be annihilated by f: v * f is the sum
     of a times row k of f over v's nonzero entries a at k."""
+    from .zmodlin import _axpy
+
     n = c.ctx.ring.modulus
     for w in relators:
         image: dict = {}
@@ -424,12 +431,13 @@ def relator_kernel_check(c: CrowellComplex, relators: Sequence[FreeWord]) -> boo
     return True
 
 
-@dataclass
 class RelationModuleReport:
-    ker_f_size: int
-    relation_span_size: int
-    spans_equal: bool
-    discrepancy_index: int  # |ker f| / |relation span|
+    def __init__(self, ker_f_size: int, relation_span_size: int, spans_equal: bool,
+                 discrepancy_index: int):
+        self.ker_f_size = ker_f_size
+        self.relation_span_size = relation_span_size
+        self.spans_equal = spans_equal
+        self.discrepancy_index = discrepancy_index  # |ker f| / |relation span|
 
 
 def relation_module_report(c: CrowellComplex, relators: Sequence[FreeWord]) -> RelationModuleReport:
@@ -441,6 +449,8 @@ def relation_module_report(c: CrowellComplex, relators: Sequence[FreeWord]) -> R
     any discrepancy instead of asserting it away.  The span's Howell form
     is compared with ker f's, from the complex's `f_form`, and counted.
     """
+    from .zmodlin import _howell_rows
+
     ctx = c.ctx
     n, d = ctx.ring.modulus, ctx.ring.dimension
     rows = []

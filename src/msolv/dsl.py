@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import DEFAULT_CAP, MAX_INT_DIGITS, CapExceeded, MsolvError, ParseError, TooLarge
@@ -34,28 +33,68 @@ from .fingroup import FiniteGroup, MatElem, PermElem, closure, semidirect_produc
 # ----------------------------------------------------------------- DSL AST
 
 
-@dataclass(frozen=True)
 class PermSpec:
-    degree: int
-    gens: tuple  # of PermElem
+    __slots__ = ("degree", "gens")
+
+    def __init__(self, degree: int, gens: tuple):
+        self.degree = degree
+        self.gens = gens  # of PermElem
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.gens) == (other.degree, other.gens)
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.gens))
 
 
-@dataclass(frozen=True)
 class MatSpec:
-    modulus: int
-    mats: tuple  # of row-tuples-of-tuples, entries reduced mod modulus
+    __slots__ = ("modulus", "mats")
+
+    def __init__(self, modulus: int, mats: tuple):
+        self.modulus = modulus
+        self.mats = mats  # of row-tuples-of-tuples, entries reduced mod modulus
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus, self.mats) == (other.modulus, other.mats)
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.mats))
 
 
-@dataclass(frozen=True)
 class SemidirectSpec:
-    normal: object
-    acting: object
-    action: tuple  # one exponent matrix (tuple of row tuples) per acting gen
+    __slots__ = ("normal", "acting", "action")
+
+    def __init__(self, normal: object, acting: object, action: tuple):
+        self.normal = normal
+        self.acting = acting
+        self.action = action  # one exponent matrix (tuple of row tuples) per acting gen
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.normal, self.acting, self.action) == (other.normal, other.acting, other.action)
+
+    def __hash__(self) -> int:
+        return hash((self.normal, self.acting, self.action))
 
 
-@dataclass(frozen=True)
 class BuiltinSpec:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
 
 BUILTIN_PATTERN = re.compile(r"^(S|C|D)_(\d+)$|^Q8$|^paper_counterexample$")
@@ -81,11 +120,21 @@ def _read_int(text: str, line: int, col: int) -> int:
 _TOKEN_RE = re.compile(r"-?\d+|[A-Za-z_][A-Za-z0-9_]*|[()\[\]:,=]")
 
 
-@dataclass(frozen=True)
 class _Tok:
-    text: str
-    line: int
-    col: int
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.text, self.line, self.col) == (other.text, other.line, other.col)
+
+    def __hash__(self) -> int:
+        return hash((self.text, self.line, self.col))
 
 
 def _tokenize(text: str) -> List[_Tok]:

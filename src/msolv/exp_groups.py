@@ -14,7 +14,6 @@ does not compile it: the one exception is a `g1*g2^-1` element of
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict
 from typing import Tuple
 
 from .errors import MsolvError, PreconditionViolated, _int_list
@@ -107,7 +106,7 @@ def _exp_gtilde(p: dict, rng) -> Tuple[dict, bool]:
     x_idx = parse_element(G, p["x"])
     inst = GTildeInstance(G, x_idx, p["n"], p["l"], p["sigma"])
     rep = gtilde_experiment(inst)
-    report = {"group": label, "x": p["x"], **asdict(rep)}
+    report = {"group": label, "x": p["x"], **vars(rep)}
     return report, rep.containment_holds
 
 
@@ -280,7 +279,7 @@ def _exp_centerfree_scan(p: dict, rng) -> Tuple[dict, bool]:
     for e in entries:
         if e.flagged != (e.center_order == 1 and e.quotient_center_order > 1):
             consistent = False
-        row = asdict(e)
+        row = dict(vars(e))
         row["group"] = row.pop("label")
         rows.append(row)
     report = {"m": p["m"], "entries": rows}

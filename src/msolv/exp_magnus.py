@@ -14,7 +14,6 @@ inside the experiments that parse or print a word or a group, so a
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Tuple
 
 from .errors import MsolvError, PreconditionViolated, VerdictFailed, _int_list
@@ -44,12 +43,12 @@ def _exp_centralizer(p: dict, rng) -> Tuple[dict, bool]:
     r, e, m, i, n = p["r"], p["e"], p["m"], p["i"], p["n"]
     if p["capped"]:
         rep = centralizer_probe_capped(r, e, m, p["cap"], i, n)
-        report = {"mode": "capped", **asdict(rep)}
+        report = {"mode": "capped", **vars(rep)}
         return report, rep.oracle_equal_pointwise and rep.decomposition_holds_pointwise
     check_centralizer_question(r, e, m, i, n)
     model = build_solv_model(r, e, m, cap=p["cap"])
     rep = centralizer_experiment(model, i, n)
-    report = {"mode": "full", **asdict(rep)}
+    report = {"mode": "full", **vars(rep)}
     report["k_cap"] = report.pop("k_cap_brute")
     return report, rep.oracle_equal and rep.decomposition_holds
 
@@ -190,7 +189,7 @@ def _exp_solv_model(p: dict, rng) -> Tuple[dict, bool]:
     if p.get("tower"):
         exps = _int_list(p["tower"])
         entries = kcap_tower(r, m, exps, p["i"], p["n"], cap=p["cap"])
-        rows = [asdict(entry) for entry in entries]
+        rows = [vars(entry) for entry in entries]
         ok = all(entry.brute_matches for entry in entries)
         report = {
             "rank": r,

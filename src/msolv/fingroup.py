@@ -30,7 +30,6 @@ product, a hash and a lookup into two subscripts.  The brute-force
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -44,7 +43,6 @@ from .errors import (
     TooLarge,
     VerdictFailed,
 )
-from .zmodlin import _augmented_howell, _flat_mul, _xgcd
 
 # largest coordinate space a packed enumeration may index by one flat
 # array: its slots and coordinates are array('i') values.  A whole model
@@ -201,7 +199,25 @@ class MatElem:
         return f"MatElem(mod {self.modulus}, {self.rows()})"
 
 
+def _flat_mul(n: int, rows: int, inner: int, cols: int, a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Row-major entries of the product over Z/n of row-major a (rows x inner)
+    and b (inner x cols), in row-axpy order: row i of the product sums
+    a[i, j] * (row j of b) over the nonzero a[i, j] only, so a zero entry
+    of a costs one test."""
+    b_rows = [b[j * cols:(j + 1) * cols] for j in range(inner)]
+    out = []
+    for i in range(rows):
+        acc = [0] * cols
+        for x, b_row in zip(a[i * inner:(i + 1) * inner], b_rows):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.extend(s % n for s in acc)
+    return tuple(out)
+
+
 def _invert_entries(n: int, size: int, entries: tuple) -> tuple:
+    from .zmodlin import _augmented_howell
+
     # M is invertible iff its Howell form, the M-parts of the image rows of
     # [M | I], is the unit rows; their I-parts are then M^-1
     rows = [{j: a for j, a in enumerate(entries[i * size : (i + 1) * size]) if a}
@@ -548,7 +564,6 @@ def trivial_group() -> FiniteGroup:
     return closure([])
 
 
-@dataclass
 class Subgroup:
     """A subgroup given by its sorted element-index set inside a parent.
 
@@ -557,11 +572,12 @@ class Subgroup:
     subgroup of one parent as the same, whichever way its indices are held.
     """
 
-    parent: FiniteGroup
-    indices: Sequence[int]
-    gen_indices: tuple
-    _normal: Optional[bool] = field(default=None, repr=False)
-    _set: Optional[frozenset] = field(default=None, repr=False)
+    def __init__(self, parent: FiniteGroup, indices: Sequence[int], gen_indices: tuple):
+        self.parent = parent
+        self.indices = indices
+        self.gen_indices = gen_indices
+        self._normal: Optional[bool] = None
+        self._set: Optional[frozenset] = None
 
     @property
     def element_set(self) -> frozenset:
@@ -731,13 +747,13 @@ def derived_term(G: FiniteGroup, m: int) -> Subgroup:
     return term
 
 
-@dataclass
 class Homomorphism:
     """A verified homomorphism, stored as the full image-index table."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, images: tuple):
+        self.source = source
+        self.target = target
+        self.images = images
 
     @staticmethod
     def build(source: FiniteGroup, target: FiniteGroup, images: Sequence[int]) -> "Homomorphism":
@@ -903,22 +919,28 @@ def _reduce_generators(G: FiniteGroup, members: Sequence[int]) -> tuple:
     return tuple(gens) or (0,)
 
 
-def _fold_into_lattice_basis(basis: list, row: Sequence[int]) -> None:
-    """Echelon row basis of an integer lattice; fold in one more row."""
-    row = list(row)
-    for b in basis:
-        c = next(i for i, x in enumerate(b) if x)
-        if not row[c]:
-            continue
-        p, v = b[c], row[c]
-        # extended gcd to merge the two rows at column c
-        g, s, t = _xgcd(p, v)
-        merged = [s * x + t * y for x, y in zip(b, row)]
-        row = [(p // g) * y - (v // g) * x for x, y in zip(b, row)]
-        b[:] = merged
-    if any(row):
-        basis.append(row)
-        basis.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
+def _lattice_basis(rows: Iterable[Sequence[int]]) -> list:
+    """Echelon row basis of the integer lattice that `rows` span, folding
+    in one row at a time, so the rows may come from a generator."""
+    from .zmodlin import _xgcd
+
+    basis: list = []
+    for row in rows:
+        row = list(row)
+        for b in basis:
+            c = next(i for i, x in enumerate(b) if x)
+            if not row[c]:
+                continue
+            p, v = b[c], row[c]
+            # extended gcd to merge the two rows at column c
+            g, s, t = _xgcd(p, v)
+            merged = [s * x + t * y for x, y in zip(b, row)]
+            row = [(p // g) * y - (v // g) * x for x, y in zip(b, row)]
+            b[:] = merged
+        if any(row):
+            basis.append(row)
+            basis.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
+    return basis
 
 
 def abelian_invariants(G: FiniteGroup) -> tuple:
@@ -928,24 +950,27 @@ def abelian_invariants(G: FiniteGroup) -> tuple:
     k = len(G.gen_indices)
     if k == 0:
         return ()
+
     # walk the Cayley graph with exponent-vector labels; every collision is a
     # relation of the abelianization, and tree collisions generate them all.
     # Collision rows are folded into a <= k row lattice basis on the fly.
-    vec = {0: (0,) * k}
-    basis: list = []
-    for i in range(G.order):
-        v = vec[i]
-        for g in range(k):
-            j = G.gen_table[i * k + g]
-            w = list(v)
-            w[g] += 1
-            w = tuple(w)
-            if j in vec:
-                rel = tuple(a - b for a, b in zip(w, vec[j]))
-                if any(rel):
-                    _fold_into_lattice_basis(basis, rel)
-            else:
-                vec[j] = w
+    def relations():
+        vec = {0: (0,) * k}
+        for i in range(G.order):
+            v = vec[i]
+            for g in range(k):
+                j = G.gen_table[i * k + g]
+                w = list(v)
+                w[g] += 1
+                w = tuple(w)
+                if j in vec:
+                    rel = tuple(a - b for a, b in zip(w, vec[j]))
+                    if any(rel):
+                        yield rel
+                else:
+                    vec[j] = w
+
+    basis = _lattice_basis(relations())
     if not basis:
         return ()
     factors = smith_normal_form_int(basis)
@@ -1065,12 +1090,13 @@ def conj_action_faithful(H: FiniteGroup, N: Subgroup):
     return kernel.order == 1, kernel
 
 
-@dataclass
 class QuotientIsoResult:
-    hypothesis_holds: bool
-    bijective: bool
-    upstairs_order: int
-    downstairs_order: int
+    def __init__(self, hypothesis_holds: bool, bijective: bool, upstairs_order: int,
+                 downstairs_order: int):
+        self.hypothesis_holds = hypothesis_holds
+        self.bijective = bijective
+        self.upstairs_order = upstairs_order
+        self.downstairs_order = downstairs_order
 
 
 def quotient_iso_check(f: Homomorphism, H: Subgroup, n: int) -> QuotientIsoResult:

@@ -14,7 +14,6 @@ d_i(u v) = d_i(u) + pi(u) d_i(v) applied letter by letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadGeneratorIndex, IndexOutOfRange, NotSurjective, WordTooLong
@@ -24,12 +23,22 @@ from .grpring import GroupRing, RingElem
 MAX_WORD_LENGTH = 10**4
 
 
-@dataclass(frozen=True)
 class FreeWord:
     """A freely reduced word; letters are (generator 1..rank, +1 or -1)."""
 
-    rank: int
-    letters: tuple
+    __slots__ = ("rank", "letters")
+
+    def __init__(self, rank: int, letters: tuple):
+        self.rank = rank
+        self.letters = letters
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -160,11 +169,11 @@ def fox_row(ctx: QuotientContext, w: FreeWord) -> tuple:
     return tuple(fox_derivative(ctx, w, i) for i in range(1, ctx.rank + 1))
 
 
-@dataclass
 class ExpansionReport:
-    passed: bool
-    lhs: RingElem
-    rhs: RingElem
+    def __init__(self, passed: bool, lhs: RingElem, rhs: RingElem):
+        self.passed = passed
+        self.lhs = lhs
+        self.rhs = rhs
 
     def __bool__(self) -> bool:
         return self.passed

@@ -17,13 +17,11 @@ single level and is never claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
 from .errors import LevelMismatch, PreconditionViolated, RingMismatch
 from .fingroup import FiniteGroup, Homomorphism, PermElem, closure, trivial_group
-from .zmodlin import RMatrix, ResidueRing, kernel_rows
 
 DEFAULT_SIGMA = frozenset({2, 3})
 
@@ -32,7 +30,8 @@ class GroupRing:
     """The group ring (Z/n)[Q] for a fully enumerated finite Q."""
 
     def __init__(self, modulus: int, group: FiniteGroup):
-        self.ring = ResidueRing(modulus)
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
         self.group = group
         self.dimension = group.order
@@ -75,10 +74,20 @@ class GroupRing:
         return f"GroupRing(Z/{self.modulus}, |Q|={self.dimension})"
 
 
-@dataclass(frozen=True)
 class RingElem:
-    owner: GroupRing
-    coeffs: tuple
+    __slots__ = ("owner", "coeffs")
+
+    def __init__(self, owner: GroupRing, coeffs: tuple):
+        self.owner = owner
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.owner == other.owner and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.owner, self.coeffs))
 
     def _check(self, other: "RingElem") -> None:
         if other.owner != self.owner:
@@ -151,6 +160,8 @@ def augmentation(elem: RingElem) -> int:
 
 def right_mult_matrix(elem: RingElem) -> RMatrix:
     """Matrix of right multiplication: v . M = coefficients of a * elem."""
+    from .zmodlin import RMatrix
+
     d = elem.owner.dimension
     rows = [(elem.mul_group_left(i)).coeffs for i in range(d)]
     return RMatrix.from_rows(elem.owner.modulus, rows)
@@ -256,15 +267,16 @@ def sigma_split(n: int, sigma: frozenset) -> tuple:
     return n_s, rest
 
 
-@dataclass
 class KernelProjectionReport:
-    passed: bool
-    n: int
-    kM: int
-    M: int
-    k: int
-    kernel_rank: int
-    witness: Optional[dict] = None
+    def __init__(self, passed: bool, n: int, kM: int, M: int, k: int, kernel_rank: int,
+                 witness: Optional[dict] = None):
+        self.passed = passed
+        self.n = n
+        self.kM = kM
+        self.M = M
+        self.k = k
+        self.kernel_rank = kernel_rank
+        self.witness = witness
 
 
 def kernel_projection_check(t: CyclicTower, n: int, kM: int, M: int) -> KernelProjectionReport:
@@ -275,6 +287,8 @@ def kernel_projection_check(t: CyclicTower, n: int, kM: int, M: int) -> KernelPr
     the projection sums k coefficients per fiber.  Preconditions mirror the
     sigma-arithmetic that makes the constancy argument apply.
     """
+    from .zmodlin import kernel_rows
+
     if n == 0:
         raise PreconditionViolated("n must be a nonzero integer")
     if kM % M:

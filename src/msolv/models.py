@@ -71,15 +71,17 @@ stack (`foxcalc`, `crowell`, and `grpring` under them) is imported in the
 bodies of the functions that make or read a Magnus level or a free word,
 not at the top of this module.  Without a bytecode cache every imported
 module is compiled on every run, and a run that only scans a corpus then
-compiles none of them.  The names are looked up when those functions run,
-so a patched or traced `crowell._PackedMagnusLaw` is the one they call.
+compiles none of them.  `zmodlin` is imported the same way, by the full
+centralizer's `span_equal` and the surface abelianization, so a K_cap
+tower or a capped probe compiles no linear algebra.  The names are looked
+up when those functions run, so a patched or traced
+`crowell._PackedMagnusLaw` is the one they call.
 """
 
 from __future__ import annotations
 
 import functools
 from array import array
-from dataclasses import dataclass
 from itertools import compress
 from operator import countOf, eq
 from typing import List, Sequence
@@ -100,7 +102,6 @@ from .fingroup import (
     quotient_by,
     trivial_group,
 )
-from .zmodlin import RMatrix, smith_normal_form_int, span_equal
 
 MODEL_NOTE = (
     "finite Magnus-matrix model: lies in the solvable variety of length <= m "
@@ -171,16 +172,17 @@ def _check_exponent(e: int) -> None:
         raise PreconditionViolated(f"coefficient exponent {e} is not a prime power")
 
 
-@dataclass
 class SolvModel:
-    rank: int
-    exponent: int
-    m: int
-    group: FiniteGroup
-    levels: List[FiniteGroup]
-    series: List[Subgroup]  # derived series of `group`
-    degenerate: bool
-    note: str = MODEL_NOTE
+    def __init__(self, rank: int, exponent: int, m: int, group: FiniteGroup,
+                 levels: List[FiniteGroup], series: List[Subgroup], degenerate: bool):
+        self.rank = rank
+        self.exponent = exponent
+        self.m = m
+        self.group = group
+        self.levels = levels
+        self.series = series  # derived series of `group`
+        self.degenerate = degenerate
+        self.note = MODEL_NOTE
 
 
 def build_solv_model(r: int, e: int, m: int, cap: int = DEFAULT_CAP) -> SolvModel:
@@ -351,21 +353,28 @@ def _left_sources(ctx: QuotientContext, q: int) -> tuple:
     return tuple(b * d + inv[idx] for b in range(ctx.rank) for idx in range(d))
 
 
-@dataclass
 class CentralizerReport:
-    rank: int
-    exponent: int
-    m: int
-    generator: int
-    n: int
-    group_order: int
-    x_order: int
-    centralizer_order: int
-    k_cap_brute: int
-    k_cap_linear: int
-    oracle_equal: bool
-    decomposition_holds: bool
-    note: str = MODEL_NOTE
+    def __init__(self, rank: int, exponent: int, m: int, generator: int, n: int,
+                 group_order: int, x_order: int, centralizer_order: int, k_cap_brute: int,
+                 k_cap_linear: int, oracle_equal: bool, decomposition_holds: bool):
+        self.rank = rank
+        self.exponent = exponent
+        self.m = m
+        self.generator = generator
+        self.n = n
+        self.group_order = group_order
+        self.x_order = x_order
+        self.centralizer_order = centralizer_order
+        self.k_cap_brute = k_cap_brute
+        self.k_cap_linear = k_cap_linear
+        self.oracle_equal = oracle_equal
+        self.decomposition_holds = decomposition_holds
+        self.note = MODEL_NOTE
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def check_centralizer_question(r: int, e: int, m: int, i: int, n: int) -> None:
@@ -433,6 +442,8 @@ def _power_products(W: FiniteGroup, i: int, n: int):
 
 def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerReport:
     """Brute centralizer of mu(x_i)^n versus the linear-algebra oracle."""
+    from .zmodlin import RMatrix, span_equal
+
     check_centralizer_question(model.rank, model.exponent, model.m, i, n)
     W = model.group
     law = W.law
@@ -474,15 +485,16 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     )
 
 
-@dataclass
 class TowerEntry:
-    e: int
-    q_order: int
-    kernel_span: int  # |ker f| at the top level
-    k_cap: int  # |K_cap| from the linear oracle
-    group_order: int  # |Q| * |ker f|: the model's order, brute or predicted
-    verified_brute: bool  # True when the full group was materialized
-    brute_matches: bool  # vacuously True for linear-only rows
+    def __init__(self, e: int, q_order: int, kernel_span: int, k_cap: int, group_order: int,
+                 verified_brute: bool, brute_matches: bool):
+        self.e = e
+        self.q_order = q_order
+        self.kernel_span = kernel_span  # |ker f| at the top level
+        self.k_cap = k_cap  # |K_cap| from the linear oracle
+        self.group_order = group_order  # |Q| * |ker f|: the model's order, brute or predicted
+        self.verified_brute = verified_brute  # True when the full group was materialized
+        self.brute_matches = brute_matches  # vacuously True for linear-only rows
 
 
 def kcap_tower(
@@ -537,22 +549,30 @@ def kcap_tower(
     return entries
 
 
-@dataclass
 class CappedCentralizerReport:
-    rank: int
-    exponent: int
-    m: int
-    generator: int
-    n: int
-    cap: int
-    enumerated: int
-    complete: bool
-    centralizer_seen: int
-    module_seen: int
-    k_cap_seen: int
-    oracle_equal_pointwise: bool
-    decomposition_holds_pointwise: bool
-    note: str = MODEL_NOTE
+    def __init__(self, rank: int, exponent: int, m: int, generator: int, n: int, cap: int,
+                 enumerated: int, complete: bool, centralizer_seen: int, module_seen: int,
+                 k_cap_seen: int, oracle_equal_pointwise: bool,
+                 decomposition_holds_pointwise: bool):
+        self.rank = rank
+        self.exponent = exponent
+        self.m = m
+        self.generator = generator
+        self.n = n
+        self.cap = cap
+        self.enumerated = enumerated
+        self.complete = complete
+        self.centralizer_seen = centralizer_seen
+        self.module_seen = module_seen
+        self.k_cap_seen = k_cap_seen
+        self.oracle_equal_pointwise = oracle_equal_pointwise
+        self.decomposition_holds_pointwise = decomposition_holds_pointwise
+        self.note = MODEL_NOTE
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 @run_memo
@@ -776,16 +796,14 @@ def euler_char(g: int, r: int):
     return chi, chi < 0
 
 
-@dataclass
 class PresentationData:
-    rank: int
-    relators: tuple
-    exponent_matrix: tuple  # one row per relator, one column per generator
-
-    def __post_init__(self):
-        for w in self.relators:
-            if w.rank != self.rank:
+    def __init__(self, rank: int, relators: tuple, exponent_matrix: tuple):
+        for w in relators:
+            if w.rank != rank:
                 raise PreconditionViolated("relator rank mismatch")
+        self.rank = rank
+        self.relators = relators
+        self.exponent_matrix = exponent_matrix  # one row per relator, one column per generator
 
 
 def presentation(rank: int, relators: Sequence[FreeWord]) -> PresentationData:
@@ -815,14 +833,17 @@ def surface_presentation(g: int) -> PresentationData:
     return presentation(rank, [rel])
 
 
-@dataclass
 class AbelianizationReport:
-    invariant_factors: tuple  # nonzero invariant factors of the exponent matrix
-    free_rank: int
-    torsion_free: bool
+    def __init__(self, invariant_factors: tuple, free_rank: int, torsion_free: bool):
+        # the nonzero invariant factors of the exponent matrix
+        self.invariant_factors = invariant_factors
+        self.free_rank = free_rank
+        self.torsion_free = torsion_free
 
 
 def presentation_abelianization(p: PresentationData) -> AbelianizationReport:
+    from .zmodlin import smith_normal_form_int
+
     if not p.relators:
         return AbelianizationReport((), p.rank, True)
     factors = smith_normal_form_int([list(r) for r in p.exponent_matrix])
@@ -837,16 +858,18 @@ def presentation_abelianization(p: PresentationData) -> AbelianizationReport:
 # ------------------------------------------------------------ corpus scan
 
 
-@dataclass
 class CenterScanEntry:
-    label: str
-    order: int
-    center_order: int
-    quotient_order: int
-    quotient_center_order: int
-    flagged: bool  # center-free group whose m-step quotient is not
-    center_in_derived_image: bool
-    ab_faithful: tuple  # ((order of normal subgroup N, faithful?), ...)
+    def __init__(self, label: str, order: int, center_order: int, quotient_order: int,
+                 quotient_center_order: int, flagged: bool, center_in_derived_image: bool,
+                 ab_faithful: tuple):
+        self.label = label
+        self.order = order
+        self.center_order = center_order
+        self.quotient_order = quotient_order
+        self.quotient_center_order = quotient_center_order
+        self.flagged = flagged  # center-free group whose m-step quotient is not
+        self.center_in_derived_image = center_in_derived_image
+        self.ab_faithful = ab_faithful  # ((order of normal subgroup N, faithful?), ...)
 
 
 class ScanProfile:

@@ -43,12 +43,13 @@ The dense `RMatrix` is the boundary, kept only where a reader outside the
 row code needs it: `models.centralizer_experiment` compares spans by
 `span_equal`, through `howell_form`, which `perfbench/primitives.py` also
 times; `perfbench/spans.py` wraps `RMatrix.mul` and names `kernel_basis`,
-the dense wrapper over `kernel_rows`.  `MatElem` multiplies by `_flat_mul`.
+the dense wrapper over `kernel_rows`.  `RMatrix.mul` multiplies by
+`fingroup._flat_mul`, which lives beside `MatElem`, its hot caller, so that
+matrix-group products need no import of this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
@@ -104,30 +105,27 @@ class ResidueRing:
         return f"ResidueRing({self.modulus})"
 
 
-def _flat_mul(n: int, rows: int, inner: int, cols: int, a: Sequence[int], b: Sequence[int]) -> tuple:
-    """Row-major entries of the product over Z/n of row-major a (rows x inner)
-    and b (inner x cols), in row-axpy order: row i of the product sums
-    a[i, j] * (row j of b) over the nonzero a[i, j] only, so a zero entry
-    of a costs one test."""
-    b_rows = [b[j * cols:(j + 1) * cols] for j in range(inner)]
-    out = []
-    for i in range(rows):
-        acc = [0] * cols
-        for x, b_row in zip(a[i * inner:(i + 1) * inner], b_rows):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, b_row)]
-        out.extend(s % n for s in acc)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class RMatrix:
     """Immutable matrix over Z/n (row-major entries, canonical residues)."""
 
-    modulus: int
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("modulus", "rows", "cols", "entries")
+
+    def __init__(self, modulus: int, rows: int, cols: int, entries: tuple):
+        self.modulus = modulus
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def _key(self) -> tuple:
+        return self.modulus, self.rows, self.cols, self.entries
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def from_rows(modulus: int, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "RMatrix":
@@ -159,6 +157,8 @@ class RMatrix:
             raise RingMismatch(f"moduli differ: {self.modulus} vs {other.modulus}")
 
     def mul(self, other: "RMatrix") -> "RMatrix":
+        from .fingroup import _flat_mul
+
         self._check_ring(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")

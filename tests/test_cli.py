@@ -13,7 +13,6 @@ bound or an unknown key exits 2 with a message and no traceback.
 
 import ast
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -43,6 +42,7 @@ from msolv.dsl import (
     print_group_spec,
     word_text,
 )
+from msolv.constructions import ReductionReport
 from msolv.errors import MsolvError, ParseError, VerdictFailed, WordTooLong
 from msolv.fingroup import PermElem, center, iso_test_small
 from msolv.foxcalc import MAX_WORD_LENGTH, empty_word, generator_word
@@ -1171,7 +1171,7 @@ def test_reduction_lemma_first_failure_is_the_witness(monkeypatch, capsys):
     def planted(E, ntilde, ell, sigma):
         rep = real(E, ntilde, ell, sigma)
         if sum(E) % 5 == 3 and not rep.vacuous:
-            return dataclasses.replace(rep, passed=False)
+            return ReductionReport(passed=False, vacuous=False)
         return rep
 
     monkeypatch.setattr(exp_groups, "reduction_lemma_check", planted)
@@ -1339,6 +1339,39 @@ def test_dense_matrix_caller_bytes_are_pinned(argv, digest, capsys):
     "argv, digest",
     [
         (
+            ["counterexample"],
+            "2f51e41f2aa5052daacd1447d94e215cf77d886d940613aa2ec7944f4f445f2a",
+        ),
+        (
+            ["fox", "--group", "builtin S_3", "--images", "g1,g2", "--word", "x1*x2^-1*x1"],
+            "119accd5a550125d0488a322645f90136e675f19df336dd06cee0e7b953d82fa",
+        ),
+        (
+            ["magnus", "--group", "builtin S_3", "--images", "g1,g2", "--word", "x1*x2^-1*x1"],
+            "5207313ad0c41a615f91f6d09bec7ec72f307641953179473d4e4a3270bb1bf4",
+        ),
+        (
+            ["surface", "--genus", "2"],
+            "dd3308c17e2372a318fb58e5f8f7cf2f2473f0f3e68aa15c8425f2d74a300d5d",
+        ),
+        (
+            ["gtilde", "--group", "builtin D_8", "--x", "g1", "--n", "2"],
+            "c3ca81c9bde0b9048aa06dde5193e3cf8380edf023e8349629e39aa5298fcb31",
+        ),
+    ],
+)
+def test_record_class_experiment_bytes_are_pinned(argv, digest, capsys):
+    # stdout sha256 taken when the report records were dataclasses
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
             ["transfer", "--group", "builtin paper_counterexample"],
             "d6856ebd3505e8fd8ecb9422b2b44b1a22b2b6a00506df421e67e08b7eaf9fb9",
         ),
@@ -1443,7 +1476,6 @@ def test_a_crowell_instance_makes_one_complex(monkeypatch, capsys):
     monkeypatch.setattr(exp_magnus, "build_complex", complex_counter)
     howell_counter = counted("howell", zmodlin._howell_rows)
     monkeypatch.setattr(zmodlin, "_howell_rows", howell_counter)
-    monkeypatch.setattr(crowell, "_howell_rows", howell_counter)
     argv = ["crowell", "--group", "builtin S_4", "--images", "g1,g2", "--n", "4"]
     assert main([*argv, "--relators", "x1^4,x2^2"]) == 0
     capsys.readouterr()

@@ -100,6 +100,12 @@ def test_mixed_modulus_rejected():
         a + b
 
 
+@pytest.mark.parametrize("modulus", [1, 0, -3])
+def test_modulus_below_2_rejected(modulus):
+    with pytest.raises(ValueError, match=f"^modulus must be >= 2, got {modulus}$"):
+        GroupRing(modulus, cyclic_group(3))
+
+
 def test_augmentation_is_ring_hom_to_base():
     rng = random.Random(5)
     R = GroupRing(12, s3())

@@ -496,8 +496,9 @@ def test_probe_products_read_no_linear_side(monkeypatch):
     def linear_side(*args, **kwargs):
         raise AssertionError("the products read the linear side")
 
-    for name in ("_left_sources", "_cycle_space", "_ker_f", "_k_cap", "span_equal"):
+    for name in ("_left_sources", "_cycle_space", "_ker_f", "_k_cap"):
         monkeypatch.setattr(models, name, linear_side)
+    monkeypatch.setattr(zmodlin, "span_equal", linear_side)
     monkeypatch.setattr(QuotientContext, "left_mult_perm", linear_side)
     assert models._prefix_power_products(law, elements, edges, 2, 9) == expected
 

@@ -2,10 +2,11 @@
 
 A run imports only the modules its experiment uses (see the `msolv.cli`
 docstring): each import-graph case runs `main` in a fresh interpreter and
-lists the msolv modules it loaded.  The parser is built for the requested
-experiment alone, so every help and argparse error text is pinned: the
-sha256 of stdout and stderr, and the exit code, as the parser of every
-experiment printed them, and checked against that parser in process too.
+lists the msolv modules it loaded, and no case loads `dataclasses`.  The
+parser is built for the requested experiment alone, so every help and
+argparse error text is pinned: the sha256 of stdout and stderr, and the
+exit code, as the parser of every experiment printed them, and checked
+against that parser in process too.
 """
 
 import hashlib
@@ -23,49 +24,63 @@ from msolv.cli import main
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
 
-# runs `main` on argv and prints the sorted msolv modules loaded, last
-LOADED = (
-    "import json, sys\n"
-    "from msolv.cli import main\n"
-    "main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('msolv'))))\n"
-)
+# prints the sorted names of every module loaded, last
+BARE = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+# runs `main` on argv first
+LOADED = "import sys\nfrom msolv.cli import main\nmain(sys.argv[1:])\n" + BARE
 
 BASE = ["msolv", "msolv.cli", "msolv.errors"]
-FINITE = ["msolv.fingroup", "msolv.models", "msolv.zmodlin"]
+FINITE = ["msolv.fingroup", "msolv.models"]
 MAGNUS_STACK = ["msolv.crowell", "msolv.exp_magnus", "msolv.foxcalc", "msolv.grpring"]
+LINEAR = ["msolv.zmodlin"]
 
 IMPORT_GRAPH = {
     "scan": (
         ["centerfree-scan", "--groups", "builtin S_3", "--m", "1"],
-        BASE + FINITE + ["msolv.constructions", "msolv.dsl", "msolv.exp_groups"],
+        BASE + FINITE + LINEAR + ["msolv.constructions", "msolv.dsl", "msolv.exp_groups"],
     ),
     "scan-help": (["centerfree-scan", "--help"], BASE),
     "centralizer": (
         ["centralizer", "--r", "2", "--e", "2", "--m", "2"],
-        BASE + FINITE + MAGNUS_STACK,
+        BASE + FINITE + MAGNUS_STACK + LINEAR,
     ),
+    # the Magnus runs that eliminate nothing load no linear algebra
     "tower": (
         ["solv-model", "--r", "2", "--m", "2", "--tower", "4,5", "--i", "1", "--n", "1"],
+        BASE + FINITE + MAGNUS_STACK,
+    ),
+    "capped-probe": (
+        ["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "3", "--cap", "300"],
         BASE + FINITE + MAGNUS_STACK,
     ),
     "crowell": (
         ["crowell", "--group", "builtin S_3", "--images", "g1,g2"]
         + ["--relators", "x1^3,x2^2,x1*x2*x1*x2"],
-        BASE + FINITE + MAGNUS_STACK + ["msolv.dsl"],
+        BASE + FINITE + MAGNUS_STACK + LINEAR + ["msolv.dsl"],
     ),
 }
+
+
+def _loaded(script: str, argv=()) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, env=ENV, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout.decode().splitlines()[-1])
 
 
 @pytest.mark.parametrize("case", list(IMPORT_GRAPH))
 def test_a_run_loads_only_what_its_experiment_uses(case):
     argv, expected = IMPORT_GRAPH[case]
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED, *argv], capture_output=True, env=ENV, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    loaded = json.loads(proc.stdout.decode().splitlines()[-1])
-    assert loaded == sorted(expected)
+    loaded = _loaded(LOADED, argv)
+    assert [m for m in loaded if m.startswith("msolv")] == sorted(expected)
+
+
+@pytest.mark.parametrize("case", list(IMPORT_GRAPH))
+def test_a_run_loads_no_dataclasses(case):
+    # a host's site hooks may load it before any msolv code runs
+    at_start = "dataclasses" in _loaded(BARE)
+    assert ("dataclasses" in _loaded(LOADED, IMPORT_GRAPH[case][0])) <= at_start
 
 
 # (argv, exit code, sha256 of stdout + NUL + stderr) at COLUMNS=80, from

@@ -21,12 +21,12 @@ from howell_reference import row_span_size
 from msolv import zmodlin
 from msolv.crowell import QuotientContext, build_complex
 from msolv.errors import DimensionMismatch, RingMismatch, TooLarge
+from msolv.fingroup import _flat_mul
 from msolv.models import build_solv_model
 from msolv.zmodlin import (
     RMatrix,
     ResidueRing,
     _augmented_howell,
-    _flat_mul,
     _howell_rows,
     _reduce,
     _rows_of,
