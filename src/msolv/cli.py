@@ -33,10 +33,14 @@ most of its wall time.  So this module imports no msolv module but
   methods, not dataclasses.  Importing `dataclasses` (with `inspect`) costs
   about 7 ms, and each `@dataclass` execs its generated methods when its
   module loads, about 0.4 ms a class, with or without a bytecode cache;
-- the Magnus runs that eliminate nothing (a K_cap tower, a capped probe,
-  `solv-model`) do not load `zmodlin`: `fingroup`, `grpring`, `models`
-  and `crowell` import it inside the functions that row-reduce, and
-  `fingroup._flat_mul`, the matrix-group product, lives beside `MatElem`.
+- the runs that eliminate nothing (a K_cap tower, a capped probe,
+  `solv-model`, the derived series or corpus scan of permutation groups)
+  do not load `zmodlin`: `fingroup`, `grpring`, `models`, `crowell`,
+  `constructions` and `exp_groups` import it inside the functions that
+  row-reduce, and `fingroup._flat_mul`, the matrix-group product, lives
+  beside `MatElem`.  A matrix group still loads it to invert its
+  generators, and `counterexample` for the Smith normal form of
+  `fingroup.abelian_invariants`.
 No module may import `msolv.cli`: under `python -m msolv.cli` this file
 runs as `__main__`, and that import would compile it a second time.
 

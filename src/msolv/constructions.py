@@ -31,7 +31,6 @@ from .fingroup import (
     find_isomorphism,
     m_step_quotient,
 )
-from .zmodlin import _howell_rows, _reduce, valuation
 
 
 # ----------------------------------------------------------- counterexample
@@ -117,6 +116,8 @@ def reduction_lemma_check(E: Sequence[int], ntilde: int, ell: int, sigma: int) -
     the shape.  Instances with ntilde * E != 0 are outside the lemma's
     hypothesis and are reported vacuous (passed, vacuous=True).
     """
+    from .zmodlin import valuation
+
     if ntilde == 0:
         raise PreconditionViolated("ntilde must be nonzero")
     if sigma < 1 or sigma <= valuation(ntilde, ell):
@@ -136,6 +137,8 @@ class GTildeInstance:
     """Parameters of the block-triangular centralizer experiment."""
 
     def __init__(self, group: FiniteGroup, x_index: int, n: int, ell: int, sigma: int):
+        from .zmodlin import valuation
+
         if n < 1:
             raise PreconditionViolated("n must be a positive integer")
         s = group.element_order(x_index)
@@ -179,6 +182,8 @@ def gtilde_experiment(inst: GTildeInstance) -> GTildeReport:
     over Z/ell^sigma in the u^2 entries of B, whose matrix L is put in
     Howell form once for all pairs.
     """
+    from .zmodlin import _howell_rows, _reduce
+
     G = inst.group
     u = G.order
     n_int = inst.n

@@ -152,17 +152,19 @@ class _PackedMagnusLaw:
     index, slots keyed by a remainder of the packed int.  A whole level,
     whose coordinate space fits under the cap and `fingroup.COORD_LIMIT`
     (|W| < 2^31, for an `array('i')`), takes the remainder mod coord_size
-    into one flat array and keeps its elements in one `array('q')`; a
+    into one flat array and keeps its elements in one flat array; a
     capped prefix of a larger level takes it mod `end`, past every packed
     value, which is the element itself, into a dict, and keeps a list.
     8 bytes hold a whole level's values: end = d * e^(r*d) is
     coord_size * e^(d-1), and e^(d-1) < e^C <= coord_size when r >= 2, so
     end < coord_size^2 < 2^62; the models build rank-1 laws over d = 1
-    only, where end = coord_size.  The loop does not trust the flow
-    argument: every hit is checked against the element already in that
-    slot, and two different elements on one coordinate fail the
-    enumeration as a VerdictFailed, so what is enumerated is exact either
-    way.
+    only, where end = coord_size.  4 bytes hold them on every level the
+    models can build: the largest end there is W(2,3,2)'s 9 * 3^18 < 2^32,
+    so the elements' typecode, chosen from `end`, is the unsigned 'I'
+    (see `_bfs`).  The loop does not trust the flow argument: every hit
+    is checked against the element already in that slot, and two
+    different elements on one coordinate fail the enumeration as a
+    VerdictFailed, so what is enumerated is exact either way.
     """
 
     @staticmethod

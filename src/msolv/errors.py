@@ -1,7 +1,7 @@
-"""Exceptions shared across the package, the input bounds they enforce
-(`DEFAULT_CAP`, `MAX_INT_DIGITS`), and two readers of input values:
-`brief`, which keeps the values error messages echo short, and
-`_int_list`.
+"""Exceptions shared across the package, the input and output bounds they
+enforce (`DEFAULT_CAP`, `MAX_INT_DIGITS`, `REPORT_INT_DIGITS`), and two
+readers of input values: `brief`, which keeps the values error messages
+echo short, and `_int_list`.
 
 The bounds and readers live here, in a module with no other msolv import,
 because the CLI front door reads them before it knows which experiment
@@ -18,6 +18,12 @@ DEFAULT_CAP = 2_000_000
 # may have: int() refuses past sys.get_int_max_str_digits() (4300 by
 # default) with a ValueError, so a longer token is refused first
 MAX_INT_DIGITS = 1000
+
+# most decimal digits an integer in a report may have: Python refuses str()
+# on a longer int by default, and a report prints ints past 2^53 as
+# strings.  A constant, not sys.get_int_max_str_digits(), so which runs are
+# refused does not depend on the environment.
+REPORT_INT_DIGITS = 4300
 
 
 def _int_list(value) -> list:

@@ -8,7 +8,10 @@ on the first instance of one of them.  They read `fingroup`,
 `constructions`, `zmodlin` and the corpus scan of `models`, never the
 Magnus/Fox stack (`foxcalc`, `crowell`, `grpring`), so a run of any of them
 does not compile it: the one exception is a `g1*g2^-1` element of
-`gtilde`, whose word `dsl.parse_word` reads with `foxcalc`.
+`gtilde`, whose word `dsl.parse_word` reads with `foxcalc`.  `zmodlin` is
+imported by the functions that take valuations or row-reduce (the
+reduction lemma and `gtilde`), so the other experiments do not compile
+it either.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .constructions import (
 )
 from .dsl import _group_from_text, parse_element
 from .models import ScanProfile, centerfree_scan, run_memo
-from .zmodlin import scalar_kernel, valuation
 
 
 def _exp_counterexample(p: dict, rng) -> Tuple[dict, bool]:
@@ -115,6 +117,8 @@ def _reduction_lemma_cases(p: dict, rng):
     exhaustive sweep with one identity probe per unit ntilde, then the
     random cases.  E is the tuple of a square matrix's entries, row by row,
     over Z/ell^sigma."""
+    from .zmodlin import scalar_kernel, valuation
+
     umax = p["umax"]
     identity = tuple(int(i == j) for i in range(umax) for j in range(umax))
     ells = _int_list(p["lset"])

@@ -261,11 +261,12 @@ class FiniteGroup:
     """A fully enumerated finite group.
 
     Fields: `elements` (index 0 is the identity; a list, or for a whole
-    packed Magnus level one flat `array('q')` of its packed ints, so read
-    it only by index, slice or iteration), `index` (element -> index:
-    a dict, or for a packed Magnus level the `_CoordinateIndex` that finds
-    an element by its co-tree coordinate, a remainder of the packed int;
-    both support [], `get` and `in`), `generators` / `gen_indices`, and
+    packed Magnus level one flat array of its packed ints, 4 bytes each
+    when they fit (see `_bfs`), so read it only by index, slice or
+    iteration), `index` (element -> index: a dict, or for a packed Magnus
+    level the `_CoordinateIndex` that finds an element by its co-tree
+    coordinate, a remainder of the packed int; both support [], `get` and
+    `in`), `generators` / `gen_indices`, and
     `gen_table`, one flat row-major `array('i')` of order x ngens ints with
     gen_table[i * ngens + g] = index of elements[i] * generators[g], 4 bytes
     per edge and no object per row.
@@ -384,7 +385,7 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     """Breadth-first enumeration from `identity` by right products with `gens`.
 
     Returns (elements, index, gen_table, complete), elements a list or,
-    for a whole packed level, an array('q'), and gen_table flat and
+    for a whole packed level, a flat array, and gen_table flat and
     row-major as in FiniteGroup, one int appended per edge.  The
     enumeration stops as soon as an element past the first `cap` turns up,
     with complete False and exactly `cap` elements; gen_table then holds
@@ -400,11 +401,15 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     slots[c].  When the law's co-tree coordinate space fits under the cap
     and `COORD_LIMIT`, as it does for every complete model level, `size`
     is `law.coord_size`, the slots are one flat array('i'), -1 where
-    empty, and the elements one flat array('q'), 8 bytes each and no
-    object per element.  Otherwise, as for the capped probe's prefix,
-    `size` is `law.end`, past every packed value, so the remainder is the
-    element itself, the slots are a dict that reads -1 for a missing key,
-    and the elements, ints of any size, a list.  A product whose slot is
+    empty, and the elements one flat array with no object per element.
+    Its typecode follows `law.end`, the first int past every packed value:
+    unsigned 4-byte 'I' when end <= 2^32, else 8-byte 'q'.  Every level
+    that `COORD_LIMIT` admits takes 'I': the largest end among them is
+    W(2,3,2)'s 9 * 3^18 < 2^32, and a level-1 law has end = coord_size.
+    Otherwise, as for the capped probe's prefix, `size` is `law.end`,
+    past every packed value, so the remainder is the element itself, the
+    slots are a dict that reads -1 for a missing key, and the elements,
+    ints of any size, a list.  A product whose slot is
     taken must be the element there: two different elements on one
     coordinate raise VerdictFailed naming both, so the enumeration is
     exact whether or not the coordinate map is one-to-one.
@@ -415,11 +420,9 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     if rows is not None and list(gens) == law.generators:
         base, size = law.base, law.coord_size
         if size <= min(cap, COORD_LIMIT):
-            # 8 bytes hold every packed value: each is below end = d*e^(r*d)
-            # = coord_size * e^(d-1), and at rank r >= 2 the co-tree has
-            # C = (r-1)*d + 1 > d - 1 digits, so e^(d-1) < coord_size and
-            # end < coord_size**2 < 2**62; level 1 has d = 1, end = coord_size
-            elements = array("q", [identity])
+            # every packed value is below law.end < 2**62 (`_PackedMagnusLaw`):
+            # unsigned 4 bytes hold them when end <= 2**32, else 8 bytes
+            elements = array("I" if law.end <= 2**32 else "q", [identity])
             slots = array("i", [-1]) * size
         else:
             # a prefix's values can run to thousands of bits
@@ -482,11 +485,12 @@ class _FreeSlots(dict):
 class _CoordinateIndex:
     """The element -> index mapping of a packed enumeration: an int x has
     index slots[x % size] if the element there is x, so a lookup decodes
-    no digit.  `elements`, `slots` and `size` are `_bfs`'s: an array('q')
-    of elements with an array over a whole level's co-tree coordinates, or
-    a list with a `_FreeSlots` keyed by the elements themselves.  Supports
-    [], `get` and `in`; anything that is not an enumerated element (another
-    int, a non-int) is simply absent.
+    no digit.  `elements`, `slots` and `size` are `_bfs`'s: a flat array
+    of elements, typecode 'I' or 'q' by `law.end`, with an array over a
+    whole level's co-tree coordinates, or a list with a `_FreeSlots` keyed
+    by the elements themselves.  Supports [], `get` and `in`; anything
+    that is not an enumerated element (another int, a non-int) is simply
+    absent.
     """
 
     __slots__ = ("elements", "slots", "size")

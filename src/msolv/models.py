@@ -29,23 +29,27 @@ here only through that law's packed interface (its docstring lists it).
 A right product by a generator is then a table lookup and one digit bump,
 which is what the BFS closure does per edge.  The brute side of the
 centralizer experiment reads the closure's Cayley table, the flat
-`gen_table` array: el_k x^n along the cycles of generator column i-1 (the
-slice gen_table[i-1::ngens]), with n reduced mod the order of x, and x^n el_k
-along the BFS tree (`fingroup._tree_edges`), since (x^n p) g = x^n (p g).
-It is group arithmetic from the Cayley graph alone and never touches the
-kernel of f it is checked against.
+`gen_table` array: el_k x^n along the cycles of generator column i-1 (a
+strided view gen_table[i-1::ngens], read in place), with n reduced mod the
+order of x, and x^n el_k along the BFS tree (`fingroup._tree_edges`), since
+(x^n p) g = x^n (p g).  It is group arithmetic from the Cayley graph alone
+and never touches the kernel of f it is checked against; the size of the
+module part is counted off the closure's own coordinate index.
 
 The capped probe enumerates its BFS prefix of W_m as packed ints by the
 same loop, `fingroup._bfs`, and keeps the BFS tree edge into each element,
 read from the capped table by the same `fingroup._tree_edges` as the full
 experiment's L.  That loop has one index kind and two stores: a whole
 level, refused past `COORD_LIMIT` elements, is indexed by its co-tree
-coordinates in one flat array and keeps its elements in an array('q'),
-and the prefix is indexed by its elements in a dict and keeps a list.
-Products with x^n may leave the prefix, so they stay packed values: el_k
-x^n by the n generator steps folded into one step per quotient index, and
-x^n el_k by one generator step along the tree from x^n; an element
-commutes iff the two ints are equal.
+coordinates in one flat array and keeps its elements in another, of
+4-byte unsigned ints, since every level the models build has packed
+values below 2^32 (its typecode follows `law.end`), and the prefix is
+indexed by its elements in a dict and keeps a list.  Products with x^n
+may leave the prefix, so they stay packed values: x^n el_k by one
+generator step along the tree from x^n, and el_k x^n by the n generator
+steps folded into one step per quotient index; an element commutes iff
+the two ints are equal, so the folded step is made in full only where its
+quotient index is that of x^n el_k.
 The linear prediction decides its q-part once over Q, as the set of q
 commuting with x^n one level down, and reads the vector condition off the
 packed int digit by digit, stopping at the first slot that fails.
@@ -81,12 +85,20 @@ up when those functions run, so a patched or traced
 from __future__ import annotations
 
 import functools
+import math
 from array import array
-from itertools import compress
-from operator import countOf, eq
+from itertools import compress, repeat
+from operator import countOf, eq, mod
 from typing import List, Sequence
 
-from .errors import CapExceeded, PreconditionViolated, TooLarge, VerdictFailed, brief
+from .errors import (
+    REPORT_INT_DIGITS,
+    CapExceeded,
+    PreconditionViolated,
+    TooLarge,
+    VerdictFailed,
+    brief,
+)
 from .fingroup import (
     COORD_LIMIT,
     DEFAULT_CAP,
@@ -277,7 +289,10 @@ def module_part_basis(model: SolvModel):
     law = W.law
     ctx = law.ctx
     K, span = _ker_f(ctx)
-    module_count = countOf(map(law.q, W.elements), 0)
+    # |Q| divides coord_size, so the element at slot c of the BFS's index
+    # has q = c mod |Q|: the module part is what fills slots 0, |Q|, 2|Q|, ...
+    q0_slots = memoryview(W.index.slots)[:: law.base]
+    module_count = len(q0_slots) - countOf(q0_slots, -1)
     if module_count != span:
         raise VerdictFailed(
             f"module part has {module_count} elements but ker f spans {span}"
@@ -408,17 +423,19 @@ def _power_products(W: FiniteGroup, i: int, n: int):
     L follows the BFS tree (`_tree_edges`), since (x^n p) g = x^n (p g)
     gives L[child] = gen_table[L[parent] * ngens + g].
 
-    Column i-1 is a permutation, so R walks each of its cycles once with
-    a and b = a x^n in lockstep: two array reads per element whatever n
-    is.  Composing a list copy of the column n - 1 times is faster for
-    small n, but its boxed entries add 20-24 MB to the peak RSS of a
-    W(2,3,2) run (BENCH_11.json).  n is first reduced mod the order of x,
-    the length of powers, so each cycle's first b costs fewer than ord(x)
+    The column is a strided memoryview of the table, read in place, and
+    at n = 1 it is R itself, so no copy of it is made.  Column i-1 is a
+    permutation, so for n > 1 R walks each of its cycles once with a and
+    b = a x^n in lockstep: two reads per element whatever n is.
+    Composing a list copy of the column n - 1 times is faster for small
+    n, but its boxed entries add 20-24 MB to the peak RSS of a W(2,3,2)
+    run (BENCH_11.json).  n is first reduced mod the order of x, the
+    length of powers, so each cycle's first b costs fewer than ord(x)
     steps however large n is.
     """
     table = W.gen_table
     ng = len(W.generators)
-    col = table[i - 1 :: ng]
+    col = memoryview(table)[i - 1 :: ng]
     powers = [0]
     while col[powers[-1]] != 0:
         powers.append(col[powers[-1]])
@@ -508,10 +525,13 @@ def kcap_tower(
     under `cap` and `COORD_LIMIT` (past which `build_solv_model` refuses
     it) are additionally verified against the brute-force
     centralizer experiment.  Every exponent's question is checked before
-    the first row is computed.
+    the first row is computed, and so is the size of what its row reports
+    (`_check_row_digits`).
     """
     for e in exponents:
         check_centralizer_question(r, e, m, i, n)
+    for e in exponents:
+        _check_row_digits(r, e, m)
     entries = []
     for e in exponents:
         # a verified row builds level m, and reads level m - 1 off it
@@ -549,6 +569,26 @@ def kcap_tower(
     return entries
 
 
+def _check_row_digits(r: int, e: int, m: int) -> None:
+    """TooLarge if the tower row of W(r, e, m) would report an int of more
+    than REPORT_INT_DIGITS decimal digits.
+
+    Its largest is the model order |Q| e^k, k = (r - 1)|Q| + 1, with |Q|
+    predicted one level down.  The test is exact and never makes a huge
+    int: past 10^(REPORT_INT_DIGITS + 1) by the float estimate, e^k is
+    surely past 10^REPORT_INT_DIGITS, and otherwise |Q| < k and e^k have
+    about REPORT_INT_DIGITS digits and are compared exactly.
+    """
+    q = _predicted_orders(r, e, m - 1)[-1]
+    k = (r - 1) * q + 1
+    if k * math.log10(e) < REPORT_INT_DIGITS + 1 and q * e**k < 10**REPORT_INT_DIGITS:
+        return
+    raise TooLarge(
+        f"the tower row at e = {e} would report a model order of more than "
+        f"{REPORT_INT_DIGITS} decimal digits"
+    )
+
+
 class CappedCentralizerReport:
     def __init__(self, rank: int, exponent: int, m: int, generator: int, n: int, cap: int,
                  enumerated: int, complete: bool, centralizer_seen: int, module_seen: int,
@@ -581,7 +621,8 @@ def _bfs_prefix(r: int, e: int, m: int, cap: int):
     tree that reached them, and whether they are all of W.
 
     Returns (law, elements, edges, complete), elements as `_bfs` gives
-    them: an array('q') when the cap admits the whole level, else a list.
+    them: a flat array (typecode by `law.end`) when the cap admits the
+    whole level, else a list.
     The BFS runs from the identity 0 over `law.generators`, so element k
     is the one `closure` would list at k.  edges[k - 1] is the Cayley-table position
     row * ngens + g of the edge that first reached element k >= 1
@@ -632,35 +673,44 @@ def _folded_steps(law, i: int, n: int) -> list:
 
 
 def _prefix_power_products(law, elements, edges, i: int, n: int):
-    """(right, left) with right[k], left[k] = el_k x_i^n and x_i^n el_k.
+    """(left, cz): left[k] = x_i^n el_k, and cz the elements el_k with
+    el_k x_i^n = left[k], in prefix order.
 
-    Both are packed ints, possibly outside the prefix, taken by generator
-    steps of `law.step_rows` alone.  right[k] is one folded step from el_k
-    (`_folded_steps`).  Left multiplication by x^n commutes with right
-    products, so left[k] = left[row] g along the prefix's BFS-tree edge
-    into element k, starting from left[0] = x^n.  Both come in the
-    container the elements do: a whole level's products are below
-    `law.end` < 2^62, so they fit its array('q'), while a prefix's run to
-    256 digits.
+    Both sides are packed ints, possibly outside the prefix, taken by
+    generator steps of `law.step_rows` alone.  Left multiplication by x^n
+    commutes with right products, so left[k] = left[row] g along the
+    prefix's BFS-tree edge into element k, starting from left[0] = x^n.
+    el_k x^n is one folded step from el_k (`_folded_steps`), whose
+    quotient index is (q + shift) mod |Q| for el_k's q: every wrap takes
+    off a multiple of |Q|.  Two packed ints differ where their quotient
+    indices do, so the folded step is made in full only for the elements
+    whose two products agree there.  left comes in the container the
+    elements do: a whole level's products are below `law.end`, so they
+    fit its array's typecode, while a prefix's run to 256 digits.
     """
     base = law.base
     folded = _folded_steps(law, i, n)
-    right = array("q") if isinstance(elements, array) else []
-    for a in elements:
-        shift, wraps = folded[a % base]
-        b = a + shift
-        for ew, top in wraps:
-            if a % ew >= top:
-                b -= ew
-        right.append(b)
     rows = law.step_rows
     ng = len(law.generators)
-    left = right[:1]
+    left = array(elements.typecode) if isinstance(elements, array) else []
+    left.append(folded[0][0])  # x^n, the step from the identity 0
     for pos in edges:
         a = left[pos // ng]
         delta, ew, top = rows[a % base][pos % ng]
         left.append(a + delta - ew if a % ew >= top else a + delta)
-    return right, left
+    right_q = [(q + shift) % base for q, (shift, _) in enumerate(folded)]
+    cz = []
+    for a, b in zip(elements, left):
+        q = a % base
+        if right_q[q] == b % base:
+            shift, wraps = folded[q]
+            c = a + shift
+            for ew, top in wraps:
+                if a % ew >= top:
+                    c -= ew
+            if c == b:
+                cz.append(a)
+    return left, cz
 
 
 def centralizer_probe_capped(
@@ -683,8 +733,9 @@ def centralizer_probe_capped(
     before any closure.
     The prefix is packed ints with its BFS tree (`_bfs_prefix`), and
     whether an element commutes is decided by generator steps alone
-    (`_prefix_power_products`): el x^n by one folded step per quotient
-    index, x^n el along the tree.  x^o = [[1, v]] for o the order of x
+    (`_prefix_power_products`): x^n el along the tree, and el x^n by one
+    folded step per quotient index, made in full only where its quotient
+    index is that of x^n el.  x^o = [[1, v]] for o the order of x
     one level down, so x^(o e) = 1 and both the products and mu(x_i)^n are
     taken at n mod o e; the report echoes n.
 
@@ -726,7 +777,7 @@ def centralizer_probe_capped(
         g = prev.mul(g, mu_hat)
     n_top = n % (len(hat_powers) * e)  # not 0: e divides o e but not n
 
-    right, left = _prefix_power_products(law, elements, edges, i, n_top)
+    _, cz = _prefix_power_products(law, elements, edges, i, n_top)
     mu_inv = law.inv(mu)
     mu_n = 0  # the packed identity
     for _ in range(n_top):
@@ -752,8 +803,7 @@ def centralizer_probe_capped(
             break
         predicted = [a for a in predicted if (a // ws - a // w) % e == rhs_of[a % base][k]]
 
-    # brute side: the elements whose two products agree
-    cz = list(compress(elements, map(eq, right, left)))
+    # brute side: cz, the elements whose two products agree
     decomposition_ok = True
     kcap_seen = 0
     for a in cz:
@@ -778,7 +828,7 @@ def centralizer_probe_capped(
         enumerated=len(elements),
         complete=complete,
         centralizer_seen=len(cz),
-        module_seen=[a % base for a in elements].count(0),
+        module_seen=countOf(map(mod, elements, repeat(base)), 0),
         k_cap_seen=kcap_seen,
         oracle_equal_pointwise=predicted == cz,
         decomposition_holds_pointwise=decomposition_ok,

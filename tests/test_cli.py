@@ -545,6 +545,67 @@ def test_broken_invariants_trip_under_optimized_mode(case):
         assert proc.stdout.decode().splitlines()[-1] == expected, flags
 
 
+# the capped probe makes el x^n in full only where its quotient index is
+# that of x^n el.  Each fault breaks one side of that comparison on
+# W(2, 2, 2) (cap 128, the whole level, where the centralizer of x_1 holds
+# more than the powers of x_1): a wrong quotient destination of the folded
+# step, on x_1's own coset, and a wrong x_2 step in the walk along the BFS
+# tree, put in after the prefix is enumerated (`_folded_steps` reads only
+# x_1's steps).  The probe's own verdict must catch each one.
+PROBE_FAULT_ARGV = ["centralizer", "--capped", "--r", "2", "--e", "2", "--m", "2"] + [
+    "--cap", "128", "--i", "1", "--n", "1"
+]
+PROBE_PRODUCT_FAULTS = {
+    "folded-destination": (
+        "real = models._folded_steps\n"
+        "def broken(law, i, n):\n"
+        "    folded = real(law, i, n)\n"
+        "    q = law.q(law.generators[i - 1])\n"
+        "    shift, wraps = folded[q]\n"
+        "    folded[q] = (shift + 1, wraps)\n"
+        "    return folded\n"
+        "models._folded_steps = broken\n"
+    ),
+    "left-walk-step": (
+        "real = models._bfs_prefix\n"
+        "def broken(*args):\n"
+        "    law, elements, edges, complete = real(*args)\n"
+        "    rows = [list(row) for row in law.step_rows]\n"
+        "    delta, ew, top = rows[0][1]\n"
+        "    rows[0][1] = (delta + law.base, ew, top)\n"
+        "    law.step_rows = tuple(map(tuple, rows))\n"
+        "    return law, elements, edges, complete\n"
+        "models._bfs_prefix = broken\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PROBE_PRODUCT_FAULTS))
+def test_broken_probe_products_fail_under_optimized_mode(case):
+    script = (
+        "import sys\nfrom msolv import cli, models\n"
+        + PROBE_PRODUCT_FAULTS[case]
+        + "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(msolv.__file__).parent.parent))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", script, *PROBE_FAULT_ARGV],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        for flags in ([], ["-O"])
+    ]
+    for proc in runs:
+        assert proc.returncode == 1, proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    (result,) = json.loads(runs[1].stdout)["experiments"]
+    assert result["passed"] is False
+    assert result["report"]["oracle_equal_pointwise"] is False
+
+
 def test_invalid_permutation_exits_2(capsys):
     # the group DSL still validates permutations, which products no longer do
     rc = main(["derived-series", "--group", "perm 3 : (0 5)"])
@@ -809,6 +870,44 @@ def test_tower_row_past_the_index_limit_is_linear_only(capsys, monkeypatch):
     default, huge = reports
     assert huge == default
     assert [row["verified_brute"] for row in default["tower"]] == [False]
+
+
+def test_tower_row_below_the_report_digits_is_pinned(capsys):
+    # |W(2, 49, 2)| = 49^2404 has 4,064 digits, under REPORT_INT_DIGITS:
+    # the row still runs, with the stdout sha256 taken before the check
+    argv = ["solv-model", "--r", "2", "--m", "2", "--tower", "49", "--i", "1", "--n", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5c36d3d8b4260e598846d1434857e68f28e00833a99c5dcd97101dde329631d4"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--r", "2", "--m", "2", "--tower", "53"],
+        ["--r", "2", "--m", "2", "--tower", "101"],
+        ["--r", "2", "--m", "2", "--tower", "997"],
+        ["--r", "3", "--m", "2", "--tower", "16"],
+        ["--r", "2", "--m", "3", "--tower", "3"],
+        ["--r", "3", "--m", "3", "--tower", "2"],
+        ["--r", "2", "--m", "2", "--tower", "49,53"],
+    ],
+)
+def test_tower_row_past_the_report_digits_exits_2(flags, capsys):
+    # each of these rows would report a model order of more than 4,300
+    # digits, which no report can print: the run is refused before its
+    # first row, whatever that row's size, in well under a second
+    start = time.perf_counter()
+    rc = main(["solv-model", *flags, "--i", "1", "--n", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2 and elapsed < 1, elapsed
+    assert captured.out == ""
+    assert captured.err.startswith("msolv: error: the tower row at e = ")
+    assert "more than 4300 decimal digits" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

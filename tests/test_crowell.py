@@ -279,7 +279,7 @@ def _inline_and_generic_bfs(law, cap, monkeypatch, start=0):
 
 def _assert_same_bfs(inline, generic):
     (el_a, idx_a, tab_a, done_a), (el_b, idx_b, tab_b, done_b) = inline, generic
-    # a whole packed level's elements are an array('q'), the generic loop's a list
+    # a whole packed level's elements are a flat array, the generic loop's a list
     assert list(el_a) == el_b
     # a whole packed level's index is a coordinate lookup, not a dict
     assert all(idx_a[x] == idx_b[x] == k for k, x in enumerate(el_a))
@@ -287,7 +287,7 @@ def _assert_same_bfs(inline, generic):
     assert done_a == done_b
 
 
-# sha256 of W(2,3,2)'s BFS: its elements as array('q') bytes, and its
+# sha256 of W(2,3,2)'s BFS: its elements as 8-byte array('q') bytes, and its
 # gen_table bytes, taken while the elements were still a list of ints.  A
 # change that reorders the enumeration, or the packing, must not pass.
 W232_SHA256 = {
@@ -403,7 +403,8 @@ def test_coordinates_number_each_level(r, e, m):
         assert low == [law.base * law.e**j for j in range(len(low))]
         index = level.index
         assert isinstance(index, _CoordinateIndex)
-        assert level.elements.typecode == "q"  # a whole level: one flat array
+        # a whole level: one flat array of 4-byte values, as end <= 2^32
+        assert law.end <= 2**32 and level.elements.typecode == "I"
         assert all(index[x] == k for k, x in enumerate(level.elements))
         assert all(index.get(x) == k and x in index for k, x in enumerate(level.elements[:200]))
 
@@ -498,7 +499,7 @@ def test_both_slot_stores_enumerate_alike(cap):
     law = packed_law("W222")
     assert law.coord_size == 128
     whole, whole_index, whole_table, done = _bfs(law.generators, 0, law, 128)
-    assert done and isinstance(whole_index.slots, array) and whole.typecode == "q"
+    assert done and isinstance(whole_index.slots, array) and whole.typecode == "I"
     first = _first_positions(whole_table)
     elements, index, table, complete = _bfs(law.generators, 0, law, cap)
     assert type(index.slots) is not array and not complete
@@ -510,19 +511,32 @@ def test_both_slot_stores_enumerate_alike(cap):
 
 
 def test_whole_rank_3_level_is_one_flat_array():
-    # W(3,2,2)'s top level, 2^20 elements: 8 bytes each in one array('q'),
+    # W(3,2,2)'s top level, 2^20 elements: 4 bytes each in one array('I'),
     # its packed ints below law.end = 8 * 2^24
     law = _PackedMagnusLaw(_context_above(3, 2, build_solv_model(3, 2, 1).group))
     elements, index, _, complete = _bfs(law.generators, 0, law, 2**20)
     assert complete and len(elements) == 2**20 == law.coord_size
-    assert elements.typecode == "q" and isinstance(index.slots, array)
+    assert elements.typecode == "I" and isinstance(index.slots, array)
     assert max(elements) < law.end == 8 * 2**24
 
 
-def test_packed_values_of_every_indexable_level_fit_in_8_bytes():
-    # a whole level's elements are an array('q') when its coordinate space
-    # fits under COORD_LIMIT, so every packed value there, below
-    # end = d * e^(r*d) with d the order of the level below, must be < 2^63
+def test_elements_past_4_bytes_take_8(monkeypatch):
+    # a law whose end passes 2^32 keeps its elements in array('q'); the
+    # enumeration is the one the 4-byte array holds
+    law = packed_law("W222")
+    small, _, small_table, _ = _bfs(law.generators, 0, law, 128)
+    monkeypatch.setattr(law, "end", 2**32 + 1)
+    wide, _, wide_table, done = _bfs(law.generators, 0, law, 128)
+    assert (small.typecode, wide.typecode) == ("I", "q") and done
+    assert small.itemsize == 4 and wide.itemsize == 8
+    assert wide == array("q", small) and wide_table == small_table
+
+
+def test_packed_values_of_every_indexable_level_fit_in_4_bytes():
+    # a whole level's elements are one flat array when its coordinate space
+    # fits under COORD_LIMIT, 4 bytes each when every packed value there,
+    # below end = d * e^(r*d) with d the order of the level below, is
+    # below 2^32: so it is at every such level
     assert packed_law("W232").end == 9 * 3**18
     prime_powers = [e for e in range(2, 3000) if models._is_prime_power(e)]
     ends = []
@@ -537,7 +551,7 @@ def test_packed_values_of_every_indexable_level_fit_in_8_bytes():
                     break
                 d = orders[-2] if len(orders) > 1 else 1
                 ends.append(d * e ** (r * d))
-    assert ends and max(ends) == 9 * 3**18 < 2**63  # W(2,3,2)'s
+    assert ends and max(ends) == 9 * 3**18 < 2**32  # W(2,3,2)'s
 
 
 def test_packed_encode_rejects_unreduced_entries():

@@ -19,6 +19,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,25 @@ def test_table_products_sampled_on_w232(w232):
         assert L[k] == W.index[law.encode(mu_n * el)]
 
 
+@pytest.mark.parametrize("n, arrays", [(1, 1), (8, 2)])
+def test_power_products_read_the_column_in_place(w232, n, arrays):
+    # the generator column is a view of gen_table, not a copy: at n = 1 it
+    # is R itself, and the call allocates L (and R at n > 1), one 4-byte
+    # int per element each, and little else
+    W = w232.group
+    tracemalloc.start()
+    try:
+        R, L, powers = _power_products(W, 1, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(R, memoryview) == (n == 1)
+    if n == 1:
+        assert R.obj is W.gen_table
+    assert len(R) == len(L) == W.order and L.itemsize == 4
+    assert peak <= arrays * 4 * W.order + 64 * 1024
+
+
 def test_w232_derived_series_grows_its_closures(w232, monkeypatch):
     # restarting the subgroup closure on every normal-closure pass made
     # 114,848 products here; growing it one coset at a time makes ~7,500
@@ -434,34 +454,41 @@ def test_w223_probe_prefix_is_frozen():
     + [(3, 2, 2001, 1, 4), (2, 3, 1501, 2, 9)],
 )
 def test_probe_products_match_honest_products(e, m, cap, i, n):
-    # the probe's packed el x^n and x^n el against MagnusMatrix products,
-    # element by element, and its counts against commutation decided by
-    # those products; at caps 1501 and 2001 the last element is a child of
-    # the BFS row that the cap cut short, and at caps 128 and 500 the
-    # prefix is all of W(2, 2, 2).  x_1 has order 3 one level below
-    # W(2, 3, 2), so n = 4 bumps one slot twice; x_2 has order 4 below
-    # W(2, 2, 3), so n = 9 passes o e = 8
+    # the probe's packed x^n el and folded el x^n against MagnusMatrix
+    # products, element by element, its commuting elements and counts
+    # against commutation decided by those products; at caps 1501 and 2001
+    # the last element is a child of the BFS row that the cap cut short,
+    # and at caps 128 and 500 the prefix is all of W(2, 2, 2).  x_1 has
+    # order 3 one level below W(2, 3, 2), so n = 4 bumps one slot twice;
+    # x_2 has order 4 below W(2, 2, 3), so n = 9 passes o e = 8
     law, elements, edges, _ = models._bfs_prefix(2, e, m, cap)
-    right, left = models._prefix_power_products(law, elements, edges, i, n)
+    left, cz = models._prefix_power_products(law, elements, edges, i, n)
+    folded = models._folded_steps(law, i, n)
     mu_n = magnus_power(law, i, n)
     d = law.ctx.ring.dimension
-    cz = module = kcap = 0
+    honest = []
+    module = kcap = 0
     wraps = False
     for k, x in enumerate(elements):
         el = law.decode(x)
-        assert right[k] == law.encode(el * mu_n)
+        right = el * mu_n
+        shift, steps = folded[el.q]
+        assert (el.q + shift) % law.base == right.q
+        assert x + shift - sum(ew for ew, top in steps if x % ew >= top) == law.encode(right)
         assert left[k] == law.encode(mu_n * el)
-        commutes = el * mu_n == mu_n * el
-        cz += commutes
+        commutes = right == mu_n * el
+        if commutes:
+            honest.append(x)
         module += el.q == 0
         kcap += commutes and el.q == 0
         # a step by x_i from el bumps digit (i-1)*d + q, wrapping at e - 1
         wraps = wraps or el.vec[(i - 1) * d + el.q] == e - 1
     assert wraps
+    assert cz == honest
     rep = centralizer_probe_capped(2, e, m, cap, i, n)
     assert (rep.enumerated, rep.centralizer_seen, rep.module_seen, rep.k_cap_seen) == (
         len(elements),
-        cz,
+        len(honest),
         module,
         kcap,
     )
@@ -505,14 +532,15 @@ def test_probe_products_read_no_linear_side(monkeypatch):
 
 @pytest.mark.parametrize("m, cap, whole", [(2, 128, True), (2, 127, False), (3, 1501, False)])
 def test_probe_products_come_in_the_elements_container(m, cap, whole):
-    # a prefix that is all of W(2, 2, 2) is an array('q'), and so are its
-    # products with x^n; a cut prefix and its products are lists of ints
+    # a prefix that is all of W(2, 2, 2) is a 4-byte array('I'), its end
+    # 4 * 2^8 being below 2^32, and so are its products x^n el; a cut
+    # prefix and its products are lists of ints
     law, elements, edges, _ = models._bfs_prefix(2, 2, m, cap)
-    right, left = models._prefix_power_products(law, elements, edges, 1, 3)
-    for values in (elements, right, left):
+    left, _ = models._prefix_power_products(law, elements, edges, 1, 3)
+    for values in (elements, left):
         assert len(values) == len(elements)
         if whole:
-            assert values.typecode == "q"
+            assert values.typecode == "I"
         else:
             assert type(values) is list
 
@@ -550,6 +578,23 @@ def test_kcap_tower_exponent_2():
     assert rows[1].k_cap == 1024
     assert rows[1].group_order == 16 * 4**17  # far beyond any materialization
     assert not rows[1].verified_brute and rows[1].brute_matches
+
+
+def test_tower_report_digits_decided_at_the_boundary(monkeypatch):
+    # |W(2, 49, 2)| = 49^2404: a limit of exactly its digit count admits
+    # the row, one digit fewer refuses it, before any model is built
+    digits = len(str(49**2404))
+    assert digits == 4064
+    monkeypatch.setattr(models, "REPORT_INT_DIGITS", digits)
+    models._check_row_digits(2, 49, 2)
+    monkeypatch.setattr(models, "REPORT_INT_DIGITS", digits - 1)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a refused tower built a model")
+
+    monkeypatch.setattr(models, "build_solv_model", no_build)
+    with pytest.raises(TooLarge, match=f"more than {digits - 1} decimal digits"):
+        kcap_tower(2, 2, [5, 49], 1, 1)
 
 
 def test_kcap_tower_needs_level_2():

@@ -37,6 +37,16 @@ LINEAR = ["msolv.zmodlin"]
 IMPORT_GRAPH = {
     "scan": (
         ["centerfree-scan", "--groups", "builtin S_3", "--m", "1"],
+        BASE + FINITE + ["msolv.constructions", "msolv.dsl", "msolv.exp_groups"],
+    ),
+    "derived-series": (
+        ["derived-series", "--group", "builtin S_4"],
+        BASE + FINITE + ["msolv.constructions", "msolv.dsl", "msolv.exp_groups"],
+    ),
+    # its quotient is matched to D_8 through abelian invariants, a Smith
+    # normal form, so the counterexample row-reduces
+    "counterexample": (
+        ["counterexample"],
         BASE + FINITE + LINEAR + ["msolv.constructions", "msolv.dsl", "msolv.exp_groups"],
     ),
     "scan-help": (["centerfree-scan", "--help"], BASE),
