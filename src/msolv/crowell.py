@@ -160,8 +160,8 @@ class _PackedMagnusLaw:
     end < coord_size^2 < 2^62; the models build rank-1 laws over d = 1
     only, where end = coord_size.  4 bytes hold them on every level the
     models can build: the largest end there is W(2,3,2)'s 9 * 3^18 < 2^32,
-    so the elements' typecode, chosen from `end`, is the unsigned 'I'
-    (see `_bfs`).  The loop does not trust the flow argument: every hit
+    so the elements are one unsigned 4-byte array('I') (see `_bfs`).
+    The loop does not trust the flow argument: every hit
     is checked against the element already in that slot, and two
     different elements on one coordinate fail the enumeration as a
     VerdictFailed, so what is enumerated is exact either way.

@@ -30,6 +30,7 @@ product, a hash and a lookup into two subscripts.  The brute-force
 from __future__ import annotations
 
 from array import array
+from operator import countOf
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -401,11 +402,11 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     slots[c].  When the law's co-tree coordinate space fits under the cap
     and `COORD_LIMIT`, as it does for every complete model level, `size`
     is `law.coord_size`, the slots are one flat array('i'), -1 where
-    empty, and the elements one flat array with no object per element.
-    Its typecode follows `law.end`, the first int past every packed value:
-    unsigned 4-byte 'I' when end <= 2^32, else 8-byte 'q'.  Every level
-    that `COORD_LIMIT` admits takes 'I': the largest end among them is
-    W(2,3,2)'s 9 * 3^18 < 2^32, and a level-1 law has end = coord_size.
+    empty, and the elements one flat array('I') of 4-byte unsigned ints
+    with no object per element.  4 bytes hold every packed value, which
+    is below `law.end`, on every level that `COORD_LIMIT` admits: the
+    largest end among them is W(2,3,2)'s 9 * 3^18 < 2^32, and a level-1
+    law has end = coord_size (tests/test_crowell.py checks every level).
     Otherwise, as for the capped probe's prefix, `size` is `law.end`,
     past every packed value, so the remainder is the element itself, the
     slots are a dict that reads -1 for a missing key, and the elements,
@@ -420,9 +421,9 @@ def _bfs(gens: Sequence, identity, law, cap: int):
     if rows is not None and list(gens) == law.generators:
         base, size = law.base, law.coord_size
         if size <= min(cap, COORD_LIMIT):
-            # every packed value is below law.end < 2**62 (`_PackedMagnusLaw`):
-            # unsigned 4 bytes hold them when end <= 2**32, else 8 bytes
-            elements = array("I" if law.end <= 2**32 else "q", [identity])
+            # every packed value is below law.end <= 2**32 here (the 4-byte
+            # test in test_crowell); a wider one would fail its append loudly
+            elements = array("I", [identity])
             slots = array("i", [-1]) * size
         else:
             # a prefix's values can run to thousands of bits
@@ -485,12 +486,11 @@ class _FreeSlots(dict):
 class _CoordinateIndex:
     """The element -> index mapping of a packed enumeration: an int x has
     index slots[x % size] if the element there is x, so a lookup decodes
-    no digit.  `elements`, `slots` and `size` are `_bfs`'s: a flat array
-    of elements, typecode 'I' or 'q' by `law.end`, with an array over a
-    whole level's co-tree coordinates, or a list with a `_FreeSlots` keyed
-    by the elements themselves.  Supports [], `get` and `in`; anything
-    that is not an enumerated element (another int, a non-int) is simply
-    absent.
+    no digit.  `elements`, `slots` and `size` are `_bfs`'s: a flat
+    array('I') of elements with an array over a whole level's co-tree
+    coordinates, or a list with a `_FreeSlots` keyed by the elements
+    themselves.  Supports [], `get` and `in`; anything that is not an
+    enumerated element (another int, a non-int) is simply absent.
     """
 
     __slots__ = ("elements", "slots", "size")
@@ -515,6 +515,19 @@ class _CoordinateIndex:
 
     def __contains__(self, x) -> bool:
         return self.get(x) is not None
+
+    def count_multiples(self, modulus: int) -> int:
+        """How many enumerated elements of a whole level, whose slots are
+        an array, are multiples of `modulus`, a divisor of `size`.
+
+        Slot c holds the element x with x % modulus == c % modulus, so the
+        multiples are what fills slots 0, modulus, 2 * modulus, ...: one
+        strided read of the array, with no call per element.
+        """
+        if self.size % modulus:
+            raise ValueError(f"{modulus} does not divide {self.size}")
+        column = memoryview(self.slots)[::modulus]
+        return len(column) - countOf(column, -1)
 
 
 def _tree_edges(table) -> Iterator[int]:

@@ -43,7 +43,7 @@ experiment's L.  That loop has one index kind and two stores: a whole
 level, refused past `COORD_LIMIT` elements, is indexed by its co-tree
 coordinates in one flat array and keeps its elements in another, of
 4-byte unsigned ints, since every level the models build has packed
-values below 2^32 (its typecode follows `law.end`), and the prefix is
+values below its law's end <= 2^32, and the prefix is
 indexed by its elements in a dict and keeps a list.  Products with x^n
 may leave the prefix, so they stay packed values: x^n el_k by one
 generator step along the tree from x^n, and el_k x^n by the n generator
@@ -289,10 +289,8 @@ def module_part_basis(model: SolvModel):
     law = W.law
     ctx = law.ctx
     K, span = _ker_f(ctx)
-    # |Q| divides coord_size, so the element at slot c of the BFS's index
-    # has q = c mod |Q|: the module part is what fills slots 0, |Q|, 2|Q|, ...
-    q0_slots = memoryview(W.index.slots)[:: law.base]
-    module_count = len(q0_slots) - countOf(q0_slots, -1)
+    # the module part is the elements whose quotient index x % |Q| is 0
+    module_count = W.index.count_multiples(law.base)
     if module_count != span:
         raise VerdictFailed(
             f"module part has {module_count} elements but ker f spans {span}"
@@ -575,13 +573,20 @@ def _check_row_digits(r: int, e: int, m: int) -> None:
 
     Its largest is the model order |Q| e^k, k = (r - 1)|Q| + 1, with |Q|
     predicted one level down.  The test is exact and never makes a huge
-    int: past 10^(REPORT_INT_DIGITS + 1) by the float estimate, e^k is
-    surely past 10^REPORT_INT_DIGITS, and otherwise |Q| < k and e^k have
-    about REPORT_INT_DIGITS digits and are compared exactly.
+    int or float: e >= 2 and 2^4 > 10, so past k = 4 * REPORT_INT_DIGITS
+    e^k is surely past 10^REPORT_INT_DIGITS, decided on ints alone, as k
+    itself may have hundreds of digits; below it, past
+    10^(REPORT_INT_DIGITS + 1) by the float estimate, it surely is too,
+    and otherwise |Q| e^k has about REPORT_INT_DIGITS digits and is
+    compared exactly.
     """
     q = _predicted_orders(r, e, m - 1)[-1]
     k = (r - 1) * q + 1
-    if k * math.log10(e) < REPORT_INT_DIGITS + 1 and q * e**k < 10**REPORT_INT_DIGITS:
+    if (
+        k <= 4 * REPORT_INT_DIGITS
+        and k * math.log10(e) < REPORT_INT_DIGITS + 1
+        and q * e**k < 10**REPORT_INT_DIGITS
+    ):
         return
     raise TooLarge(
         f"the tower row at e = {e} would report a model order of more than "
@@ -621,8 +626,8 @@ def _bfs_prefix(r: int, e: int, m: int, cap: int):
     tree that reached them, and whether they are all of W.
 
     Returns (law, elements, edges, complete), elements as `_bfs` gives
-    them: a flat array (typecode by `law.end`) when the cap admits the
-    whole level, else a list.
+    them: a flat array('I') when the cap admits the whole level, else a
+    list.
     The BFS runs from the identity 0 over `law.generators`, so element k
     is the one `closure` would list at k.  edges[k - 1] is the Cayley-table position
     row * ngens + g of the edge that first reached element k >= 1

@@ -893,12 +893,17 @@ def test_tower_row_below_the_report_digits_is_pinned(capsys):
         ["--r", "2", "--m", "3", "--tower", "3"],
         ["--r", "3", "--m", "3", "--tower", "2"],
         ["--r", "2", "--m", "2", "--tower", "49,53"],
+        ["--r", "2", "--m", "3", "--tower", "16"],
+        ["--r", "3", "--m", "3", "--tower", "7"],
+        ["--r", "3", "--m", "3", "--tower", "8"],
     ],
 )
 def test_tower_row_past_the_report_digits_exits_2(flags, capsys):
     # each of these rows would report a model order of more than 4,300
     # digits, which no report can print: the run is refused before its
-    # first row, whatever that row's size, in well under a second
+    # first row, whatever that row's size, in well under a second.  The
+    # last three have an exponent k = (r - 1)|Q| + 1 past the float range
+    # (|Q| = 16^259 at the first), so they are refused on ints alone
     start = time.perf_counter()
     rc = main(["solv-model", *flags, "--i", "1", "--n", "1"])
     elapsed = time.perf_counter() - start

@@ -510,6 +510,21 @@ def test_both_slot_stores_enumerate_alike(cap):
     assert all(x not in index for x in whole[cap:])
 
 
+def test_coordinate_index_counts_multiples_of_the_quotient_order():
+    # the module part of W(2,2,2) is its elements with x % |Q| == 0, read
+    # from the slots 0, |Q|, 2|Q|, ...; a modulus that does not divide the
+    # coordinate space has no such column
+    law = packed_law("W222")
+    elements, index, _, complete = _bfs(law.generators, 0, law, 128)
+    assert complete and isinstance(index.slots, array)
+    for modulus in (1, law.base, 2 * law.base, 128):
+        expected = sum(x % modulus == 0 for x in elements)
+        assert index.count_multiples(modulus) == expected
+    assert index.count_multiples(law.base) == 128 // law.base
+    with pytest.raises(ValueError):
+        index.count_multiples(3)
+
+
 def test_whole_rank_3_level_is_one_flat_array():
     # W(3,2,2)'s top level, 2^20 elements: 4 bytes each in one array('I'),
     # its packed ints below law.end = 8 * 2^24
@@ -518,18 +533,6 @@ def test_whole_rank_3_level_is_one_flat_array():
     assert complete and len(elements) == 2**20 == law.coord_size
     assert elements.typecode == "I" and isinstance(index.slots, array)
     assert max(elements) < law.end == 8 * 2**24
-
-
-def test_elements_past_4_bytes_take_8(monkeypatch):
-    # a law whose end passes 2^32 keeps its elements in array('q'); the
-    # enumeration is the one the 4-byte array holds
-    law = packed_law("W222")
-    small, _, small_table, _ = _bfs(law.generators, 0, law, 128)
-    monkeypatch.setattr(law, "end", 2**32 + 1)
-    wide, _, wide_table, done = _bfs(law.generators, 0, law, 128)
-    assert (small.typecode, wide.typecode) == ("I", "q") and done
-    assert small.itemsize == 4 and wide.itemsize == 8
-    assert wide == array("q", small) and wide_table == small_table
 
 
 def test_packed_values_of_every_indexable_level_fit_in_4_bytes():
