@@ -29,8 +29,9 @@ most of its wall time.  So this module imports no msolv module but
   usage and error text are those of the parser of every experiment, which
   a missing or unknown experiment gets;
 - `traceback` is imported only to report an internal error;
-- the library modules define plain classes with explicit `__init__`
-  methods, not dataclasses.  Importing `dataclasses` (with `inspect`) costs
+- no module uses dataclasses: a report record is a `SimpleNamespace`
+  made at its one construction site, and other classes have explicit
+  `__init__` methods.  Importing `dataclasses` (with `inspect`) costs
   about 7 ms, and each `@dataclass` execs its generated methods when its
   module loads, about 0.4 ms a class, with or without a bytecode cache;
 - the runs that eliminate nothing (a K_cap tower, a capped probe,
@@ -149,17 +150,6 @@ class Param:
         self.default = default
         self.required = required
         self.min = min
-
-    def _key(self) -> tuple:
-        return self.name, self.type, self.default, self.required, self.min
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def flag(self) -> str:

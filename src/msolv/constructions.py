@@ -19,12 +19,12 @@ B-block existence question delegated to exact linear algebra.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Sequence
 
 from .errors import PreconditionViolated, VerdictFailed
 from .fingroup import (
     FiniteGroup,
-    Homomorphism,
     PermElem,
     center,
     closure,
@@ -34,17 +34,6 @@ from .fingroup import (
 
 
 # ----------------------------------------------------------- counterexample
-
-
-class CounterexampleBundle:
-    def __init__(self, group: FiniteGroup, quotient: FiniteGroup, projection: Homomorphism,
-                 dihedral_witness: Homomorphism, center_order: int, quotient_center_order: int):
-        self.group = group
-        self.quotient = quotient
-        self.projection = projection
-        self.dihedral_witness = dihedral_witness
-        self.center_order = center_order
-        self.quotient_center_order = quotient_center_order
 
 
 def _affine_perm(mat, vec) -> PermElem:
@@ -72,7 +61,7 @@ def dihedral_group_8() -> FiniteGroup:
     return closure([PermElem.from_cycles(4, [(0, 1, 2, 3)]), PermElem.from_cycles(4, [(1, 3)])])
 
 
-def build_counterexample() -> CounterexampleBundle:
+def build_counterexample() -> SimpleNamespace:
     """Materialize the counterexample and verify its invariants outright."""
     G = counterexample_group()
     if G.order != 72:
@@ -87,7 +76,7 @@ def build_counterexample() -> CounterexampleBundle:
     witness = find_isomorphism(Q, dihedral_group_8())
     if witness is None:
         raise VerdictFailed("the 2-step quotient must be dihedral of order 8")
-    return CounterexampleBundle(
+    return SimpleNamespace(
         group=G,
         quotient=Q,
         projection=proj,
@@ -100,16 +89,7 @@ def build_counterexample() -> CounterexampleBundle:
 # --------------------------------------------------------- reduction lemma
 
 
-class ReductionReport:
-    def __init__(self, passed: bool, vacuous: bool):
-        self.passed = passed
-        self.vacuous = vacuous
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def reduction_lemma_check(E: Sequence[int], ntilde: int, ell: int, sigma: int) -> ReductionReport:
+def reduction_lemma_check(E: Sequence[int], ntilde: int, ell: int, sigma: int) -> SimpleNamespace:
     """If ntilde * E = 0 over Z/ell^sigma then E reduces to 0 mod ell.
 
     E is the flat sequence of a matrix's entries; neither test depends on
@@ -126,8 +106,8 @@ def reduction_lemma_check(E: Sequence[int], ntilde: int, ell: int, sigma: int) -
         )
     mod = ell**sigma
     if any(ntilde * a % mod for a in E):
-        return ReductionReport(passed=True, vacuous=True)
-    return ReductionReport(passed=all(a % ell == 0 for a in E), vacuous=False)
+        return SimpleNamespace(passed=True, vacuous=True)
+    return SimpleNamespace(passed=all(a % ell == 0 for a in E), vacuous=False)
 
 
 # -------------------------------------------------------- block experiment
@@ -159,21 +139,7 @@ class GTildeInstance:
         return self.group.order
 
 
-class GTildeReport:
-    def __init__(self, u: int, s: int, n: int, ell: int, sigma: int, pairs_tested: int,
-                 feasible_pairs: list, containment_holds: bool, diagonal_exact: bool):
-        self.u = u
-        self.s = s
-        self.n = n
-        self.ell = ell
-        self.sigma = sigma
-        self.pairs_tested = pairs_tested
-        self.feasible_pairs = feasible_pairs  # (element index of A's group element, power k of x)
-        self.containment_holds = containment_holds  # every feasible pair has A = C
-        self.diagonal_exact = diagonal_exact  # feasible set == {(x^k, k)}
-
-
-def gtilde_experiment(inst: GTildeInstance) -> GTildeReport:
+def gtilde_experiment(inst: GTildeInstance) -> SimpleNamespace:
     """Decide, pair by pair, which [[A, B], [0, C]] commute with psi(x)^n.
 
     A ranges over the regular image of G, C over powers of rho(x).  The
@@ -181,6 +147,11 @@ def gtilde_experiment(inst: GTildeInstance) -> GTildeReport:
     of B with B X^n - X^n B = n (X^n C - A X^n); (ii) is a linear system
     over Z/ell^sigma in the u^2 entries of B, whose matrix L is put in
     Howell form once for all pairs.
+
+    The report echoes u, s, n, ell and sigma and counts the pairs tested;
+    feasible_pairs lists (index of A's group element, power k of x) for
+    each feasible pair, containment_holds says that every feasible pair
+    has A = C, and diagonal_exact that the feasible set is {(x^k, k)}.
     """
     from .zmodlin import _howell_rows, _reduce
 
@@ -233,7 +204,7 @@ def gtilde_experiment(inst: GTildeInstance) -> GTildeReport:
     diag = {(G.power(x, k), k) for k in range(s)}
     feas_set = set(feasible)
     containment = all(a == G.power(x, k) for a, k in feasible)
-    return GTildeReport(
+    return SimpleNamespace(
         u=u,
         s=s,
         n=n_int,

@@ -20,6 +20,7 @@ span of relator rows when a presentation is supplied.
 from __future__ import annotations
 
 import functools
+from types import SimpleNamespace
 from typing import Sequence
 
 from .errors import MixedVariant, RelatorNotInKernel, TooLarge, VerdictFailed, brief
@@ -190,13 +191,13 @@ class _PackedMagnusLaw:
         tree = {pos % r * d + qs[pos // r] for pos in _tree_edges(table)}
         slots = range(r * d)
         # _slots[pos]: the slot whose digit sits at position pos, and
-        # _positions[k]: the position of slot k's digit
+        # positions[k]: the position of slot k's digit
         self._slots = [k for k in slots if k not in tree] + sorted(tree)
-        self._positions = sorted(slots, key=self._slots.__getitem__)
+        positions = sorted(slots, key=self._slots.__getitem__)
         self.coord_size = d * e ** (len(slots) - len(tree))  # d * e^C = |W|
         self.end = d * e ** len(slots)  # the first int past every packed value
         # weight[k]: the packed value of a 1 in slot k of the vector part
-        self.weight = tuple(d * e**p for p in self._positions)
+        self.weight = tuple(d * e**p for p in positions)
         self._weights_cache: dict = {}
         self.generators = [self.pack(ctx.images[i], {i * d: 1}) for i in range(ctx.rank)]
         # step_rows[q][i] = (delta, e*w, (e-1)*w): the right product of an
@@ -231,22 +232,10 @@ class _PackedMagnusLaw:
         """The quotient index q of a packed [[q, v]], without decoding v."""
         return x % self.base
 
-    def _digits(self, code: int) -> list:
-        """The base-e digits of a vector code, low position first, as many
-        as there are slots."""
-        size = len(self.weight)
-        chunk, digits = _chunks(self.e)
-        vec = []
-        while len(vec) < size:
-            code, c = divmod(code, chunk)
-            vec.extend(digits[c])
-        del vec[size:]
-        return vec
-
     def vector(self, x: int) -> tuple:
         """The vector part of packed x, its digits in slot order."""
-        digits = self._digits(x // self.base)
-        return tuple(map(digits.__getitem__, self._positions))
+        e = self.e
+        return tuple(x // w % e for w in self.weight)
 
     def decode(self, x: int) -> MagnusMatrix:
         return MagnusMatrix(self.ctx, self.q(x), self.vector(x))
@@ -294,17 +283,6 @@ class _PackedMagnusLaw:
                 out += (e - c) * weights[k]
             k += 1
         return out
-
-
-@functools.lru_cache(maxsize=1)
-def _chunks(e: int) -> tuple:
-    """(e^k, the digits of every k-digit chunk, low digit first): a packed
-    law splits a vector code k digits at a time, k as large as keeps 1024
-    chunks.  One table per e, shared by every level of a model."""
-    k = 1
-    while e ** (k + 1) <= 1024:
-        k += 1
-    return e**k, tuple(tuple(c // e**j % e for j in range(k)) for c in range(e**k))
 
 
 def magnus_image(ctx: QuotientContext, w: FreeWord) -> MagnusMatrix:
@@ -372,18 +350,7 @@ def _size(n: int, form) -> int:
     return _pivot_product(n, (row[col] for col, row in form))
 
 
-class ExactnessReport:
-    def __init__(self, passed: bool, im_f_equals_ker_s: bool, s_surjective: bool,
-                 im_f_size: int, ker_s_size: int, ker_f_size: int):
-        self.passed = passed
-        self.im_f_equals_ker_s = im_f_equals_ker_s
-        self.s_surjective = s_surjective
-        self.im_f_size = im_f_size
-        self.ker_s_size = ker_s_size
-        self.ker_f_size = ker_f_size
-
-
-def exactness_check(c: CrowellComplex) -> ExactnessReport:
+def exactness_check(c: CrowellComplex) -> SimpleNamespace:
     """Exactness at R: im f = ker s, with s onto; plus |ker f|.
 
     The Howell form of [f | I] (`f_form`) gives im f, its leading rows'
@@ -398,7 +365,7 @@ def exactness_check(c: CrowellComplex) -> ExactnessReport:
     middle = im_f_rows == [row for _, row in ker_s]
     # s is onto iff its row span is all of Z/n; s(1) = 1 makes this automatic
     s_onto = _size(n, im_s) == n
-    return ExactnessReport(
+    return SimpleNamespace(
         passed=middle and s_onto,
         im_f_equals_ker_s=middle,
         s_surjective=s_onto,
@@ -433,16 +400,7 @@ def relator_kernel_check(c: CrowellComplex, relators: Sequence[FreeWord]) -> boo
     return True
 
 
-class RelationModuleReport:
-    def __init__(self, ker_f_size: int, relation_span_size: int, spans_equal: bool,
-                 discrepancy_index: int):
-        self.ker_f_size = ker_f_size
-        self.relation_span_size = relation_span_size
-        self.spans_equal = spans_equal
-        self.discrepancy_index = discrepancy_index  # |ker f| / |relation span|
-
-
-def relation_module_report(c: CrowellComplex, relators: Sequence[FreeWord]) -> RelationModuleReport:
+def relation_module_report(c: CrowellComplex, relators: Sequence[FreeWord]) -> SimpleNamespace:
     """Compare ker f with the R-span of the relator Fox rows.
 
     The R-module generated by the rows is realized over Z/n by also taking
@@ -463,7 +421,7 @@ def relation_module_report(c: CrowellComplex, relators: Sequence[FreeWord]) -> R
             rows.append({k - k % d + perm[k % d]: a for k, a in v.items()})
     span, ker_f = _howell_rows(n, rows), c.f_form[1]
     ker_size, span_size = _size(n, ker_f), _size(n, span)
-    return RelationModuleReport(
+    return SimpleNamespace(
         ker_f_size=ker_size,
         relation_span_size=span_size,
         spans_equal=span == ker_f,

@@ -40,14 +40,6 @@ class PermSpec:
         self.degree = degree
         self.gens = gens  # of PermElem
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.degree, self.gens) == (other.degree, other.gens)
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.gens))
-
 
 class MatSpec:
     __slots__ = ("modulus", "mats")
@@ -55,14 +47,6 @@ class MatSpec:
     def __init__(self, modulus: int, mats: tuple):
         self.modulus = modulus
         self.mats = mats  # of row-tuples-of-tuples, entries reduced mod modulus
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.modulus, self.mats) == (other.modulus, other.mats)
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.mats))
 
 
 class SemidirectSpec:
@@ -73,14 +57,6 @@ class SemidirectSpec:
         self.acting = acting
         self.action = action  # one exponent matrix (tuple of row tuples) per acting gen
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.normal, self.acting, self.action) == (other.normal, other.acting, other.action)
-
-    def __hash__(self) -> int:
-        return hash((self.normal, self.acting, self.action))
-
 
 class BuiltinSpec:
     __slots__ = ("name",)
@@ -88,19 +64,11 @@ class BuiltinSpec:
     def __init__(self, name: str):
         self.name = name
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
 
 BUILTIN_PATTERN = re.compile(r"^(S|C|D)_(\d+)$|^Q8$|^paper_counterexample$")
 
-# most points (elements x degree) a builtin's closure may write: S_9 has
-# 9! x 9 = 3,265,920, while C_100000 has 10^10
+# most points (elements x degree) the closure of a builtin or a perm spec
+# may write: S_9 has 9! x 9 = 3,265,920, while C_100000 has 10^10
 BUILTIN_WORK_BOUND = 4_000_000
 
 
@@ -127,14 +95,6 @@ class _Tok:
         self.text = text
         self.line = line
         self.col = col
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.text, self.line, self.col) == (other.text, other.line, other.col)
-
-    def __hash__(self) -> int:
-        return hash((self.text, self.line, self.col))
 
 
 def _tokenize(text: str) -> List[_Tok]:
@@ -330,7 +290,7 @@ def _matrix_text(m: tuple) -> str:
 
 
 def print_group_spec(spec) -> str:
-    """Canonical text form; parse(print(spec)) == spec."""
+    """Canonical text form; print(parse(print(spec))) == print(spec)."""
     if isinstance(spec, PermSpec):
         return f"perm {spec.degree} : " + ", ".join(g.cycle_string() for g in spec.gens)
     if isinstance(spec, MatSpec):
@@ -409,7 +369,14 @@ def _builtin_group(name: str) -> FiniteGroup:
 def build_group(spec) -> FiniteGroup:
     """Materialize a parsed GroupSpec as a FiniteGroup."""
     if isinstance(spec, PermSpec):
-        return closure(list(spec.gens))
+        cap = BUILTIN_WORK_BOUND // spec.degree
+        try:
+            return closure(list(spec.gens), cap=cap)
+        except CapExceeded:
+            raise TooLarge(
+                f"the perm group has more than {cap} elements of degree {spec.degree}; "
+                f"the bound is {BUILTIN_WORK_BOUND} points"
+            ) from None
     if isinstance(spec, MatSpec):
         try:
             gens = [

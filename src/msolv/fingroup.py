@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from array import array
 from operator import countOf
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -792,7 +793,8 @@ class Homomorphism:
     @staticmethod
     def from_gen_images(source: FiniteGroup, target: FiniteGroup, gen_images: Sequence[int]) -> "Homomorphism":
         """Extend generator images along the BFS tree; raises NotHomomorphism
-        if the assignment is inconsistent."""
+        if the assignment is inconsistent.  The loop checks every Cayley
+        edge, as `build` does, so the table it makes is verified."""
         if len(gen_images) != len(source.gen_indices):
             raise NotHomomorphism("one image per generator required")
         table = source.gen_table
@@ -807,7 +809,7 @@ class Homomorphism:
                     images[j] = v
                 elif images[j] != v:
                     raise NotHomomorphism("generator images do not extend")
-        return Homomorphism.build(source, target, images)
+        return Homomorphism(source, target, tuple(images))
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -1107,16 +1109,7 @@ def conj_action_faithful(H: FiniteGroup, N: Subgroup):
     return kernel.order == 1, kernel
 
 
-class QuotientIsoResult:
-    def __init__(self, hypothesis_holds: bool, bijective: bool, upstairs_order: int,
-                 downstairs_order: int):
-        self.hypothesis_holds = hypothesis_holds
-        self.bijective = bijective
-        self.upstairs_order = upstairs_order
-        self.downstairs_order = downstairs_order
-
-
-def quotient_iso_check(f: Homomorphism, H: Subgroup, n: int) -> QuotientIsoResult:
+def quotient_iso_check(f: Homomorphism, H: Subgroup, n: int) -> SimpleNamespace:
     """Finite-level check of the quotient-isomorphism lemma.
 
     For surjective f: G -> Q, a subgroup H of Q and its preimage H~, the
@@ -1144,7 +1137,7 @@ def quotient_iso_check(f: Homomorphism, H: Subgroup, n: int) -> QuotientIsoResul
         v = Q.elements[f(G.index[u])]
         images.append(proj_dn(HG.index[v]))
     induced = Homomorphism.build(upstairs, downstairs, images)
-    return QuotientIsoResult(
+    return SimpleNamespace(
         hypothesis_holds=hypothesis,
         bijective=induced.is_bijective(),
         upstairs_order=upstairs.order,

@@ -14,6 +14,7 @@ d_i(u v) = d_i(u) + pi(u) d_i(v) applied letter by letter.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Sequence
 
 from .errors import BadGeneratorIndex, IndexOutOfRange, NotSurjective, WordTooLong
@@ -169,17 +170,7 @@ def fox_row(ctx: QuotientContext, w: FreeWord) -> tuple:
     return tuple(fox_derivative(ctx, w, i) for i in range(1, ctx.rank + 1))
 
 
-class ExpansionReport:
-    def __init__(self, passed: bool, lhs: RingElem, rhs: RingElem):
-        self.passed = passed
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def expansion_check(ctx: QuotientContext, w: FreeWord) -> ExpansionReport:
+def expansion_check(ctx: QuotientContext, w: FreeWord) -> SimpleNamespace:
     """The fundamental expansion: pi(w) = 1 + sum_i (pi d_i w)(pi(x_i) - 1)."""
     R = ctx.ring
     lhs = R.embed(ctx.eval_word(w))
@@ -190,4 +181,4 @@ def expansion_check(ctx: QuotientContext, w: FreeWord) -> ExpansionReport:
             continue
         xi = ctx.images[i - 1]
         rhs = rhs + (d.mul_group_right(xi) - d)
-    return ExpansionReport(lhs == rhs, lhs, rhs)
+    return SimpleNamespace(passed=lhs == rhs, lhs=lhs, rhs=rhs)

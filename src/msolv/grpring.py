@@ -18,6 +18,7 @@ single level and is never claimed.
 from __future__ import annotations
 
 from math import gcd
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .errors import LevelMismatch, PreconditionViolated, RingMismatch
@@ -267,19 +268,7 @@ def sigma_split(n: int, sigma: frozenset) -> tuple:
     return n_s, rest
 
 
-class KernelProjectionReport:
-    def __init__(self, passed: bool, n: int, kM: int, M: int, k: int, kernel_rank: int,
-                 witness: Optional[dict] = None):
-        self.passed = passed
-        self.n = n
-        self.kM = kM
-        self.M = M
-        self.k = k
-        self.kernel_rank = kernel_rank
-        self.witness = witness
-
-
-def kernel_projection_check(t: CyclicTower, n: int, kM: int, M: int) -> KernelProjectionReport:
+def kernel_projection_check(t: CyclicTower, n: int, kM: int, M: int) -> SimpleNamespace:
     """Project the kernel of (x̄^n - 1)· from level kM down to level M.
 
     Every kernel generator must land inside k·A[C_M] (k = kM/M): kernel
@@ -325,6 +314,6 @@ def kernel_projection_check(t: CyclicTower, n: int, kM: int, M: int) -> KernelPr
             passed = False
             witness = {"kernel_row": coeffs, "projection": list(z.coeffs)}
             break
-    return KernelProjectionReport(
+    return SimpleNamespace(
         passed=passed, n=n, kM=kM, M=M, k=k, kernel_rank=len(kernel), witness=witness
     )

@@ -89,6 +89,7 @@ import math
 from array import array
 from itertools import compress, repeat
 from operator import countOf, eq, mod
+from types import SimpleNamespace
 from typing import List, Sequence
 
 from .errors import (
@@ -366,30 +367,6 @@ def _left_sources(ctx: QuotientContext, q: int) -> tuple:
     return tuple(b * d + inv[idx] for b in range(ctx.rank) for idx in range(d))
 
 
-class CentralizerReport:
-    def __init__(self, rank: int, exponent: int, m: int, generator: int, n: int,
-                 group_order: int, x_order: int, centralizer_order: int, k_cap_brute: int,
-                 k_cap_linear: int, oracle_equal: bool, decomposition_holds: bool):
-        self.rank = rank
-        self.exponent = exponent
-        self.m = m
-        self.generator = generator
-        self.n = n
-        self.group_order = group_order
-        self.x_order = x_order
-        self.centralizer_order = centralizer_order
-        self.k_cap_brute = k_cap_brute
-        self.k_cap_linear = k_cap_linear
-        self.oracle_equal = oracle_equal
-        self.decomposition_holds = decomposition_holds
-        self.note = MODEL_NOTE
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
 def check_centralizer_question(r: int, e: int, m: int, i: int, n: int) -> None:
     """PreconditionViolated (TooLarge for a huge e) unless the centralizer
     of mu(x_i)^n in W(r, e, m) is a valid question: e a prime power within
@@ -455,7 +432,7 @@ def _power_products(W: FiniteGroup, i: int, n: int):
     return R, L, powers
 
 
-def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerReport:
+def centralizer_experiment(model: SolvModel, i: int, n: int) -> SimpleNamespace:
     """Brute centralizer of mu(x_i)^n versus the linear-algebra oracle."""
     from .zmodlin import RMatrix, span_equal
 
@@ -484,7 +461,7 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
     product_set = {law.mul(W.elements[p], v) for p in powers for v in module}
     decomposition = product_set == set(cz_elements)
 
-    return CentralizerReport(
+    return SimpleNamespace(
         rank=model.rank,
         exponent=model.exponent,
         m=model.m,
@@ -497,19 +474,8 @@ def centralizer_experiment(model: SolvModel, i: int, n: int) -> CentralizerRepor
         k_cap_linear=k_cap_linear,
         oracle_equal=oracle_equal,
         decomposition_holds=decomposition,
+        note=MODEL_NOTE,
     )
-
-
-class TowerEntry:
-    def __init__(self, e: int, q_order: int, kernel_span: int, k_cap: int, group_order: int,
-                 verified_brute: bool, brute_matches: bool):
-        self.e = e
-        self.q_order = q_order
-        self.kernel_span = kernel_span  # |ker f| at the top level
-        self.k_cap = k_cap  # |K_cap| from the linear oracle
-        self.group_order = group_order  # |Q| * |ker f|: the model's order, brute or predicted
-        self.verified_brute = verified_brute  # True when the full group was materialized
-        self.brute_matches = brute_matches  # vacuously True for linear-only rows
 
 
 def kcap_tower(
@@ -525,6 +491,10 @@ def kcap_tower(
     centralizer experiment.  Every exponent's question is checked before
     the first row is computed, and so is the size of what its row reports
     (`_check_row_digits`).
+
+    A row's group_order is the model's order |Q| * |ker f|, brute or
+    predicted; verified_brute says whether the full group was
+    materialized, and brute_matches is vacuously True for linear-only rows.
     """
     for e in exponents:
         check_centralizer_question(r, e, m, i, n)
@@ -554,7 +524,7 @@ def kcap_tower(
                 and model.group.order == order
             )
         entries.append(
-            TowerEntry(
+            SimpleNamespace(
                 e=e,
                 q_order=prev.order,
                 kernel_span=kf_span,
@@ -592,32 +562,6 @@ def _check_row_digits(r: int, e: int, m: int) -> None:
         f"the tower row at e = {e} would report a model order of more than "
         f"{REPORT_INT_DIGITS} decimal digits"
     )
-
-
-class CappedCentralizerReport:
-    def __init__(self, rank: int, exponent: int, m: int, generator: int, n: int, cap: int,
-                 enumerated: int, complete: bool, centralizer_seen: int, module_seen: int,
-                 k_cap_seen: int, oracle_equal_pointwise: bool,
-                 decomposition_holds_pointwise: bool):
-        self.rank = rank
-        self.exponent = exponent
-        self.m = m
-        self.generator = generator
-        self.n = n
-        self.cap = cap
-        self.enumerated = enumerated
-        self.complete = complete
-        self.centralizer_seen = centralizer_seen
-        self.module_seen = module_seen
-        self.k_cap_seen = k_cap_seen
-        self.oracle_equal_pointwise = oracle_equal_pointwise
-        self.decomposition_holds_pointwise = decomposition_holds_pointwise
-        self.note = MODEL_NOTE
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
 
 @run_memo
@@ -720,7 +664,7 @@ def _prefix_power_products(law, elements, edges, i: int, n: int):
 
 def centralizer_probe_capped(
     r: int, e: int, m: int, cap: int, i: int, n: int
-) -> CappedCentralizerReport:
+) -> SimpleNamespace:
     """Pointwise centralizer checks on a deterministic BFS prefix of W_m.
 
     For levels whose full closure is out of reach, the first `cap` elements
@@ -823,7 +767,7 @@ def centralizer_probe_capped(
                 factor = law.mul(mu_inv, factor)
             if law.q(factor) != 0 or law.mul(factor, mu_n) != law.mul(mu_n, factor):
                 decomposition_ok = False
-    return CappedCentralizerReport(
+    return SimpleNamespace(
         rank=r,
         exponent=e,
         m=m,
@@ -837,6 +781,7 @@ def centralizer_probe_capped(
         k_cap_seen=kcap_seen,
         oracle_equal_pointwise=predicted == cz,
         decomposition_holds_pointwise=decomposition_ok,
+        note=MODEL_NOTE,
     )
 
 
@@ -888,22 +833,16 @@ def surface_presentation(g: int) -> PresentationData:
     return presentation(rank, [rel])
 
 
-class AbelianizationReport:
-    def __init__(self, invariant_factors: tuple, free_rank: int, torsion_free: bool):
-        # the nonzero invariant factors of the exponent matrix
-        self.invariant_factors = invariant_factors
-        self.free_rank = free_rank
-        self.torsion_free = torsion_free
-
-
-def presentation_abelianization(p: PresentationData) -> AbelianizationReport:
+def presentation_abelianization(p: PresentationData) -> SimpleNamespace:
+    """The abelianization of p: invariant_factors, the nonzero invariant
+    factors of its exponent matrix, free_rank and torsion_free."""
     from .zmodlin import smith_normal_form_int
 
     if not p.relators:
-        return AbelianizationReport((), p.rank, True)
+        return SimpleNamespace(invariant_factors=(), free_rank=p.rank, torsion_free=True)
     factors = smith_normal_form_int([list(r) for r in p.exponent_matrix])
     free_rank = p.rank - len(factors)
-    return AbelianizationReport(
+    return SimpleNamespace(
         invariant_factors=factors,
         free_rank=free_rank,
         torsion_free=all(f == 1 for f in factors),
@@ -911,20 +850,6 @@ def presentation_abelianization(p: PresentationData) -> AbelianizationReport:
 
 
 # ------------------------------------------------------------ corpus scan
-
-
-class CenterScanEntry:
-    def __init__(self, label: str, order: int, center_order: int, quotient_order: int,
-                 quotient_center_order: int, flagged: bool, center_in_derived_image: bool,
-                 ab_faithful: tuple):
-        self.label = label
-        self.order = order
-        self.center_order = center_order
-        self.quotient_order = quotient_order
-        self.quotient_center_order = quotient_center_order
-        self.flagged = flagged  # center-free group whose m-step quotient is not
-        self.center_in_derived_image = center_in_derived_image
-        self.ab_faithful = ab_faithful  # ((order of normal subgroup N, faithful?), ...)
 
 
 class ScanProfile:
@@ -967,7 +892,7 @@ def centerfree_scan(corpus: Sequence, m: int) -> list:
     whether Z(G^(m)) lies in the image of the (m-1)-st derived subgroup,
     and conjugation-faithfulness on N^ab for every normal N containing
     that derived subgroup.  A group is flagged when it is center-free but
-    its quotient is not.
+    its quotient is not.  ab_faithful lists (|N|, faithful on N^ab?) pairs.
 
     Everything but the derived-image test is read from the profile, which
     a FiniteGroup gets for this call alone: the quotient G/G^(m) and its
@@ -991,7 +916,7 @@ def centerfree_scan(corpus: Sequence, m: int) -> list:
             if upper.element_set <= N.element_set
         ]
         out.append(
-            CenterScanEntry(
+            SimpleNamespace(
                 label=label,
                 order=G.order,
                 center_order=Z.order,

@@ -71,38 +71,22 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-class ResidueRing:
-    """The ring Z/n with canonical representatives 0..n-1.
+def stab_unit(n: int, a: int) -> int:
+    """A unit u with u*a = gcd(a, n) in Z/n.
 
-    Args:
-        modulus: n >= 2.
+    This is the normalisation step of the Howell form: any element can be
+    moved to the canonical generator of the ideal it generates by a unit.
     """
-
-    def __init__(self, modulus: int):
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        self.modulus = modulus
-
-    def stab_unit(self, a: int) -> int:
-        """A unit u with u*a = gcd(a, n) in Z/n.
-
-        This is the normalisation step of the Howell form: any element can be
-        moved to the canonical generator of the ideal it generates by a unit.
-        """
-        n = self.modulus
-        a %= n
-        if a == 0:
-            return 1
-        g = gcd(a, n)
-        u = pow(a // g, -1, n // g)
-        # lift to a unit mod n: u is determined mod n/g and some lift is
-        # coprime to n because a/g is
-        while gcd(u, n) != 1:
-            u += n // g
-        return u % n
-
-    def __repr__(self) -> str:
-        return f"ResidueRing({self.modulus})"
+    a %= n
+    if a == 0:
+        return 1
+    g = gcd(a, n)
+    u = pow(a // g, -1, n // g)
+    # lift to a unit mod n: u is determined mod n/g and some lift is
+    # coprime to n because a/g is
+    while gcd(u, n) != 1:
+        u += n // g
+    return u % n
 
 
 class RMatrix:
@@ -227,7 +211,6 @@ def _howell_rows(n: int, rows: Iterable[dict]) -> list:
     gcd(p, b).  Rows above are reduced modulo p, and (n/p) times the pivot
     row is filed as an annihilator row.
     """
-    ring = ResidueRing(n)
     pending: dict = {}
     leads: list = []  # heap of the keys of pending
 
@@ -247,7 +230,7 @@ def _howell_rows(n: int, rows: Iterable[dict]) -> list:
         col = heappop(leads)
         led = pending.pop(col)
         piv = led.pop(min(range(len(led)), key=lambda i: (gcd(led[i][col], n), len(led[i]))))
-        u = ring.stab_unit(piv[col])
+        u = stab_unit(n, piv[col])
         if u != 1:
             piv = {j: u * a % n for j, a in piv.items()}
         p = piv[col]

@@ -42,7 +42,6 @@ from msolv.dsl import (
     print_group_spec,
     word_text,
 )
-from msolv.constructions import ReductionReport
 from msolv.errors import MsolvError, ParseError, VerdictFailed, WordTooLong
 from msolv.fingroup import PermElem, center, iso_test_small
 from msolv.foxcalc import MAX_WORD_LENGTH, empty_word, generator_word
@@ -753,10 +752,12 @@ UNANSWERABLE_CENTRALIZER_ARGV = [
 
 # groups refused up front: a builtin whose known order passes the closure
 # cap, and a permutation degree past it, both refused before any cycle of
-# that many points is built
+# that many points is built; and S_12 as a perm spec, whose closure is
+# refused once it passes BUILTIN_WORK_BOUND points, long before its order
 HUGE_GROUP_ARGV = [
     ["derived-series", "--group", "builtin C_99999999999"],
     ["derived-series", "--group", "perm 99999999999 : (0 1)"],
+    ["derived-series", "--group", "perm 12 : (0 1), (0 1 2 3 4 5 6 7 8 9 10 11)"],
 ]
 
 # a coefficient exponent past the closure cap, the prime 2^61 - 1: refused
@@ -845,6 +846,8 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     if argv in LONG_WORD_ARGV:
         assert elapsed < 1, elapsed
+    if argv in HUGE_GROUP_ARGV:
+        assert elapsed < 4, elapsed
 
 
 def test_tower_row_past_the_index_limit_is_linear_only(capsys, monkeypatch):
@@ -1275,7 +1278,7 @@ def test_reduction_lemma_first_failure_is_the_witness(monkeypatch, capsys):
     def planted(E, ntilde, ell, sigma):
         rep = real(E, ntilde, ell, sigma)
         if sum(E) % 5 == 3 and not rep.vacuous:
-            return ReductionReport(passed=False, vacuous=False)
+            return types.SimpleNamespace(passed=False, vacuous=False)
         return rep
 
     monkeypatch.setattr(exp_groups, "reduction_lemma_check", planted)

@@ -17,7 +17,6 @@ import pytest
 
 from msolv.constructions import (
     GTildeInstance,
-    ReductionReport,
     build_counterexample,
     counterexample_group,
     dihedral_group_8,

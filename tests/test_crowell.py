@@ -459,11 +459,11 @@ def test_aliased_coordinates_fail_the_build(monkeypatch):
 
 def test_coordinate_lookups_decode_no_digit(monkeypatch):
     # a coordinate is a remainder of the packed int: neither the BFS nor an
-    # index lookup reads the digits one by one
-    def no_digits(self, code):
+    # index lookup reads the vector part
+    def no_vector(self, x):
         raise AssertionError("a coordinate lookup decoded the digits")
 
-    monkeypatch.setattr(_PackedMagnusLaw, "_digits", no_digits)
+    monkeypatch.setattr(_PackedMagnusLaw, "vector", no_vector)
     W = build_solv_model(2, 3, 2).group
     assert all(W.index[x] == k for k, x in enumerate(W.elements[:2000]))
     assert W.index.get(W.elements[-1]) == W.order - 1
